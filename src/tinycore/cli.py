@@ -140,7 +140,7 @@ def read_coreset_csv(path: str) -> CoresetFile:
     meta = {}
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -150,7 +150,7 @@ def read_coreset_csv(path: str) -> CoresetFile:
                         key, val = tok.split("=", 1)
                         meta[key] = val
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            rows.append(_parse_row(path, lineno, line, len(rows[0]) if rows else None))
     if not rows:
         raise TinycoreError("empty coreset file")
     arr = np.asarray(rows)
@@ -174,10 +174,22 @@ def read_coreset_file(path: str) -> CoresetFile:
     return read_coreset_csv(path)
 
 
+def _parse_row(path: str, lineno: int, line: str, width: Optional[int]) -> list[float]:
+    """Parse one comma-separated row of floats; `width` is the first row's, if any."""
+    try:
+        values = [float(v) for v in line.split(",")]
+    except ValueError as exc:
+        raise TinycoreError(f"{path}:{lineno}: cannot parse row: {exc}") from exc
+    if width is not None and len(values) != width:
+        raise TinycoreError(f"{path}:{lineno}: expected {width} columns, got {len(values)}")
+    return values
+
+
 def load_points(path: str, weighted: bool, header: bool) -> PointSet:
     """Read a CSV of points, optionally with a trailing weight column."""
     rows = []
     weights = []
+    width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if header and lineno == 1:
@@ -185,10 +197,8 @@ def load_points(path: str, weighted: bool, header: bool) -> PointSet:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                values = [float(v) for v in line.split(",")]
-            except ValueError as exc:
-                raise TinycoreError(f"{path}:{lineno}: cannot parse row: {exc}") from exc
+            values = _parse_row(path, lineno, line, width)
+            width = len(values)
             if weighted:
                 if len(values) < 2:
                     raise TinycoreError(f"{path}:{lineno}: weighted rows need >= 2 columns")

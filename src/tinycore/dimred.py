@@ -58,15 +58,17 @@ def reduction_rank(n: int, d: int, j: int, eps: float, mode: str) -> int:
 def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> ReducedInstance:
     """Project onto the top-m right-singular directions, keeping the lost energy.
 
-    For k-means modes pass j := k.  The rank m is capped at min(n, d); a
-    binding cap makes the reduction exact (delta may still be zero only when
-    the full spectrum is kept).
+    For k-means modes pass j := k.  The rank m is capped at min(n, d).  When
+    m = d every direction is kept, the reduction is exact with delta = 0, and
+    the identity is returned as the basis without computing an SVD.
     """
     if j < 1:
         raise InvalidArgument("query dimension must be >= 1")
     if not 0 < eps <= 1:
         raise InvalidArgument("eps must lie in (0, 1]")
     m = reduction_rank(points.n, points.d, j, eps, mode)
+    if m == points.d:
+        return ReducedInstance(reduced_points=points.rows, basis=np.eye(m), delta=0.0, m=m)
     if points.weights is not None:
         factors = svd(PointSet(weighted_fold(points)))
     else:

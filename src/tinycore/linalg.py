@@ -2,9 +2,8 @@
 
 Everything downstream (subspace coresets, dimensionality reduction, the
 streaming summaries) is built on the thin SVD computed here.  The
-factorization is computed by a one-sided Jacobi iteration with a
-round-robin pairing schedule so that all rotations of a round are applied
-as one vectorized update.
+factorization comes from LAPACK through ``numpy.linalg.svd``; every result
+is checked for orthonormality, reconstruction and ordering before use.
 """
 from __future__ import annotations
 
@@ -17,9 +16,6 @@ from .errors import InvalidArgument, InvalidInput
 
 TOL_ORTH = 1e-8
 TOL_RECON = 1e-8
-
-_JACOBI_SWEEPS = 60
-_JACOBI_OFF_TOL = 1e-14
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -148,119 +144,23 @@ class CenterSet:
 QueryShape = Union[CenterSet, Subspace]
 
 
-def _pair_schedule(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Round-robin tournament pairing of d column indices (disjoint per round)."""
-    cols = list(range(d))
-    if d % 2 == 1:
-        cols.append(-1)  # bye slot
-    m = len(cols)
-    rounds = []
-    order = cols[:]
-    for _ in range(m - 1):
-        p_idx, q_idx = [], []
-        for i in range(m // 2):
-            a, b = order[i], order[m - 1 - i]
-            if a >= 0 and b >= 0:
-                p_idx.append(a)
-                q_idx.append(b)
-        rounds.append((np.array(p_idx), np.array(q_idx)))
-        order = [order[0]] + [order[-1]] + order[1:-1]
-    return rounds
-
-
-def _complete_orthonormal(u: np.ndarray, missing: np.ndarray) -> None:
-    """Fill the columns listed in `missing` with vectors orthonormal to the rest."""
-    n = u.shape[0]
-    filled = [i for i in range(u.shape[1]) if i not in set(missing.tolist())]
-    basis = [u[:, i] for i in filled]
-    cand = 0
-    for col in missing:
-        while True:
-            if cand >= n:
-                raise InvalidInput("cannot complete orthonormal basis")
-            v = np.zeros(n)
-            v[cand] = 1.0
-            cand += 1
-            for b in basis:  # two Gram-Schmidt passes for stability
-                v -= (b @ v) * b
-            for b in basis:
-                v -= (b @ v) * b
-            norm = np.linalg.norm(v)
-            if norm > 0.5:
-                v /= norm
-                u[:, col] = v
-                basis.append(v)
-                break
-
-
-def _jacobi_svd_tall(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of a tall matrix (n >= d). Returns thin (U, sigma, V)."""
-    n, d = a.shape
-    w = a.copy()
-    v = np.eye(d)
-    if d > 1:
-        schedule = _pair_schedule(d)
-        for _ in range(_JACOBI_SWEEPS):
-            off_max = 0.0
-            for p_idx, q_idx in schedule:
-                wp = w[:, p_idx]
-                wq = w[:, q_idx]
-                alpha = np.sum(wp * wp, axis=0)
-                beta = np.sum(wq * wq, axis=0)
-                gamma = np.sum(wp * wq, axis=0)
-                denom = np.sqrt(alpha * beta)
-                active = denom > 0
-                rel = np.zeros_like(gamma)
-                rel[active] = np.abs(gamma[active]) / denom[active]
-                off_max = max(off_max, float(rel.max(initial=0.0)))
-                rotate = rel > _JACOBI_OFF_TOL
-                if not np.any(rotate):
-                    continue
-                pr = p_idx[rotate]
-                qr = q_idx[rotate]
-                g = gamma[rotate]
-                zeta = (beta[rotate] - alpha[rotate]) / (2.0 * g)
-                t = np.sign(zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                t[zeta == 0] = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wp, wq = w[:, pr].copy(), w[:, qr].copy()
-                w[:, pr] = c * wp - s * wq
-                w[:, qr] = s * wp + c * wq
-                vp, vq = v[:, pr].copy(), v[:, qr].copy()
-                v[:, pr] = c * vp - s * vq
-                v[:, qr] = s * vp + c * vq
-            if off_max <= _JACOBI_OFF_TOL:
-                break
-    sigma = np.linalg.norm(w, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros((n, d))
-    cutoff = max(n, d) * np.finfo(np.float64).eps * (sigma[0] if sigma[0] > 0 else 1.0)
-    nonzero = sigma > cutoff
-    u[:, nonzero] = w[:, nonzero] / sigma[nonzero]
-    missing = np.where(~nonzero)[0]
-    if missing.size:
-        sigma = sigma.copy()
-        sigma[missing] = 0.0
-        _complete_orthonormal(u, missing)
-    return u, sigma, v
-
-
 def svd(points: PointSet) -> SvdFactors:
-    """Exact thin SVD of the point matrix.
+    """Exact thin SVD of the point matrix, computed by LAPACK through numpy.
 
-    Weighted inputs must be folded through :func:`weighted_fold` first; the
-    factorization itself is weight-agnostic.
+    The signs are fixed so that the largest-magnitude entry of each column of
+    V is positive (the matching column of U flips with it).  Weighted inputs
+    must be folded through :func:`weighted_fold` first; the factorization
+    itself is weight-agnostic.
     """
     a = np.asarray(points.rows)
-    n, d = a.shape
-    if n >= d:
-        u, s, v = _jacobi_svd_tall(a)
-    else:
-        v, s, u = _jacobi_svd_tall(a.T)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInput(f"SVD failed: {exc}") from exc
+    v = vt.T
+    flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0
+    v[:, flip] *= -1.0
+    u[:, flip] *= -1.0
     factors = SvdFactors(u=u, sigma=s, v=v)
     _check_factors(a, factors)
     return factors

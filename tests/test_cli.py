@@ -142,6 +142,37 @@ class TestCoresetCommand:
             assert fa.read() == fb.read()
 
 
+    def test_subspace_byte_identical_reruns(self, tmp_path, data_csv):
+        path, _ = data_csv
+        a, b = str(tmp_path / "a.cs"), str(tmp_path / "b.cs")
+        argv = ["coreset", "subspace", "--j", "2", "--epsilon", "0.5", path]
+        assert main(argv + ["-o", a]) == 0
+        assert main(argv + ["-o", b]) == 0
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
+
+    def test_ragged_csv_exits_1_with_line(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("1,2,3\n4,5\n")
+        code = main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "points.csv:2: expected 3 columns, got 2" in err
+
+    def test_svd_failure_exits_1_without_traceback(self, tmp_path, data_csv, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        path, _ = data_csv
+        out = str(tmp_path / "s.cs")
+        code = main(["coreset", "subspace", "--j", "2", "--epsilon", "0.5", path, "-o", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "did not converge" in err
+        assert "Traceback" not in err
+
+
 class TestEvalCommand:
     def test_identity_coreset_all_ratios_one(self, tmp_path, data_csv, capsys):
         path, rows = data_csv
@@ -193,6 +224,18 @@ class TestEvalCommand:
         bad = str(tmp_path / "bad.cs")
         write_coreset_binary(bad, corrupted)
         assert main(["eval", bad, path, *eval_args]) == 1
+
+    def test_non_numeric_coreset_csv_exits_1_with_line(self, tmp_path, data_csv, capsys):
+        path, _ = data_csv
+        cpath = tmp_path / "bad.csv"
+        cpath.write_text("# tinycore coreset v1\n1,2,3,4,1\n1,2,abc,4,1\n")
+        code = main([
+            "eval", str(cpath), path, "--query-kind", "centers", "--k", "2",
+            "--count", "5", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "bad.csv:3: cannot parse row" in err
 
     def test_dimension_mismatch_exits_1(self, tmp_path, data_csv, rng):
         path, _ = data_csv

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tinycore.dimred
 from tinycore import (
     CenterSet,
     Coreset,
@@ -86,6 +87,19 @@ class TestReduce:
         # delta equals the weighted projection cost onto the retained span
         resid = a - red.ambient_points()
         assert red.delta == pytest.approx(float(np.sum(w * np.sum(resid**2, axis=1))), rel=1e-9)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_binding_cap_skips_the_svd(self, rng, monkeypatch, weighted):
+        calls = []
+        monkeypatch.setattr(tinycore.dimred, "svd", lambda *a: calls.append(a))
+        a = rng.standard_normal((50, 6))
+        ps = PointSet(a, rng.uniform(1.0, 3.0, 50) if weighted else None)
+        red = reduce(ps, 2, 0.5, "general")
+        assert red.m == 6
+        assert red.delta == 0.0
+        assert np.array_equal(red.basis, np.eye(6))
+        assert np.array_equal(red.reduced_points, a)
+        assert calls == []
 
     def test_eps_validation(self, rng):
         ps = PointSet(rng.standard_normal((5, 3)))

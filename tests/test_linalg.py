@@ -10,6 +10,7 @@ from tinycore import (
     PointSet,
     Subspace,
     dist2,
+    linear_subspace_coreset,
     low_rank_approx,
     svd,
     tail_energy,
@@ -69,6 +70,43 @@ class TestSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
             PointSet(np.array([[np.inf, 0.0]]))
+
+    def test_small_tail_energy_is_relatively_accurate(self):
+        # a tail of ~3.6e-12 of the total energy: the offset of a rank-4
+        # summary must still match it to 1e-8 relative
+        gen = np.random.default_rng(4)
+        u, _ = np.linalg.qr(gen.standard_normal((3000, 12)))
+        v, _ = np.linalg.qr(gen.standard_normal((12, 12)))
+        sigma = np.concatenate([[100.0, 50.0, 20.0, 10.0], np.linspace(1e-4, 5e-5, 8)])
+        a = (u * sigma) @ v.T
+        expect = float(np.sum(sigma[4:] ** 2))
+        assert tail_energy(svd(PointSet(a)), 4) == pytest.approx(expect, rel=1e-8)
+        core = linear_subspace_coreset(PointSet(a), 2, 2 / 3)
+        assert core.size == 4
+        assert core.delta == pytest.approx(expect, rel=1e-8)
+
+    @pytest.mark.parametrize("shape", [(40, 9), (9, 40), (12, 12)])
+    def test_v_sign_convention(self, rng, shape):
+        a = rng.standard_normal(shape)
+        f = svd(PointSet(a))
+        v = np.asarray(f.v)
+        top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+        assert np.all(top > 0)
+        np.testing.assert_allclose(f.reconstruct(), a, atol=1e-9)
+
+    def test_lapack_failure_is_invalid_input(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(InvalidInput, match="did not converge"):
+            svd(PointSet(np.eye(3)))
+
+    def test_rerun_gives_identical_factors(self, rng):
+        a = rng.standard_normal((300, 17))
+        f, g = svd(PointSet(a)), svd(PointSet(a))
+        for x, y in ((f.u, g.u), (f.sigma, g.sigma), (f.v, g.v)):
+            assert np.array_equal(x, y)
 
 
 class TestLowRankApprox:
