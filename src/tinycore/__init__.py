@@ -57,7 +57,7 @@ from .sensitivity import (
     sensitivity_sample,
     vc_sample_size,
 )
-from .streaming import CoresetStream, StreamConfig, stream_insert, stream_query
+from .streaming import CoresetStream, StreamConfig
 
 __version__ = "0.1.0"
 
@@ -109,8 +109,6 @@ __all__ = [
     "sensitivity_sample",
     "small_kmeans_coreset",
     "squared_euclidean",
-    "stream_insert",
-    "stream_query",
     "svd",
     "tail_energy",
     "vc_sample_size",

@@ -36,7 +36,6 @@ from .clustering import (
 from .coreset import (
     Coreset,
     affine_subspace_coreset,
-    affine_subspace_coreset_weighted,
     coreset_cost,
     linear_subspace_coreset,
 )
@@ -232,10 +231,7 @@ def cmd_coreset(args: argparse.Namespace) -> int:
         kind = "kmeans"
     else:
         if args.affine:
-            if points.weights is not None:
-                core = affine_subspace_coreset_weighted(points, args.j, args.epsilon)
-            else:
-                core = affine_subspace_coreset(points, args.j, args.epsilon)
+            core = affine_subspace_coreset(points, args.j, args.epsilon)
             construction = kind = "affine"
         else:
             core = linear_subspace_coreset(points, args.j, args.epsilon)

@@ -10,13 +10,12 @@ import numpy as np
 from .coreset import Coreset
 from .dimred import lift_coreset, reduce
 from .errors import InvalidArgument, InvalidInput, ResourceLimit
-from .linalg import CenterSet, PointSet, QueryShape, Subspace, svd
+from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, svd
 from .sensitivity import (
     DEFAULT_C_DIM,
     DEFAULT_C_S,
     DEFAULT_C_VC,
     _mean_update,
-    _nearest,
     bicriteria_kmeans,
     center_query_dimension,
     d2_seed,

@@ -202,14 +202,16 @@ def weighted_fold(points: PointSet) -> np.ndarray:
     return np.asarray(points.rows) * np.sqrt(points.effective_weights())[:, None]
 
 
-def _dist2_centers(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Per-row squared distance to the nearest center."""
+def _nearest(rows: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest listed center per row (lowest index wins ties) and its squared distance."""
     sq = (
         np.sum(rows * rows, axis=1)[:, None]
         - 2.0 * rows @ centers.T
         + np.sum(centers * centers, axis=1)[None, :]
     )
-    return np.maximum(sq, 0.0).min(axis=1)
+    np.maximum(sq, 0.0, out=sq)
+    idx = np.argmin(sq, axis=1)
+    return idx, sq[np.arange(rows.shape[0]), idx]
 
 
 def _dist2_subspace(rows: np.ndarray, shape: Subspace) -> np.ndarray:
@@ -226,7 +228,7 @@ def dist2_rows(rows: np.ndarray, shape: QueryShape) -> np.ndarray:
     if isinstance(shape, CenterSet):
         if shape.d != rows.shape[1]:
             raise InvalidArgument("center set dimension does not match points")
-        return _dist2_centers(rows, np.asarray(shape.centers))
+        return _nearest(rows, np.asarray(shape.centers))[1]
     if isinstance(shape, Subspace):
         if shape.basis.shape[0] != rows.shape[1]:
             raise InvalidArgument("subspace dimension does not match points")

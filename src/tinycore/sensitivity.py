@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput
-from .linalg import PointSet, _as_readonly
+from .linalg import PointSet, _as_readonly, _nearest
 
 DEFAULT_C_S = 8.0
 DEFAULT_C_TOT = 64.0
@@ -67,18 +67,6 @@ class BicriteriaSolution:
     @property
     def total_cost(self) -> float:
         return float(np.sum(self.cluster_costs))
-
-
-def _nearest(rows: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest listed center per row (lowest index wins ties) and its squared distance."""
-    sq = (
-        np.sum(rows * rows, axis=1)[:, None]
-        - 2.0 * rows @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    idx = np.argmin(sq, axis=1)
-    return idx, sq[np.arange(rows.shape[0]), idx]
 
 
 def d2_seed(rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

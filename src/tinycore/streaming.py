@@ -22,6 +22,7 @@ from .coreset import (
     affine_subspace_coreset_weighted,
     coreset_size_linear,
     linear_subspace_coreset,
+    merge_coresets,
 )
 from .clustering import kmeans_coreset
 from .errors import EmptyState, InvalidArgument, InvalidInput
@@ -59,17 +60,6 @@ class StreamConfig:
                 raise InvalidArgument("delta must lie in (0, 1)")
 
 
-@dataclass
-class _Bucket:
-    points: np.ndarray
-    weights: np.ndarray
-    delta: float
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
 class CoresetStream:
     """Single-writer merge-and-reduce state machine.
 
@@ -80,13 +70,15 @@ class CoresetStream:
     def __init__(self, config: StreamConfig):
         self.config = config
         self._d: Optional[int] = None
-        self._buffer: list[np.ndarray] = []
-        self._buckets: list[Optional[_Bucket]] = []
-        self._summaries: list[_Bucket] = []
+        self._buffer: list[np.ndarray] = []  # row blocks not yet reduced
+        self._buffered = 0
+        self._buckets: list[Optional[Coreset]] = []
+        self._summaries: list[Coreset] = []
         self._epoch = 1
         self._epoch_seen = 0
         self._constructions = 2  # failure budget schedule starts at delta/4
         self._points_seen = 0
+        self._live = 0
         self.reduce_count = 0
         self.peak_live_points = 0
 
@@ -115,10 +107,7 @@ class CoresetStream:
         return max(2 * cfg.k + 2, math.ceil(cfg.c_stream * cfg.k / gamma))
 
     def live_points(self) -> int:
-        total = len(self._buffer)
-        total += sum(b.size for b in self._buckets if b is not None)
-        total += sum(b.size for b in self._summaries)
-        return total
+        return self._live
 
     def memory_bound(self) -> float:
         """Instrumented ceiling: live points stay below c * level_size * epoch."""
@@ -130,132 +119,110 @@ class CoresetStream:
         mix = np.random.SeedSequence([self.config.seed, self._constructions])
         return int(mix.generate_state(1)[0])
 
-    def _reduce(self, pts: np.ndarray, wts: np.ndarray, delta_in: float, eps: float) -> _Bucket:
+    def _compress(self, parts: list[Coreset], eps: float, seed: int) -> Coreset:
+        """One coreset of the union of the parts at precision eps, offsets added."""
+        pts, wts, delta = merge_coresets(parts)
         cfg = self.config
-        self.reduce_count += 1
         if cfg.kind == "subspace":
             # level inputs carry unit weights throughout the linear stream
-            summary = linear_subspace_coreset(PointSet(pts), cfg.j, eps)
+            out = linear_subspace_coreset(PointSet(pts), cfg.j, eps)
         elif cfg.kind == "affine":
-            summary = affine_subspace_coreset_weighted(PointSet(pts, wts), cfg.j, eps)
+            out = affine_subspace_coreset_weighted(PointSet(pts, wts), cfg.j, eps)
         else:
-            budget = cfg.delta / self._constructions**2
-            seed = self._next_seed()
-            self._constructions += 1
-            summary = kmeans_coreset(
+            out = kmeans_coreset(
                 PointSet(pts, wts),
                 cfg.k,
-                eps,
-                budget,
+                min(eps, 0.999),  # the config admits eps = 1, the sampler does not
+                cfg.delta / self._constructions**2,
                 seed,
                 sample_size=self.level_size(),
             )
-        return _Bucket(
-            points=np.asarray(summary.points).copy(),
-            weights=np.asarray(summary.weights).copy(),
-            delta=summary.delta + delta_in,
-        )
+        return Coreset(points=out.points, weights=out.weights, delta=out.delta + delta)
+
+    def _reduce(self, parts: list[Coreset]) -> Coreset:
+        """Replace live parts by their compression at the current level precision."""
+        out = self._compress(parts, self.gamma(), self._next_seed())
+        self._constructions += 1
+        self.reduce_count += 1
+        self._live += out.size - sum(p.size for p in parts)
+        return out
+
+    def _buffer_coreset(self) -> Coreset:
+        return Coreset(points=np.vstack(self._buffer), weights=np.ones(self._buffered), delta=0.0)
 
     def _flush_buffer(self) -> None:
-        pts = np.vstack(self._buffer)
-        self._buffer = []
-        carry = self._reduce(pts, np.ones(pts.shape[0]), 0.0, self.gamma())
-        level = 0
-        while True:
-            if level == len(self._buckets):
-                self._buckets.append(carry)
-                break
-            if self._buckets[level] is None:
+        carry = self._reduce([self._buffer_coreset()])
+        self._buffer, self._buffered = [], 0
+        for level, other in enumerate(self._buckets):
+            if other is None:
                 self._buckets[level] = carry
-                break
-            other = self._buckets[level]
+                return
             self._buckets[level] = None
-            merged_pts = np.vstack([carry.points, other.points])
-            merged_w = np.concatenate([carry.weights, other.weights])
-            carry = self._reduce(merged_pts, merged_w, carry.delta + other.delta, self.gamma())
-            level += 1
+            carry = self._reduce([carry, other])
+        self._buckets.append(carry)
 
     def _roll_epoch(self) -> None:
         occupied = [b for b in self._buckets if b is not None]
         self._buckets = []
         if len(occupied) == 1:
             self._summaries.append(occupied[0])
-        elif len(occupied) > 1:
-            pts = np.vstack([b.points for b in occupied])
-            wts = np.concatenate([b.weights for b in occupied])
-            delta = float(sum(b.delta for b in occupied))
-            self._summaries.append(self._reduce(pts, wts, delta, self.gamma()))
+        elif occupied:
+            self._summaries.append(self._reduce(occupied))
         self._epoch += 1
         self._epoch_seen = 0
+
+    def _feed(self, block: np.ndarray) -> None:
+        """Take an n x d block, flushing and rolling exactly where row-by-row
+        inserts would; a block with a bad row is rejected whole."""
+        if block.shape[0] == 0:
+            return
+        if not np.isfinite(block).all():
+            raise InvalidInput("stream point contains non-finite entries")
+        if self._d is None:
+            self._d = block.shape[1]
+        elif block.shape[1] != self._d:
+            raise InvalidInput(f"point dimension {block.shape[1]} != stream dimension {self._d}")
+        n, start = block.shape[0], 0
+        while start < n:
+            threshold = 2 * self.level_size()
+            take = min(n - start, threshold - self._buffered, 2**self._epoch - self._epoch_seen)
+            self._buffer.append(block[start : start + take])
+            start += take
+            self._buffered += take
+            self._points_seen += take
+            self._epoch_seen += take
+            self._live += take
+            flush = self._buffered >= threshold
+            roll = self._epoch_seen >= 2**self._epoch
+            if flush or roll:
+                # a row-by-row feed sees the state one row before the reduce, never the one at it
+                self.peak_live_points = max(self.peak_live_points, self._live - 1)
+                if flush:
+                    self._flush_buffer()
+                if roll:
+                    self._roll_epoch()
+            self.peak_live_points = max(self.peak_live_points, self._live)
 
     # -- public API -----------------------------------------------------
 
     def insert(self, point: np.ndarray) -> None:
-        point = np.asarray(point, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(point)):
-            raise InvalidInput("stream point contains non-finite entries")
-        if self._d is None:
-            self._d = point.shape[0]
-        elif point.shape[0] != self._d:
-            raise InvalidInput(f"point dimension {point.shape[0]} != stream dimension {self._d}")
-        self._buffer.append(point)
-        self._points_seen += 1
-        self._epoch_seen += 1
-        if len(self._buffer) >= 2 * self.level_size():
-            self._flush_buffer()
-        if self._epoch_seen >= 2**self._epoch:
-            self._roll_epoch()
-        self.peak_live_points = max(self.peak_live_points, self.live_points())
+        self._feed(np.asarray(point, dtype=np.float64).reshape(1, -1))
 
     def extend(self, points: np.ndarray) -> None:
-        for row in np.atleast_2d(np.asarray(points, dtype=np.float64)):
-            self.insert(row)
+        block = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if block.ndim != 2:
+            raise InvalidInput("stream blocks must be n x d arrays")
+        self._feed(block)
 
     def query(self) -> Coreset:
         """Compress everything seen so far into one coreset at full precision."""
         if self._points_seen == 0:
             raise EmptyState("no points have been inserted")
-        parts_pts: list[np.ndarray] = []
-        parts_w: list[np.ndarray] = []
-        delta = 0.0
-        for bucket in self._summaries + [b for b in self._buckets if b is not None]:
-            parts_pts.append(bucket.points)
-            parts_w.append(bucket.weights)
-            delta += bucket.delta
+        parts = self._summaries + [b for b in self._buckets if b is not None]
         if self._buffer:
-            buf = np.vstack(self._buffer)
-            parts_pts.append(buf)
-            parts_w.append(np.ones(buf.shape[0]))
-        pts = np.vstack(parts_pts)
-        wts = np.concatenate(parts_w)
-        cfg = self.config
-        if cfg.kind == "subspace":
-            final = linear_subspace_coreset(PointSet(pts), cfg.j, cfg.eps)
-        elif cfg.kind == "affine":
-            final = affine_subspace_coreset_weighted(PointSet(pts, wts), cfg.j, cfg.eps)
-        else:
-            budget = cfg.delta / self._constructions**2
-            mix = np.random.SeedSequence([cfg.seed, self._constructions, self._points_seen])
-            final = kmeans_coreset(
-                PointSet(pts, wts),
-                cfg.k,
-                min(cfg.eps, 0.999),  # the config admits eps = 1, the sampler does not
-                budget,
-                int(mix.generate_state(1)[0]),
-                sample_size=self.level_size(),
-            )
-        return Coreset(points=final.points, weights=final.weights, delta=final.delta + delta)
+            parts.append(self._buffer_coreset())
+        mix = np.random.SeedSequence([self.config.seed, self._constructions, self._points_seen])
+        return self._compress(parts, self.config.eps, int(mix.generate_state(1)[0]))
 
     def occupied_levels(self) -> list[int]:
         return [i for i, b in enumerate(self._buckets) if b is not None]
-
-
-def stream_insert(state: CoresetStream, point: np.ndarray) -> CoresetStream:
-    """Functional alias for :meth:`CoresetStream.insert`; returns the state."""
-    state.insert(point)
-    return state
-
-
-def stream_query(state: CoresetStream) -> Coreset:
-    """Functional alias for :meth:`CoresetStream.query`."""
-    return state.query()

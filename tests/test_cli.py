@@ -151,6 +151,25 @@ class TestCoresetCommand:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_affine_matches_library(self, tmp_path, rng, weighted):
+        rows = make_blobs(rng, 400, 5, 3) + 3.0
+        w = rng.uniform(0.5, 4.0, 400)
+        path = str(tmp_path / "in.csv")
+        np.savetxt(path, np.column_stack([rows, w]) if weighted else rows, delimiter=",", fmt="%.17g")
+        out = str(tmp_path / "a.cs")
+        argv = ["coreset", "subspace", "--affine", "--j", "2", "--epsilon", "0.5", path, "-o", out]
+        assert main(argv + (["--weighted"] if weighted else [])) == 0
+        cf = read_coreset_file(out)
+        if weighted:
+            want = tinycore.affine_subspace_coreset_weighted(tinycore.PointSet(rows, w), 2, 0.5)
+        else:
+            want = tinycore.affine_subspace_coreset(tinycore.PointSet(rows), 2, 0.5)
+        assert cf.kind == cf.construction == "affine"
+        np.testing.assert_array_equal(cf.points, want.points)
+        np.testing.assert_array_equal(cf.weights, want.weights)
+        assert cf.delta == want.delta
+
     def test_ragged_csv_exits_1_with_line(self, tmp_path, capsys):
         path = tmp_path / "points.csv"
         path.write_text("1,2,3\n4,5\n")

@@ -191,3 +191,91 @@ class TestKmeansStream:
         stream = self.make_stream(rows, seed=6)
         a, b = stream.query(), stream.query()
         np.testing.assert_array_equal(a.points, b.points)
+
+
+def _state(stream):
+    return (
+        stream.points_seen,
+        stream.live_points(),
+        stream.epoch,
+        stream.occupied_levels(),
+        stream.reduce_count,
+        stream.peak_live_points,
+    )
+
+
+STREAM_CONFIGS = [
+    dict(kind="subspace", eps=0.5, j=1),
+    dict(kind="affine", eps=0.5, j=1),
+    dict(kind="kmeans", eps=0.5, k=3, c_stream=0.25),
+]
+
+
+class TestBlockFeed:
+    @pytest.mark.parametrize("kw", STREAM_CONFIGS, ids=lambda kw: kw["kind"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_extend_matches_row_inserts(self, rng, kw, seed):
+        rows = make_blobs(rng, 3000, 4, 3)
+        cfg = StreamConfig(seed=seed, **kw)
+        by_row = CoresetStream(cfg)
+        states = {}
+        for i, row in enumerate(rows, start=1):
+            by_row.insert(row)
+            states[i] = _state(by_row)
+        # the peak is the largest live count seen after any insert
+        assert by_row.peak_live_points == max(st[1] for st in states.values())
+        # random splits up to 700 rows: a block often spans a flush and an epoch end
+        cuts = np.cumsum(rng.integers(1, 700, 40))
+        cuts = [0] + [int(c) for c in cuts if c < len(rows)] + [len(rows)]
+        by_block = CoresetStream(cfg)
+        spanned_flush = spanned_roll = False
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            before = _state(by_block)
+            by_block.extend(rows[a:b])
+            spanned_flush |= by_block.reduce_count > before[4] and b - a > 1
+            spanned_roll |= by_block.epoch > before[2] and b - a > 1
+            assert _state(by_block) == states[b]
+        assert spanned_flush and spanned_roll
+        one = CoresetStream(cfg)
+        one.extend(rows)
+        assert _state(one) == states[len(rows)]
+        want = by_row.query()
+        for got in (by_block.query(), one.query()):
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.delta == want.delta
+
+    def test_live_points_is_a_recount(self, rng):
+        stream = CoresetStream(StreamConfig(kind="kmeans", eps=0.5, k=3, c_stream=0.25, seed=3))
+        peak = 0
+        for row in make_blobs(rng, 2500, 3, 3):
+            stream.insert(row)
+            recount = sum(len(b) for b in stream._buffer)
+            recount += sum(b.size for b in stream._buckets if b is not None)
+            recount += sum(b.size for b in stream._summaries)
+            assert stream.live_points() == recount
+            peak = max(peak, recount)
+        assert stream.peak_live_points == peak
+        assert stream.epoch > 8 and stream._summaries
+
+    def test_kmeans_eps_one_can_be_queried(self, rng):
+        rows = make_blobs(rng, 1500, 3, 3)
+        stream = CoresetStream(StreamConfig(kind="kmeans", eps=1.0, k=3, seed=5, c_stream=0.25))
+        stream.extend(rows)
+        assert stream.reduce_count > 0
+        core = stream.query()
+        assert np.all(np.asarray(core.weights) >= 1.0)
+        assert core.total_weight() == pytest.approx(1500, rel=0.25)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bad_block_is_rejected_whole(self, rng, bad):
+        stream = CoresetStream(StreamConfig(kind="subspace", eps=0.5, j=1))
+        stream.extend(rng.standard_normal((50, 3)))
+        before = _state(stream)
+        block = rng.standard_normal((200, 3))
+        block[120, 1] = bad
+        with pytest.raises(InvalidInput):
+            stream.extend(block)
+        with pytest.raises(InvalidInput):
+            stream.extend(rng.standard_normal((10, 4)))
+        assert _state(stream) == before
