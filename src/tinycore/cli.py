@@ -319,6 +319,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        print("error: --count must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     cf = read_coreset_file(args.coreset)
     points = load_points(args.data, args.weighted, args.header)
     if cf.d != points.d:

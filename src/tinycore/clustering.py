@@ -65,7 +65,8 @@ def lloyd_solve(points: PointSet, k: int, seed: int, max_iters: int = 100) -> Ce
         raise InvalidInput("empty input")
     if not 1 <= k <= points.n:
         raise InvalidArgument(f"k={k} must be in [1, {points.n}]")
-    rows = np.asarray(points.rows)
+    origin = np.mean(points.rows, axis=0)
+    rows = points.rows - origin
     w = points.effective_weights()
     rng = np.random.default_rng(seed)
     centers = d2_seed(rows, w, k, rng)
@@ -82,7 +83,7 @@ def lloyd_solve(points: PointSet, k: int, seed: int, max_iters: int = 100) -> Ce
             break
         centers = _mean_update(rows, w, idx, centers)
         prev_idx = idx
-    return CenterSet(centers)
+    return CenterSet(centers + origin)
 
 
 def _restricted_growth_strings(n: int, k: int) -> np.ndarray:

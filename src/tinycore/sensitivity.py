@@ -71,21 +71,29 @@ class BicriteriaSolution:
 
 def d2_seed(rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Squared-distance seeding: draw `count` rows, each proportional to its
-    weighted squared distance from the rows already chosen."""
+    weighted squared distance from the rows already chosen.
+
+    Distances expand ||p||^2 - 2 p.c + ||c||^2, so callers pass rows moved
+    near the origin (their mean) to keep the expansion accurate.
+    """
+    total = weights.sum()
+    if not total > 0:
+        raise InvalidInput("total weight must be positive")
     n = rows.shape[0]
+    norms = np.einsum("ij,ij->i", rows, rows)
     chosen = np.empty(count, dtype=np.int64)
-    p = weights / weights.sum()
-    chosen[0] = rng.choice(n, p=p)
-    best = np.sum((rows - rows[chosen[0]]) ** 2, axis=1)
+    chosen[0] = rng.choice(n, p=weights / total)
+    best = np.full(n, np.inf)
     for i in range(1, count):
+        c = chosen[i - 1]
+        cand = norms - 2.0 * (rows @ rows[c]) + norms[c]
+        np.minimum(best, np.maximum(cand, 0.0, out=cand), out=best)
         scores = weights * best
         total = scores.sum()
         if total <= 0:
             chosen[i:] = chosen[0]
             break
         chosen[i] = rng.choice(n, p=scores / total)
-        cand = np.sum((rows - rows[chosen[i]]) ** 2, axis=1)
-        np.minimum(best, cand, out=best)
     return rows[chosen]
 
 
@@ -103,7 +111,8 @@ def bicriteria_kmeans(
         raise InvalidArgument(f"k={k} exceeds the number of points {points.n}")
     if not 0 < delta < 1:
         raise InvalidArgument("delta must lie in (0, 1)")
-    rows = np.asarray(points.rows)
+    origin = np.mean(points.rows, axis=0)
+    rows = points.rows - origin
     w = points.effective_weights()
     count = min(points.n, beta * k)
     restarts = max(1, math.ceil(math.log2(1.0 / delta)))
@@ -121,7 +130,7 @@ def bicriteria_kmeans(
     costs = np.bincount(idx, weights=w * sq, minlength=centers.shape[0])
     sizes = np.bincount(idx, weights=w, minlength=centers.shape[0])
     return BicriteriaSolution(
-        centers=centers, assignment=idx, cluster_costs=costs, cluster_sizes=sizes
+        centers=centers + origin, assignment=idx, cluster_costs=costs, cluster_sizes=sizes
     )
 
 
@@ -148,10 +157,10 @@ def kmeans_sensitivities(
     """
     if bic.assignment.shape[0] != points.n:
         raise InvalidInput("bicriteria assignment does not match the point set")
-    rows = np.asarray(points.rows)
+    origin = np.mean(points.rows, axis=0)
     w = points.effective_weights()
     idx = np.asarray(bic.assignment)
-    _, sq = _nearest(rows, np.asarray(bic.centers))
+    _, sq = _nearest(points.rows - origin, bic.centers - origin)
     cluster_w = np.asarray(bic.cluster_sizes)[idx]
     if np.any(cluster_w <= 0):
         raise InvalidInput("bicriteria solution contains an empty assigned cluster")
@@ -251,35 +260,6 @@ def renormalize_bounds(sigma: np.ndarray, total: float, s: int) -> np.ndarray:
     return out
 
 
-class AliasTable:
-    """Vose alias method: O(n) build, O(1) categorical draws."""
-
-    def __init__(self, probabilities: np.ndarray):
-        p = np.asarray(probabilities, dtype=np.float64)
-        if np.any(p < 0) or p.sum() <= 0:
-            raise InvalidInput("alias table needs non-negative probabilities with positive sum")
-        n = p.shape[0]
-        scaled = p * n / p.sum()
-        prob = np.ones(n)
-        alias = np.arange(n)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            prob[lo] = scaled[lo]
-            alias[lo] = hi
-            scaled[hi] -= 1.0 - scaled[lo]
-            (small if scaled[hi] < 1.0 else large).append(hi)
-        self._prob = prob
-        self._alias = alias
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        slots = rng.integers(0, self._prob.shape[0], size=count)
-        accept = rng.random(count) < self._prob[slots]
-        return np.where(accept, slots, self._alias[slots])
-
-
 def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, seed: int) -> Coreset:
     """Draw an s-point weighted sample; points above the 1/s share are kept outright.
 
@@ -305,9 +285,7 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
         return Coreset(points=rows.copy(), weights=w.copy(), delta=0.0)
 
     renorm = renormalize_bounds(sigma[rest], total, s)
-    table = AliasTable(renorm / total)
-    rng = np.random.default_rng(seed)
-    drawn = table.draw(rng, s)
+    drawn = np.random.default_rng(seed).choice(n_rest, size=s, p=renorm / total)
     rest_idx = np.where(rest)[0]
     sampled_idx = rest_idx[drawn]
     # the cap renorm <= total/s makes each factor >= 1; guard the last ulp

@@ -206,10 +206,10 @@ class CoresetStream:
     # -- public API -----------------------------------------------------
 
     def insert(self, point: np.ndarray) -> None:
-        self._feed(np.asarray(point, dtype=np.float64).reshape(1, -1))
+        self._feed(np.array(point, dtype=np.float64).reshape(1, -1))
 
     def extend(self, points: np.ndarray) -> None:
-        block = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        block = np.atleast_2d(np.array(points, dtype=np.float64))
         if block.ndim != 2:
             raise InvalidInput("stream blocks must be n x d arrays")
         self._feed(block)

@@ -170,6 +170,17 @@ class TestCoresetCommand:
         np.testing.assert_array_equal(cf.weights, want.weights)
         assert cf.delta == want.delta
 
+    def test_zero_total_weight_kmeans_exits_1(self, tmp_path, rng):
+        path = tmp_path / "zero.csv"
+        np.savetxt(path, np.column_stack([rng.standard_normal((50, 3)), np.zeros(50)]), delimiter=",")
+        proc = run_cli([
+            "coreset", "kmeans", "--k", "2", "--epsilon", "0.5", "--seed", "1",
+            "--weighted", str(path), "-o", str(tmp_path / "k.cs"),
+        ])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: total weight must be positive"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_ragged_csv_exits_1_with_line(self, tmp_path, capsys):
         path = tmp_path / "points.csv"
         path.write_text("1,2,3\n4,5\n")
@@ -255,6 +266,22 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "bad.csv:3: cannot parse row" in err
+
+    def test_count_below_one_exits_2(self, tmp_path, data_csv, capsys):
+        path, rows = data_csv
+        cf = CoresetFile(
+            n_source=rows.shape[0], delta=0.0, eps=0.5, seed=0, kind="kmeans",
+            construction="identity", points=rows, weights=np.ones(rows.shape[0]),
+        )
+        cpath = str(tmp_path / "id.cs")
+        write_coreset_binary(cpath, cf)
+        code = main([
+            "eval", cpath, path, "--query-kind", "centers", "--k", "2",
+            "--count", "0", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --count must be >= 1")
 
     def test_dimension_mismatch_exits_1(self, tmp_path, data_csv, rng):
         path, _ = data_csv

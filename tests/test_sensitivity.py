@@ -14,11 +14,12 @@ from tinycore import (
     coreset_cost,
     dist2,
     kmeans_sensitivities,
+    lloyd_solve,
     movement_sensitivities,
     sensitivity_sample,
     vc_sample_size,
 )
-from tinycore.sensitivity import DEFAULT_C_S, AliasTable, renormalize_bounds
+from tinycore.sensitivity import DEFAULT_C_S, renormalize_bounds
 
 
 def grid_sensitivity(rows, w, grid):
@@ -199,15 +200,6 @@ class TestRenormalize:
         np.testing.assert_allclose(out, sigma)
 
 
-class TestAliasTable:
-    def test_matches_distribution(self, rng):
-        p = np.array([0.5, 0.25, 0.15, 0.1])
-        table = AliasTable(p)
-        draws = table.draw(np.random.default_rng(0), 200_000)
-        freq = np.bincount(draws, minlength=4) / draws.shape[0]
-        np.testing.assert_allclose(freq, p, atol=0.01)
-
-
 class TestSensitivitySample:
     def test_uniform_profile_is_uniform_sampling(self, rng):
         rows = rng.standard_normal((30, 2))
@@ -254,6 +246,26 @@ class TestSensitivitySample:
         assert np.mean(weights) == pytest.approx(30.0, rel=0.02)
         assert np.mean(costs) == pytest.approx(true_cost, rel=0.02)
 
+    def test_low_rows_drawn_in_proportion(self, rng):
+        # rows 0 and 1 sit above the 1/s share and are kept; the other 38 are
+        # drawn with probability renorm / total and weighted total / (s * renorm)
+        n, s = 40, 10
+        sigma = np.concatenate([[0.2, 0.2], rng.uniform(0.5, 1.5, n - 2)])
+        sigma[2:] *= 0.6 / sigma[2:].sum()
+        prof = SensitivityProfile(sigma=sigma, total=1.0)
+        renorm = renormalize_bounds(sigma[2:], 1.0, s)
+        rows = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+        counts = np.zeros(n)
+        for seed in range(3000):
+            core = sensitivity_sample(PointSet(rows), prof, s, seed=seed)
+            drawn = np.asarray(core.points)[2:, 0].astype(int)
+            np.testing.assert_array_equal(np.asarray(core.points)[:2, 0], [0.0, 1.0])
+            np.testing.assert_allclose(np.asarray(core.weights)[2:], 1.0 / (s * renorm[drawn - 2]))
+            counts += np.bincount(drawn, minlength=n)
+        assert counts[:2].sum() == 0
+        freq = counts[2:] / counts.sum()
+        np.testing.assert_allclose(freq, renorm, atol=0.005)
+
     def test_degenerate_profile_rejected(self, rng):
         with pytest.raises(InvalidInput):
             SensitivityProfile(sigma=np.zeros(3), total=0.0)
@@ -265,3 +277,32 @@ class TestSensitivitySample:
         core = sensitivity_sample(PointSet(rows), prof, 4, seed=0)
         assert core.size == 5
         np.testing.assert_allclose(core.weights, np.ones(5))
+
+
+class TestTranslationInvariance:
+    """k-means construction works about the mean of the rows, so a common
+    shift changes neither the costs nor the centers it finds."""
+
+    @staticmethod
+    def dyadic_rows():
+        # multiples of 1/64, so adding a shift up to 1e8 is exact
+        gen = np.random.default_rng(11)
+        centers = np.array([[0.0, 0.0, 0.0], [40.0, 0.0, 10.0], [0.0, 40.0, -20.0]])
+        rows = np.repeat(centers, 200, axis=0) + 4.0 * gen.standard_normal((600, 3))
+        return np.round(rows * 64) / 64
+
+    @pytest.mark.parametrize("shift", [1e4, 1e6, 1e8])
+    def test_shift_changes_nothing(self, shift):
+        rows = self.dyadic_rows()
+        base, moved = PointSet(rows), PointSet(rows + shift)
+        bic0 = bicriteria_kmeans(base, 3, 0.1, seed=4)
+        bic1 = bicriteria_kmeans(moved, 3, 0.1, seed=4)
+        assert bic1.total_cost == pytest.approx(bic0.total_cost, rel=1e-9)
+        prof0 = kmeans_sensitivities(base, bic0)
+        prof1 = kmeans_sensitivities(moved, bic1)
+        assert prof1.total == pytest.approx(prof0.total, rel=1e-9)
+        np.testing.assert_allclose(prof1.sigma, prof0.sigma, rtol=0, atol=1e-9 * prof0.sigma.max())
+        # five centers on three clusters: where the split lands depends on every distance
+        c0 = np.asarray(lloyd_solve(base, 5, seed=4).centers)
+        c1 = np.asarray(lloyd_solve(moved, 5, seed=4).centers) - shift
+        np.testing.assert_allclose(c1, c0, rtol=0, atol=1e-9 * np.abs(c0).max())

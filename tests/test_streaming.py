@@ -267,6 +267,31 @@ class TestBlockFeed:
         assert np.all(np.asarray(core.weights) >= 1.0)
         assert core.total_weight() == pytest.approx(1500, rel=0.25)
 
+    def test_reused_insert_array_is_copied(self):
+        cfg = StreamConfig(kind="subspace", eps=0.5, j=1)
+        reused, fresh = CoresetStream(cfg), CoresetStream(cfg)
+        row = np.empty(3)
+        for i in range(10):
+            row[:] = [i, 2 * i, 1]
+            reused.insert(row)
+            fresh.insert(np.array([i, 2.0 * i, 1.0]))
+        got, want = reused.query(), fresh.query()
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.delta == want.delta
+
+    def test_mutating_an_extended_block_changes_nothing(self, rng):
+        cfg = StreamConfig(kind="affine", eps=0.5, j=1)
+        block = rng.standard_normal((40, 3))
+        stream, control = CoresetStream(cfg), CoresetStream(cfg)
+        stream.extend(block)
+        control.extend(block.copy())
+        block[:] = 0.0
+        got, want = stream.query(), control.query()
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.delta == want.delta
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_bad_block_is_rejected_whole(self, rng, bad):
         stream = CoresetStream(StreamConfig(kind="subspace", eps=0.5, j=1))
