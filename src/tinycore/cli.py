@@ -256,6 +256,9 @@ def cmd_coreset(args: argparse.Namespace) -> int:
 
 
 def cmd_stream(args: argparse.Namespace) -> int:
+    if args.checkpoint < 0:
+        print("error: --checkpoint must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     if args.kind in ("subspace", "affine") and args.j is None:
         print("error: --kind subspace/affine requires --j", file=sys.stderr)
         return EXIT_USAGE

@@ -69,7 +69,7 @@ def lloyd_solve(points: PointSet, k: int, seed: int, max_iters: int = 100) -> Ce
     rows = points.rows - origin
     w = points.effective_weights()
     rng = np.random.default_rng(seed)
-    centers = d2_seed(rows, w, k, rng)
+    centers = d2_seed(rows, w, k, rng)[0]
     prev_idx = None
     for _ in range(max_iters):
         idx, sq = _nearest(rows, centers)

@@ -202,16 +202,31 @@ def weighted_fold(points: PointSet) -> np.ndarray:
     return np.asarray(points.rows) * np.sqrt(points.effective_weights())[:, None]
 
 
-def _nearest(rows: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest listed center per row (lowest index wins ties) and its squared distance."""
-    sq = (
-        np.sum(rows * rows, axis=1)[:, None]
-        - 2.0 * rows @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    idx = np.argmin(sq, axis=1)
-    return idx, sq[np.arange(rows.shape[0]), idx]
+def _nearest(
+    rows: np.ndarray, centers: np.ndarray, norms: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest listed center per row (lowest index wins ties) and its squared distance.
+
+    `norms`, when given, holds the squared row norms.  The k x n distance
+    matrix is built center-major and reduced along its contiguous row axis:
+    a running minimum over the centers, moving the index only on a strict
+    decrease.
+    """
+    if norms is None:
+        norms = np.einsum("ij,ij->i", rows, rows)
+    # scaling the k x d centers by -2 is exact, and cheaper than scaling k x n
+    d2 = (-2.0 * centers) @ rows.T
+    d2 += norms
+    d2 += np.einsum("ij,ij->i", centers, centers)[:, None]
+    np.maximum(d2, 0.0, out=d2)
+    sq = d2[0].copy()
+    idx = np.zeros(rows.shape[0], dtype=np.intp)
+    closer = np.empty(rows.shape[0], dtype=bool)
+    for c in range(1, centers.shape[0]):
+        np.less(d2[c], sq, out=closer)
+        np.putmask(idx, closer, c)
+        np.minimum(sq, d2[c], out=sq)
+    return idx, sq
 
 
 def _dist2_subspace(rows: np.ndarray, shape: Subspace) -> np.ndarray:

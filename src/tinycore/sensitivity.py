@@ -69,31 +69,42 @@ class BicriteriaSolution:
         return float(np.sum(self.cluster_costs))
 
 
-def d2_seed(rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+def d2_seed(
+    rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator, restarts: int = 1
+) -> np.ndarray:
     """Squared-distance seeding: draw `count` rows, each proportional to its
-    weighted squared distance from the rows already chosen.
+    weighted squared distance from the rows already chosen, for `restarts`
+    independent restarts side by side.  Returns restarts x count x d.
 
-    Distances expand ||p||^2 - 2 p.c + ||c||^2, so callers pass rows moved
-    near the origin (their mean) to keep the expansion accurate.
+    Each draw inverts the cumulative scores at a uniform variate (searching
+    to the right, so a row of score 0 is never drawn).  A restart whose
+    scores sum to 0 repeats its first draw.  Distances expand
+    ||p||^2 - 2 p.c + ||c||^2, so callers pass rows moved near the origin
+    (their mean) to keep the expansion accurate.
     """
-    total = weights.sum()
-    if not total > 0:
+    cdf = np.cumsum(weights)
+    if not cdf[-1] > 0:
         raise InvalidInput("total weight must be positive")
-    n = rows.shape[0]
     norms = np.einsum("ij,ij->i", rows, rows)
-    chosen = np.empty(count, dtype=np.int64)
-    chosen[0] = rng.choice(n, p=weights / total)
-    best = np.full(n, np.inf)
+    chosen = np.empty((restarts, count), dtype=np.intp)
+    chosen[:, 0] = np.searchsorted(cdf, rng.random(restarts) * cdf[-1], side="right")
+    best = np.full((restarts, rows.shape[0]), np.inf)
+    cand = np.empty_like(best)
     for i in range(1, count):
-        c = chosen[i - 1]
-        cand = norms - 2.0 * (rows @ rows[c]) + norms[c]
-        np.minimum(best, np.maximum(cand, 0.0, out=cand), out=best)
-        scores = weights * best
-        total = scores.sum()
-        if total <= 0:
-            chosen[i:] = chosen[0]
-            break
-        chosen[i] = rng.choice(n, p=scores / total)
+        last = chosen[:, i - 1]
+        np.matmul(-2.0 * rows[last], rows.T, out=cand)
+        cand += norms
+        cand += norms[last][:, None]
+        np.maximum(cand, 0.0, out=cand)
+        np.minimum(best, cand, out=best)
+        np.multiply(best, weights, out=cand)
+        np.cumsum(cand, axis=1, out=cand)
+        u = rng.random(restarts) * cand[:, -1]
+        for r in range(restarts):
+            if cand[r, -1] > 0:
+                chosen[r, i] = np.searchsorted(cand[r], u[r], side="right")
+            else:
+                chosen[r, i] = chosen[r, 0]
     return rows[chosen]
 
 
@@ -102,8 +113,8 @@ def bicriteria_kmeans(
 ) -> BicriteriaSolution:
     """Constant-factor solution with beta*k centers via squared-distance seeding.
 
-    Runs ceil(log2(1/delta)) independently seeded attempts, refines each with
-    one weighted mean update, and keeps the cheapest.
+    Seeds ceil(log2(1/delta)) independent attempts in one pass, refines each
+    with one weighted mean update, and keeps the cheapest.
     """
     if k < 1:
         raise InvalidArgument("k must be >= 1")
@@ -113,16 +124,16 @@ def bicriteria_kmeans(
         raise InvalidArgument("delta must lie in (0, 1)")
     origin = np.mean(points.rows, axis=0)
     rows = points.rows - origin
+    norms = np.einsum("ij,ij->i", rows, rows)
     w = points.effective_weights()
     count = min(points.n, beta * k)
     restarts = max(1, math.ceil(math.log2(1.0 / delta)))
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
-        centers = d2_seed(rows, w, count, rng)
-        idx, _ = _nearest(rows, centers)
+    for centers in d2_seed(rows, w, count, rng, restarts=restarts):
+        idx, _ = _nearest(rows, centers, norms)
         centers = _mean_update(rows, w, idx, centers)
-        idx, sq = _nearest(rows, centers)
+        idx, sq = _nearest(rows, centers, norms)
         cost = float(np.sum(w * sq))
         if best is None or cost < best[0]:
             best = (cost, centers, idx, sq)

@@ -347,6 +347,20 @@ class TestStreamCommand:
         assert checkpoints == ["n=200", "n=400"], proc.stderr
         assert read_coreset_file(out).m >= 1
 
+    def test_negative_checkpoint_exits_2(self, tmp_path, rng, capsys):
+        path = tmp_path / "x.csv"
+        np.savetxt(path, rng.standard_normal((30, 3)), delimiter=",")
+        out = tmp_path / "o.cs"
+        code = main([
+            "stream", "--kind", "subspace", "--j", "1", "--epsilon", "0.5",
+            "--seed", "1", str(path), "-o", str(out), "--checkpoint", "-5",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --checkpoint must be >= 0")
+        assert "checkpoint n=" not in err
+        assert not out.exists()
+
     def test_malformed_line_skip_or_abort(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\nnot,a,number\n3.0,4.0\n")

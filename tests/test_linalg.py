@@ -16,7 +16,7 @@ from tinycore import (
     tail_energy,
     weighted_fold,
 )
-from tinycore.linalg import TOL_ORTH
+from tinycore.linalg import TOL_ORTH, _nearest
 
 from conftest import oracle_cost_centers, oracle_cost_subspace, rand_orthonormal, rand_subspace
 
@@ -175,6 +175,54 @@ class TestDist2:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(InvalidArgument):
             dist2(PointSet(np.ones((2, 3))), CenterSet(np.ones((1, 4))))
+
+
+class TestNearest:
+    """The center kernel against a brute-force argmin over explicit differences.
+
+    Rows and centers are multiples of 1/4 of magnitude at most 8, so every
+    distance is exact in both routes and ties are real ties."""
+
+    @staticmethod
+    def brute(rows, centers):
+        d2 = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        idx = np.argmin(d2, axis=1)
+        return idx, d2[np.arange(rows.shape[0]), idx]
+
+    @staticmethod
+    def grid(gen, shape):
+        return gen.integers(-32, 33, shape) / 4.0
+
+    @pytest.mark.parametrize("n,d,k", [(200, 3, 1), (5, 4, 9), (300, 2, 7), (1, 6, 3), (150, 32, 4)])
+    def test_matches_brute_force(self, n, d, k):
+        gen = np.random.default_rng(n * 100 + k)
+        rows, centers = self.grid(gen, (n, d)), self.grid(gen, (k, d))
+        idx, sq = _nearest(rows, centers)
+        want_idx, want_sq = self.brute(rows, centers)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
+
+    def test_duplicated_centers_lowest_index_wins(self):
+        gen = np.random.default_rng(5)
+        rows = self.grid(gen, (400, 2))
+        centers = self.grid(gen, (6, 2))
+        centers[4] = centers[1]
+        centers[5] = centers[1]
+        idx, sq = _nearest(rows, centers)
+        want_idx, want_sq = self.brute(rows, centers)
+        assert np.any(want_idx == 1)
+        assert not np.any(np.isin(idx, [4, 5]))
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
+
+    def test_precomputed_norms_give_same_bytes(self, rng):
+        rows = rng.standard_normal((500, 7))
+        centers = rng.standard_normal((5, 7))
+        norms = np.einsum("ij,ij->i", rows, rows)
+        idx0, sq0 = _nearest(rows, centers)
+        idx1, sq1 = _nearest(rows, centers, norms)
+        assert idx0.tobytes() == idx1.tobytes()
+        assert sq0.tobytes() == sq1.tobytes()
 
 
 class TestWeightedFold:

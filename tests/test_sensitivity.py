@@ -19,7 +19,7 @@ from tinycore import (
     sensitivity_sample,
     vc_sample_size,
 )
-from tinycore.sensitivity import DEFAULT_C_S, renormalize_bounds
+from tinycore.sensitivity import DEFAULT_C_S, d2_seed, renormalize_bounds
 
 
 def grid_sensitivity(rows, w, grid):
@@ -72,6 +72,69 @@ class TestBicriteria:
     def test_rejects_k_above_n(self, rng):
         with pytest.raises(InvalidArgument):
             bicriteria_kmeans(PointSet(rng.standard_normal((3, 2))), 4, 0.1, seed=0)
+
+
+class TestD2Seed:
+    @staticmethod
+    def drawn(rows, picks):
+        """Row indices of the drawn points (the rows are distinct)."""
+        match = np.all(picks[..., None, :] == rows, axis=-1)
+        assert np.all(match.sum(-1) == 1)
+        return np.argmax(match, axis=-1)
+
+    def test_draws_follow_weights_then_weighted_d2(self):
+        rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+        w = np.array([1.0, 2.0, 3.0, 4.0])
+        draws = np.array([
+            self.drawn(rows, d2_seed(rows, w, 2, np.random.default_rng(seed))[0])
+            for seed in range(4000)
+        ])
+        first = w / w.sum()
+        d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(-1)
+        scores = w[None, :] * d2  # row i: scores of every row after drawing i
+        second = first @ (scores / scores.sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(np.bincount(draws[:, 0], minlength=4) / 4000, first, atol=0.02)
+        np.testing.assert_allclose(np.bincount(draws[:, 1], minlength=4) / 4000, second, atol=0.02)
+        assert np.all(draws[:, 0] != draws[:, 1])
+
+    class FixedVariate:
+        """Stands in for a Generator: every uniform variate is `u`."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, size):
+            return np.full(size, self.u)
+
+    def test_zero_weight_rows_never_drawn(self):
+        # the zero-weight rows sit at both ends of the cumulative sum and far
+        # away; the fixed variates hit those ends exactly
+        gen = np.random.default_rng(3)
+        rows = np.vstack([[[100.0, 100.0]], gen.standard_normal((8, 2)), [[-100.0, 50.0]]])
+        w = np.concatenate([[0.0], gen.uniform(0.5, 2.0, 8), [0.0]])
+        rngs = [np.random.default_rng(seed) for seed in range(200)]
+        rngs += [self.FixedVariate(0.0), self.FixedVariate(np.nextafter(1.0, 0.0))]
+        for rng in rngs:
+            idx = self.drawn(rows, d2_seed(rows, w, 5, rng, restarts=3))
+            assert np.all((idx > 0) & (idx < 9))
+
+    @pytest.mark.parametrize("outlier_weight", [1.0, 0.0])
+    def test_coinciding_rows_repeat_first_draw(self, outlier_weight):
+        # weighted D^2 is 0 after the first draw: every restart repeats it.
+        # With outlier weight 0 the two end rows lie elsewhere but count for nothing.
+        rows = np.tile([[2.0, -1.0]], (6, 1))
+        w = np.array([outlier_weight, 1.0, 2.0, 1.0, 3.0, outlier_weight])
+        if outlier_weight == 0:
+            rows[[0, -1]] = [[50.0, 50.0], [-50.0, 9.0]]
+        picks = d2_seed(rows, w, 4, np.random.default_rng(0), restarts=3)
+        assert picks.shape == (3, 4, 2)
+        np.testing.assert_array_equal(picks, np.broadcast_to([2.0, -1.0], (3, 4, 2)))
+
+    def test_restarts_are_independent(self, rng):
+        rows = rng.standard_normal((50, 2))
+        picks = d2_seed(rows, np.ones(50), 3, np.random.default_rng(1), restarts=4)
+        assert picks.shape == (4, 3, 2)
+        assert any(not np.array_equal(picks[0], picks[r]) for r in range(1, 4))
 
 
 class TestKmeansSensitivities:
