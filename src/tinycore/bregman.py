@@ -205,7 +205,6 @@ def _lloyd_kclustering(
             if np.allclose(new_centers, centers):
                 break
             centers = new_centers
-        assign = _assign(rows, CenterSet(centers), div)
         cost = float(np.sum(w * div.to_centers(rows, CenterSet(centers))))
         if cost < best_cost:
             best_cost, best = cost, centers
@@ -301,7 +300,7 @@ def bregman_coreset(
         ]
     _, nu = niceness_thresholds(eps, div.similarity)
     # the split threshold runs at eps/2, matching the depth bound's evaluation point
-    f1 = 1.0 / (1.0 + 4.0 / (div.similarity * eps / 2.0)) ** 2
+    f1 = niceness_thresholds(eps / 2, div.similarity)[0]
     depth = min(nu, MAX_RECURSION_DEPTH)
     if nu > MAX_RECURSION_DEPTH:
         logger.info("recursion depth formula gives %d; capping at %d", nu, MAX_RECURSION_DEPTH)

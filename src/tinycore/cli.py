@@ -6,20 +6,26 @@ Commands
     eval      compare coreset cost against true cost on sampled queries
     solve     reduce + coreset + solver, writing centers or a subspace
 
+CSV input skips blank lines and `#` comments.  A line that does not parse
+(an undecodable byte included), is ragged or holds a non-finite value is an
+error naming `file:line`; `stream --skip-malformed` warns and drops it.
+
 Exit codes: 0 success, 1 data or validation error, 2 usage error.  All
-randomized commands require --seed.  The TINYCORE_LOG environment variable
-sets the log level.
+randomized commands require --seed, in [0, 2**63).  The TINYCORE_LOG
+environment variable sets the log level.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
+import math
 import os
 import struct
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -124,6 +130,10 @@ def read_coreset_binary(path: str) -> CoresetFile:
     )
 
 
+def _csv_line(values) -> str:
+    return ",".join("%.17g" % v for v in values) + "\n"
+
+
 def write_coreset_csv(path: str, cf: CoresetFile) -> None:
     with open(path, "w") as fh:
         fh.write("# tinycore coreset v%d\n" % FORMAT_VERSION)
@@ -131,38 +141,29 @@ def write_coreset_csv(path: str, cf: CoresetFile) -> None:
             "# n=%d m=%d d=%d delta=%.17g eps=%.17g seed=%d kind=%s construction=%s\n"
             % (cf.n_source, cf.m, cf.d, cf.delta, cf.eps, cf.seed, cf.kind, cf.construction)
         )
-        for row, w in zip(cf.points, cf.weights):
-            fh.write(",".join("%.17g" % v for v in row) + ",%.17g\n" % w)
+        fh.writelines(map(_csv_line, np.column_stack([cf.points, cf.weights])))
 
 
 def read_coreset_csv(path: str) -> CoresetFile:
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        key, val = tok.split("=", 1)
-                        meta[key] = val
-                continue
-            rows.append(_parse_row(path, lineno, line, len(rows[0]) if rows else None))
+    meta: dict[str, str] = {}
+    with open(path, "rb") as fh:
+        rows = list(_csv_rows(fh, path, header=False, meta=meta))
     if not rows:
-        raise TinycoreError("empty coreset file")
+        raise TinycoreError(f"{path}: empty coreset file")
     arr = np.asarray(rows)
-    return CoresetFile(
-        n_source=int(meta.get("n", arr.shape[0])),
-        delta=float(meta.get("delta", 0.0)),
-        eps=float(meta.get("eps", 0.0)),
-        seed=int(meta.get("seed", 0)),
-        kind=meta.get("kind", "unknown"),
-        construction=meta.get("construction", "unknown"),
-        points=arr[:, :-1],
-        weights=arr[:, -1],
-    )
+    try:
+        return CoresetFile(
+            n_source=int(meta.get("n", arr.shape[0])),
+            delta=float(meta.get("delta", 0.0)),
+            eps=float(meta.get("eps", 0.0)),
+            seed=int(meta.get("seed", 0)),
+            kind=meta.get("kind", "unknown"),
+            construction=meta.get("construction", "unknown"),
+            points=arr[:, :-1],
+            weights=arr[:, -1],
+        )
+    except ValueError as exc:
+        raise TinycoreError(f"{path}: bad coreset header field: {exc}") from exc
 
 
 def read_coreset_file(path: str) -> CoresetFile:
@@ -173,41 +174,51 @@ def read_coreset_file(path: str) -> CoresetFile:
     return read_coreset_csv(path)
 
 
-def _parse_row(path: str, lineno: int, line: str, width: Optional[int]) -> list[float]:
-    """Parse one comma-separated row of floats; `width` is the first row's, if any."""
-    try:
-        values = [float(v) for v in line.split(",")]
-    except ValueError as exc:
-        raise TinycoreError(f"{path}:{lineno}: cannot parse row: {exc}") from exc
-    if width is not None and len(values) != width:
-        raise TinycoreError(f"{path}:{lineno}: expected {width} columns, got {len(values)}")
-    return values
+def _csv_rows(
+    lines: Iterable[bytes], name: str, header: bool, skip: bool = False, meta: Optional[dict] = None
+) -> Iterator[list[float]]:
+    """Yield the float rows of CSV `lines`; a bad line raises `name:lineno: ...`,
+    or with `skip` is logged and dropped.  `key=value` tokens of `#` comments
+    go into the dict `meta`, if given."""
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if (header and lineno == 1) or not line:
+            continue
+        if line.startswith(b"#"):
+            if meta is not None:
+                tokens = line[1:].decode(errors="replace").split()
+                meta.update(tok.split("=", 1) for tok in tokens if "=" in tok)
+            continue
+        try:
+            values = [float(v) for v in line.split(b",")]
+        except ValueError as exc:
+            problem = f"cannot parse row: {exc}"
+        else:
+            if width is not None and len(values) != width:
+                problem = f"expected {width} columns, got {len(values)}"
+            elif not all(map(math.isfinite, values)):
+                problem = "non-finite value"
+            else:
+                width = len(values)
+                yield values
+                continue
+        if not skip:
+            raise TinycoreError(f"{name}:{lineno}: {problem}")
+        logger.warning("%s:%d: skipped: %s", name, lineno, problem)
 
 
 def load_points(path: str, weighted: bool, header: bool) -> PointSet:
     """Read a CSV of points, optionally with a trailing weight column."""
-    rows = []
-    weights = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            values = _parse_row(path, lineno, line, width)
-            width = len(values)
-            if weighted:
-                if len(values) < 2:
-                    raise TinycoreError(f"{path}:{lineno}: weighted rows need >= 2 columns")
-                rows.append(values[:-1])
-                weights.append(values[-1])
-            else:
-                rows.append(values)
-    if not rows:
-        raise TinycoreError("empty input")
-    return PointSet(np.asarray(rows), np.asarray(weights) if weighted else None)
+    with open(path, "rb") as fh:
+        rows = np.asarray(list(_csv_rows(fh, path, header)))
+    if rows.size == 0:
+        raise TinycoreError(f"{path}: empty input")
+    if not weighted:
+        return PointSet(rows)
+    if rows.shape[1] < 2:
+        raise TinycoreError(f"{path}: weighted rows need >= 2 columns")
+    return PointSet(rows[:, :-1], rows[:, -1])
 
 
 def _random_query(rng: np.random.Generator, d: int, kind: str, j: int, k: int, scale: float):
@@ -241,7 +252,7 @@ def cmd_coreset(args: argparse.Namespace) -> int:
         n_source=points.n,
         delta=core.delta,
         eps=args.epsilon,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         kind=kind,
         construction=construction,
         points=np.asarray(core.points),
@@ -271,25 +282,17 @@ def cmd_stream(args: argparse.Namespace) -> int:
         j=args.j,
         k=args.k,
         delta=args.delta,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     stream = CoresetStream(config)
-    fh = sys.stdin if args.input == "-" else open(args.input)
+    if args.input == "-":
+        name, source = "<stdin>", contextlib.nullcontext(sys.stdin.buffer)
+    else:
+        name, source = args.input, open(args.input, "rb")
     count = 0
-    try:
-        for lineno, line in enumerate(fh, start=1):
-            if args.header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                stream.insert(np.array([float(v) for v in line.split(",")]))
-            except (ValueError, TinycoreError) as exc:
-                if args.skip_malformed:
-                    logger.warning("line %d skipped: %s", lineno, exc)
-                    continue
-                raise TinycoreError(f"line {lineno}: {exc}") from exc
+    with source as fh:
+        for row in _csv_rows(fh, name, args.header, args.skip_malformed):
+            stream.insert(row)
             count += 1
             if args.checkpoint and count % args.checkpoint == 0:
                 print(
@@ -297,11 +300,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     f"epoch={stream.epoch} reduces={stream.reduce_count}",
                     file=sys.stderr,
                 )
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     if count == 0:
-        raise TinycoreError("empty input")
+        raise TinycoreError(f"{name}: empty input")
     core = stream.query()
     cf = CoresetFile(
         n_source=count,
@@ -369,14 +369,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     with open(args.output, "w") as fh:
         if isinstance(shape, CenterSet):
             fh.write("# tinycore solution kind=centers cost=%.17g\n" % cost)
-            for row in np.asarray(shape.centers):
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.writelines(map(_csv_line, np.asarray(shape.centers)))
         else:
             fh.write("# tinycore solution kind=subspace cost=%.17g\n" % cost)
             if shape.offset is not None:
-                fh.write("offset," + ",".join("%.17g" % v for v in np.asarray(shape.offset)) + "\n")
+                fh.write("offset," + _csv_line(np.asarray(shape.offset)))
             for col in np.asarray(shape.basis).T:
-                fh.write("basis," + ",".join("%.17g" % v for v in col) + "\n")
+                fh.write("basis," + _csv_line(col))
     print(f"solve: cost on full data = {cost:.8g}")
     return EXIT_OK
 
@@ -467,6 +466,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not 0 <= args.seed < 2**63:  # the TCS1 header stores it as a signed 64-bit integer
+        print("error: --seed must be in [0, 2**63)", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "coreset": cmd_coreset,
         "stream": cmd_stream,
@@ -475,10 +477,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except TinycoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (TinycoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

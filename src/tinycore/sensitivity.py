@@ -19,7 +19,6 @@ from .errors import InvalidArgument, InvalidInput
 from .linalg import PointSet, _as_readonly, _nearest
 
 DEFAULT_C_S = 8.0
-DEFAULT_C_TOT = 64.0
 DEFAULT_C_VC = 1.0
 DEFAULT_C_DIM = 1.0
 DEFAULT_BETA = 2

@@ -50,6 +50,8 @@ class StreamConfig:
             raise InvalidArgument(f"kind must be one of {STREAM_KINDS}")
         if not 0 < self.eps <= 1:
             raise InvalidArgument("eps must lie in (0, 1]")
+        if self.seed < 0:
+            raise InvalidArgument("seed must be >= 0")
         if self.kind in ("subspace", "affine"):
             if self.j is None or self.j < 1:
                 raise InvalidArgument("subspace streams need j >= 1")

@@ -26,7 +26,7 @@ from conftest import make_blobs
 PACKAGE_ROOT = str(Path(tinycore.__file__).resolve().parents[1])
 
 
-def run_cli(args, **kwargs):
+def run_cli(args, text=True, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
@@ -34,7 +34,7 @@ def run_cli(args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "tinycore.cli", *args],
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
         **kwargs,
     )
@@ -421,3 +421,127 @@ class TestSolveCommand:
         assert main(["solve", "kmeans", "--k", "3", "--epsilon", "0.5", "--seed", "1", path, "-o", out]) == 0
         opt = dist2(PointSet(rows), brute_force_kmeans(PointSet(rows), 3))
         assert self._solve_cost(out) <= 1.01 * opt
+
+
+# One bad line of each kind, as bytes, for rows of the given width.
+BAD_LINES = {
+    "non-numeric": lambda w: b"1," * (w - 1) + b"abc",
+    "ragged": lambda w: b"1," * (w - 2) + b"1",
+    "nan": lambda w: b"1," * (w - 1) + b"nan",
+    "inf": lambda w: b"1," * (w - 1) + b"-inf",
+    "0xff": lambda w: b"1," * (w - 1) + b"4\xff5",
+}
+BAD_LINENO = 5  # after a comment, two good rows and a blank line
+
+
+def _with_bad_line(rows: np.ndarray, bad: bytes, head: bytes = b"# comment") -> bytes:
+    good = [b",".join(b"%.17g" % v for v in row) for row in rows]
+    return b"\n".join([head, good[0], good[1], b"", bad, *good[2:]]) + b"\n"
+
+
+EVAL = ["eval", "{coreset}", "{data}", "--query-kind", "centers", "--k", "1",
+        "--count", "3", "--epsilon", "0.5", "--seed", "1"]
+
+
+class TestMalformedInput:
+    COMMANDS = {
+        "coreset-subspace": ["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "{data}"],
+        "coreset-kmeans": ["coreset", "kmeans", "--k", "2", "--epsilon", "0.5", "--seed", "1", "{data}"],
+        "stream-file": ["stream", "--kind", "subspace", "--j", "1", "--epsilon", "0.5", "--seed", "1", "{data}"],
+        "stream-stdin": ["stream", "--kind", "kmeans", "--k", "2", "--epsilon", "0.5", "--seed", "1", "-"],
+        "eval-data": EVAL,
+        "eval-coreset-csv": EVAL,
+        "solve-kmeans": ["solve", "kmeans", "--k", "2", "--epsilon", "0.5", "--seed", "1", "{data}"],
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_LINES))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_line_exits_1_naming_file_and_line(self, tmp_path, rng, capsys, command, bad):
+        rows = rng.standard_normal((20, 3))
+        data, coreset = tmp_path / "data.csv", tmp_path / "core.csv"
+        if command == "eval-coreset-csv":
+            np.savetxt(data, rows, delimiter=",")
+            core_rows = np.column_stack([rows, np.ones(20)])
+            coreset.write_bytes(_with_bad_line(core_rows, BAD_LINES[bad](4), b"# tinycore coreset v1"))
+            where = f"{coreset}:{BAD_LINENO}:"
+        else:
+            data.write_bytes(_with_bad_line(rows, BAD_LINES[bad](3)))
+            write_coreset_binary(str(coreset), CoresetFile(
+                n_source=20, delta=0.0, eps=0.5, seed=0, kind="kmeans", construction="x",
+                points=rows, weights=np.ones(20),
+            ))
+            where = f"{data}:{BAD_LINENO}:"
+        argv = [a.format(data=data, coreset=coreset) for a in self.COMMANDS[command]]
+        argv += ["-o", str(tmp_path / "out.cs")] if argv[0] != "eval" else []
+        if command == "stream-stdin":
+            proc = run_cli(argv, text=False, input=data.read_bytes(), cwd=str(tmp_path))
+            code, err = proc.returncode, proc.stderr.decode()
+            where = f"<stdin>:{BAD_LINENO}:"
+        else:
+            code, err = main(argv), capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error: {where} "), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.cs").exists()
+
+    @pytest.mark.parametrize("kind", ["subspace", "kmeans"])
+    def test_skip_malformed_matches_clean_file(self, tmp_path, rng, caplog, kind):
+        rows = rng.standard_normal((400, 3))
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        np.savetxt(clean, rows, delimiter=",", fmt="%.17g")
+        lines = clean.read_bytes().splitlines()
+        for at, bad in zip((50, 120, 200, 280, 390), BAD_LINES.values()):
+            lines.insert(at, bad(3))
+        dirty.write_bytes(b"\n".join(lines) + b"\n")
+        argv = ["stream", "--kind", kind, "--j", "1", "--k", "2", "--epsilon", "0.5", "--seed", "3"]
+        assert main(argv + [str(clean), "-o", str(tmp_path / "a.cs")]) == 0
+        assert main(argv + [str(dirty), "-o", str(tmp_path / "b.cs")]) == 1
+        caplog.clear()
+        assert main(argv + [str(dirty), "-o", str(tmp_path / "b.cs"), "--skip-malformed"]) == 0
+        assert (tmp_path / "a.cs").read_bytes() == (tmp_path / "b.cs").read_bytes()
+        skipped = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert [m.split(" ")[0] for m in skipped] == [f"{dirty}:{n + 1}:" for n in (50, 120, 200, 280, 390)]
+
+    @pytest.mark.parametrize("field", ["n=abc", "delta=x", "eps=", "seed=1.5"])
+    def test_bad_coreset_header_field_exits_1(self, tmp_path, data_csv, capsys, field):
+        path, rows = data_csv
+        cpath = tmp_path / "bad.csv"
+        cpath.write_text(f"# tinycore coreset v1\n# {field} kind=kmeans\n1,2,3,4,1\n")
+        code = main([
+            "eval", str(cpath), path, "--query-kind", "centers", "--k", "1",
+            "--count", "3", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {cpath}: bad coreset header field"), err
+
+
+class TestSeedRange:
+    COMMANDS = {
+        "coreset-kmeans": ["coreset", "kmeans", "--k", "2", "--epsilon", "0.5"],
+        "coreset-subspace": ["coreset", "subspace", "--j", "1", "--epsilon", "0.5"],
+        "stream-kmeans": ["stream", "--kind", "kmeans", "--k", "2", "--epsilon", "0.5"],
+        "stream-subspace": ["stream", "--kind", "subspace", "--j", "1", "--epsilon", "0.5"],
+        "eval": ["eval", "missing.cs", "--query-kind", "centers", "--epsilon", "0.5"],
+        "solve-kmeans": ["solve", "kmeans", "--k", "2", "--epsilon", "0.5"],
+        "solve-affine": ["solve", "affine", "--j", "1", "--epsilon", "0.5"],
+    }
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63), "99999999999999999999"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_of_range_seed_exits_2_before_reading(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "o.cs"
+        # the input does not exist: a check made after reading it would exit 1
+        argv = [*self.COMMANDS[command], "--seed", seed, str(tmp_path / "missing.csv")]
+        code = main(argv if command == "eval" else argv + ["-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: --seed must be in [0, 2**63)"), err
+        assert not out.exists()
+
+    def test_largest_seed_is_kept(self, tmp_path, data_csv):
+        path, _ = data_csv
+        out = str(tmp_path / "s.cs")
+        seed = 2**63 - 1
+        assert main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "--seed", str(seed), path, "-o", out]) == 0
+        assert read_coreset_file(out).seed == seed

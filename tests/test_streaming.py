@@ -6,6 +6,7 @@ from tinycore import (
     Coreset,
     CoresetStream,
     EmptyState,
+    InvalidArgument,
     InvalidInput,
     PointSet,
     StreamConfig,
@@ -51,6 +52,12 @@ class TestStreamState:
             StreamConfig(kind="subspace", eps=0.5)
         with pytest.raises(Exception):
             StreamConfig(kind="kmeans", eps=0.5, k=None)
+
+    @pytest.mark.parametrize("kind", ["subspace", "affine", "kmeans"])
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(InvalidArgument, match="seed"):
+            StreamConfig(kind=kind, eps=0.5, j=1, k=2, seed=-1)
+        StreamConfig(kind=kind, eps=0.5, j=1, k=2, seed=0)
 
     def test_dimension_mismatch_rejected(self):
         stream = CoresetStream(StreamConfig(kind="subspace", eps=0.5, j=1))
