@@ -9,6 +9,10 @@ Commands
 CSV input skips blank lines and `#` comments.  A line that does not parse
 (an undecodable byte included), is ragged or holds a non-finite value is an
 error naming `file:line`; `stream --skip-malformed` warns and drops it.
+Input is parsed in blocks of about 64 KiB of lines.  `stream` holds one block
+at a time and extends the stream block by block, so from a live pipe its
+`--checkpoint` lines come once per block rather than once per line; their
+text does not change.
 
 Exit codes: 0 success, 1 data or validation error, 2 usage error.  All
 randomized commands require --seed, in [0, 2**63).  The TINYCORE_LOG
@@ -25,7 +29,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -118,13 +122,17 @@ def read_coreset_binary(path: str) -> CoresetFile:
     if body.size != m * (d + 1):
         raise TinycoreError("coreset body size does not match its header")
     rows = body.reshape(m, d + 1)
+    try:
+        kind, construction = (f.rstrip(b"\0").decode() for f in (kind, construction))
+    except UnicodeDecodeError as exc:
+        raise TinycoreError(f"{path}: bad coreset header field: {exc}") from exc
     return CoresetFile(
         n_source=n,
         delta=delta,
         eps=eps,
         seed=seed,
-        kind=kind.rstrip(b"\0").decode(),
-        construction=construction.rstrip(b"\0").decode(),
+        kind=kind,
+        construction=construction,
         points=rows[:, :d].copy(),
         weights=rows[:, d].copy(),
     )
@@ -147,10 +155,10 @@ def write_coreset_csv(path: str, cf: CoresetFile) -> None:
 def read_coreset_csv(path: str) -> CoresetFile:
     meta: dict[str, str] = {}
     with open(path, "rb") as fh:
-        rows = list(_csv_rows(fh, path, header=False, meta=meta))
-    if not rows:
+        blocks = list(_csv_blocks(fh, path, header=False, meta=meta))
+    if not blocks:
         raise TinycoreError(f"{path}: empty coreset file")
-    arr = np.asarray(rows)
+    arr = np.concatenate(blocks)
     try:
         return CoresetFile(
             n_source=int(meta.get("n", arr.shape[0])),
@@ -174,46 +182,85 @@ def read_coreset_file(path: str) -> CoresetFile:
     return read_coreset_csv(path)
 
 
-def _csv_rows(
-    lines: Iterable[bytes], name: str, header: bool, skip: bool = False, meta: Optional[dict] = None
-) -> Iterator[list[float]]:
-    """Yield the float rows of CSV `lines`; a bad line raises `name:lineno: ...`,
-    or with `skip` is logged and dropped.  `key=value` tokens of `#` comments
-    go into the dict `meta`, if given."""
+_BLOCK_BYTES = 1 << 16  # the size hint of each `readlines` call, so one block is about 64 KiB of lines
+
+
+def _clean_block(stripped: list[bytes], width: Optional[int]) -> Optional[np.ndarray]:
+    """The stripped lines as one array if all are data rows of one width (equal
+    to `width`, if set) holding finite values, else None.  Each field goes
+    through the same `float()` as in the per-line loop of `_csv_blocks`."""
+    commas = set(map(bytes.count, stripped, [b","] * len(stripped)))
+    if len(commas) != 1 or b"" in stripped:
+        return None
+    cols = commas.pop() + 1
+    joined = b",".join(stripped)
+    if width not in (None, cols) or b"#" in joined:  # a `#` inside a line fails float() too
+        return None
+    try:
+        values = np.array(list(map(float, joined.split(b","))))
+    except ValueError:
+        return None
+    return values.reshape(-1, cols) if np.isfinite(values).all() else None
+
+
+def _csv_blocks(
+    fh, name: str, header: bool, skip: bool = False, meta: Optional[dict] = None
+) -> Iterator[np.ndarray]:
+    """Yield the rows of the binary CSV file `fh` as n x d float arrays, one per
+    block of lines.  A bad line raises `name:lineno: ...` once the good rows
+    before it are yielded, or with `skip` is logged and dropped.  `key=value`
+    tokens of `#` comments go into the dict `meta`, if given."""
     width = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if (header and lineno == 1) or not line:
+    lineno = 0  # the number of the line before the block
+    while lines := fh.readlines(_BLOCK_BYTES):
+        if header and lineno == 0:
+            lineno, lines = 1, lines[1:]
+        stripped = list(map(bytes.strip, lines))
+        block = _clean_block(stripped, width)
+        if block is not None:
+            width = block.shape[1]
+            lineno += len(lines)
+            yield block
             continue
-        if line.startswith(b"#"):
-            if meta is not None:
-                tokens = line[1:].decode(errors="replace").split()
-                meta.update(tok.split("=", 1) for tok in tokens if "=" in tok)
-            continue
-        try:
-            values = [float(v) for v in line.split(b",")]
-        except ValueError as exc:
-            problem = f"cannot parse row: {exc}"
-        else:
-            if width is not None and len(values) != width:
-                problem = f"expected {width} columns, got {len(values)}"
-            elif not all(map(math.isfinite, values)):
-                problem = "non-finite value"
-            else:
-                width = len(values)
-                yield values
+        rows = []
+        for line in stripped:
+            lineno += 1
+            if not line:
                 continue
-        if not skip:
-            raise TinycoreError(f"{name}:{lineno}: {problem}")
-        logger.warning("%s:%d: skipped: %s", name, lineno, problem)
+            if line.startswith(b"#"):
+                if meta is not None:
+                    tokens = line[1:].decode(errors="replace").split()
+                    meta.update(tok.split("=", 1) for tok in tokens if "=" in tok)
+                continue
+            try:
+                row = [float(v) for v in line.split(b",")]
+            except ValueError as exc:
+                problem = f"cannot parse row: {exc}"
+            else:
+                if width is not None and len(row) != width:
+                    problem = f"expected {width} columns, got {len(row)}"
+                elif not all(map(math.isfinite, row)):
+                    problem = "non-finite value"
+                else:
+                    width = len(row)
+                    rows.append(row)
+                    continue
+            if not skip:
+                if rows:
+                    yield np.array(rows)
+                raise TinycoreError(f"{name}:{lineno}: {problem}")
+            logger.warning("%s:%d: skipped: %s", name, lineno, problem)
+        if rows:
+            yield np.array(rows)
 
 
 def load_points(path: str, weighted: bool, header: bool) -> PointSet:
     """Read a CSV of points, optionally with a trailing weight column."""
     with open(path, "rb") as fh:
-        rows = np.asarray(list(_csv_rows(fh, path, header)))
-    if rows.size == 0:
+        blocks = list(_csv_blocks(fh, path, header))
+    if not blocks:
         raise TinycoreError(f"{path}: empty input")
+    rows = np.concatenate(blocks)
     if not weighted:
         return PointSet(rows)
     if rows.shape[1] < 2:
@@ -289,17 +336,22 @@ def cmd_stream(args: argparse.Namespace) -> int:
         name, source = "<stdin>", contextlib.nullcontext(sys.stdin.buffer)
     else:
         name, source = args.input, open(args.input, "rb")
-    count = 0
+    count, every = 0, args.checkpoint
     with source as fh:
-        for row in _csv_rows(fh, name, args.header, args.skip_malformed):
-            stream.insert(row)
-            count += 1
-            if args.checkpoint and count % args.checkpoint == 0:
-                print(
-                    f"checkpoint n={count} live={stream.live_points()} "
-                    f"epoch={stream.epoch} reduces={stream.reduce_count}",
-                    file=sys.stderr,
-                )
+        for block in _csv_blocks(fh, name, args.header, args.skip_malformed):
+            # extend up to each --checkpoint multiple, so its line shows the state at that count
+            start = 0
+            while start < len(block):
+                stop = min(len(block), start + every - count % every) if every else len(block)
+                stream.extend(block[start:stop])
+                count += stop - start
+                start = stop
+                if every and count % every == 0:
+                    print(
+                        f"checkpoint n={count} live={stream.live_points()} "
+                        f"epoch={stream.epoch} reduces={stream.reduce_count}",
+                        file=sys.stderr,
+                    )
     if count == 0:
         raise TinycoreError(f"{name}: empty input")
     core = stream.query()
@@ -329,6 +381,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     points = load_points(args.data, args.weighted, args.header)
     if cf.d != points.d:
         raise TinycoreError(f"dimension mismatch: coreset d={cf.d}, data d={points.d}")
+    if args.query_kind != "centers" and not 1 <= args.j <= points.d:
+        raise TinycoreError(f"--j {args.j} out of range: subspace queries need 1 <= j <= d = {points.d}")
     core = cf.to_coreset()
     rng = np.random.default_rng(args.seed)
     scale = float(np.max(np.abs(points.rows))) + 1.0

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import tinycore
+from tinycore import cli
 from tinycore.cli import (
     CoresetFile,
+    load_points,
     main,
     read_coreset_binary,
     read_coreset_csv,
@@ -16,6 +18,7 @@ from tinycore.cli import (
     write_coreset_binary,
     write_coreset_csv,
 )
+from tinycore.streaming import CoresetStream, StreamConfig
 
 from conftest import make_blobs
 
@@ -545,3 +548,225 @@ class TestSeedRange:
         seed = 2**63 - 1
         assert main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "--seed", str(seed), path, "-o", out]) == 0
         assert read_coreset_file(out).seed == seed
+
+
+class TestEvalInputChecks:
+    def test_non_utf8_kind_exits_1(self, tmp_path, data_csv, capsys):
+        path, _ = data_csv
+        out = tmp_path / "s.cs"
+        assert main(["coreset", "subspace", "--j", "2", "--epsilon", "0.5", path, "-o", str(out)]) == 0
+        raw = bytearray(out.read_bytes())
+        raw[56] = 0xFF  # the first byte of the `kind` field
+        out.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = main([
+            "eval", str(out), path, "--query-kind", "subspace", "--j", "1",
+            "--count", "3", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {out}: bad coreset header field"), err
+
+    @pytest.mark.parametrize("query_kind", ["subspace", "affine"])
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_eval_j_out_of_range_names_it(self, tmp_path, rng, capsys, query_kind, j):
+        rows = rng.standard_normal((30, 3))
+        path = tmp_path / "d.csv"
+        np.savetxt(path, rows, delimiter=",")
+        cpath = tmp_path / "id.cs"
+        write_coreset_binary(str(cpath), CoresetFile(
+            n_source=30, delta=0.0, eps=0.5, seed=0, kind="subspace", construction="x",
+            points=rows, weights=np.ones(30),
+        ))
+        code = main([
+            "eval", str(cpath), str(path), "--query-kind", query_kind, "--j", str(j),
+            "--count", "3", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: --j {j} out of range"), err
+        assert "Traceback" not in err
+
+
+# Blocks of about 64 bytes: a few lines each, so small files span many blocks.
+SMALL_BLOCK = 64
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", SMALL_BLOCK)
+
+
+def _lines(rows: np.ndarray) -> list[bytes]:
+    return [b",".join(b"%.17g" % v for v in row) for row in rows]
+
+
+def _stream_reference(rows, kind, checkpoint=0, eps=0.5, seed=3):
+    """The final query and the checkpoint lines of a stream fed one `insert` per row."""
+    stream = CoresetStream(StreamConfig(kind=kind, eps=eps, j=1, k=2, delta=0.1, seed=seed))
+    lines = []
+    for count, row in enumerate(rows, start=1):
+        stream.insert(row)
+        if checkpoint and count % checkpoint == 0:
+            lines.append(
+                f"checkpoint n={count} live={stream.live_points()} "
+                f"epoch={stream.epoch} reduces={stream.reduce_count}"
+            )
+    core = stream.query()
+    return core, lines
+
+
+def _stream_argv(kind, path, out, *extra):
+    return ["stream", "--kind", kind, "--j", "1", "--k", "2", "--epsilon", "0.5", "--seed", "3",
+            str(path), "-o", str(out), *extra]
+
+
+def _blocks_of(path) -> list[int]:
+    """The number of the first line of each block the reader takes from `path`."""
+    starts, lineno = [], 1
+    with open(path, "rb") as fh:
+        while lines := fh.readlines(cli._BLOCK_BYTES):
+            starts.append(lineno)
+            lineno += len(lines)
+    return starts
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("kind", ["kmeans", "subspace"])
+    def test_stream_bytes_match_row_inserts(self, tmp_path, rng, small_blocks, kind):
+        rows = make_blobs(rng, 300, 3, 2)
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(_lines(rows)) + b"\n")
+        assert len(_blocks_of(path)) > 50
+        out = tmp_path / "o.cs"
+        assert main(_stream_argv(kind, path, out)) == 0
+        core, _ = _stream_reference(rows, kind)
+        want = tmp_path / "want.cs"
+        write_coreset_binary(str(want), CoresetFile(
+            n_source=300, delta=core.delta, eps=0.5, seed=3, kind=kind, construction=f"stream-{kind}",
+            points=np.asarray(core.points), weights=np.asarray(core.weights),
+        ))
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_bad_line_at_every_position_names_its_line(self, tmp_path, rng, small_blocks, capsys):
+        good = _lines(rng.standard_normal((30, 3)))
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(good) + b"\n")
+        starts = _blocks_of(path)
+        assert len(starts) >= 5
+        for at in range(1, 31):
+            lines = list(good)
+            lines[at - 1] = b"1,2,abc"
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            code = main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", str(path),
+                         "-o", str(tmp_path / "o.cs")])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(f"error: {path}:{at}: cannot parse row"), (at, starts, err)
+
+    def test_narrow_later_block_is_checked_against_first_width(self, tmp_path, rng, small_blocks, capsys):
+        wide, narrow = _lines(rng.standard_normal((40, 3))), _lines(rng.standard_normal((40, 2)))
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(wide) + b"\n")
+        third = _blocks_of(path)[2]
+        # from the first line of block 3 on, every line is 2 wide: a block of one width
+        path.write_bytes(b"\n".join(wide[: third - 1] + narrow[third - 1 :]) + b"\n")
+        assert _blocks_of(path)[2] == third
+        code = main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}:{third}: expected 3 columns, got 2"), err
+
+    @pytest.mark.parametrize(
+        "layout", ["comments-and-blanks", "header", "crlf", "no-final-newline"]
+    )
+    def test_layouts_load_the_clean_rows(self, tmp_path, rng, small_blocks, layout):
+        rows = rng.standard_normal((60, 3))
+        lines = _lines(rows)
+        header = layout == "header"
+        if layout == "comments-and-blanks":
+            for at in (50, 33, 20, 7):
+                lines[at:at] = [b"# a comment", b"", b"   "]
+        if header:
+            lines.insert(0, b"x,y,z")
+        sep = b"\r\n" if layout == "crlf" else b"\n"
+        payload = sep.join(lines) + (b"" if layout == "no-final-newline" else sep)
+        path = tmp_path / "in.csv"
+        path.write_bytes(payload)
+        assert len(_blocks_of(path)) > 10
+        np.testing.assert_array_equal(load_points(str(path), False, header).rows, rows)
+        clean = tmp_path / "clean.csv"
+        clean.write_bytes(b"\n".join(_lines(rows)) + b"\n")
+        extra = ["--header"] if header else []
+        assert main(_stream_argv("subspace", path, tmp_path / "a.cs", *extra)) == 0
+        assert main(_stream_argv("subspace", clean, tmp_path / "b.cs")) == 0
+        assert (tmp_path / "a.cs").read_bytes() == (tmp_path / "b.cs").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["subspace", "kmeans"])
+    def test_skip_malformed_across_blocks_matches_clean_file(self, tmp_path, rng, small_blocks, caplog, kind):
+        rows = rng.standard_normal((200, 3))
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        lines = _lines(rows)
+        clean.write_bytes(b"\n".join(lines) + b"\n")
+        ats = (3, 40, 41, 90, 150, 199)
+        for at, bad in zip(ats, [*(make(3) for make in BAD_LINES.values()), b"1,2,3,4"]):
+            lines.insert(at, bad)
+        dirty.write_bytes(b"\n".join(lines) + b"\n")
+        caplog.clear()
+        assert main(_stream_argv(kind, clean, tmp_path / "a.cs")) == 0
+        assert main(_stream_argv(kind, dirty, tmp_path / "b.cs", "--skip-malformed")) == 0
+        assert (tmp_path / "a.cs").read_bytes() == (tmp_path / "b.cs").read_bytes()
+        skipped = [r.getMessage().split(" ")[0] for r in caplog.records if r.levelname == "WARNING"]
+        assert skipped == [f"{dirty}:{at + 1}:" for at in ats]
+
+
+# Valid fields that float() takes but a stricter number parser might not.
+ODD_LINES = [b" 1.5 , +.5,1_000", b"-0.0,1e308,-2", b"7,\t-1E-3 ,0"]
+
+
+class TestBlockPaths:
+    def expected(self):
+        return [[float(f) for f in line.split(b",")] for line in ODD_LINES]
+
+    def test_odd_fields_take_the_fast_path(self):
+        assert cli._clean_block([line.strip() for line in ODD_LINES], None) is not None
+
+    @pytest.mark.parametrize("with_comment", [False, True])
+    def test_odd_fields_same_values_on_both_paths(self, tmp_path, with_comment):
+        path = tmp_path / "odd.csv"
+        head = [b"# forces the per-line path"] if with_comment else []
+        path.write_bytes(b"\n".join(head + ODD_LINES) + b"\n")
+        got = load_points(str(path), False, False).rows
+        want = np.array(self.expected())
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 keeps its sign
+
+    def test_checkpoints_then_error_at_bad_line(self, tmp_path, rng, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 16384)
+        rows = rng.standard_normal((600, 3))
+        lines = _lines(rows)
+        lines[499] = b"1,2,abc"
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        # the rows before the bad line in its own block, n=400 among them, still count
+        starts = _blocks_of(path)
+        assert len(starts) >= 3 and max(s for s in starts if s <= 500) <= 400, starts
+        code = main(_stream_argv("subspace", path, tmp_path / "o.cs", "--checkpoint", "200"))
+        err = capsys.readouterr().err.splitlines()
+        _, want = _stream_reference(rows[:499], "subspace", checkpoint=200)
+        assert code == 1
+        assert err[:2] == want and len(want) == 2
+        assert err[2].startswith(f"error: {path}:500: cannot parse row"), err
+        assert len(err) == 3
+
+    @pytest.mark.parametrize("kind", ["subspace", "kmeans"])
+    def test_checkpoint_not_dividing_blocks(self, tmp_path, rng, small_blocks, capsys, kind):
+        rows = rng.standard_normal((100, 3))
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(_lines(rows)) + b"\n")
+        code = main(_stream_argv(kind, path, tmp_path / "o.cs", "--checkpoint", "7"))
+        err = capsys.readouterr().err.splitlines()
+        _, want = _stream_reference(rows, kind, checkpoint=7)
+        assert code == 0
+        assert [line.split()[1] for line in want] == [f"n={7 * i}" for i in range(1, 15)]
+        assert err == want
