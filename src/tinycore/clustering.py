@@ -239,7 +239,7 @@ def best_affine_subspace(points: PointSet, j: int) -> Subspace:
     centered = np.sqrt(w)[:, None] * (rows - mean)
     if not np.any(centered):
         return Subspace(basis=np.eye(points.d)[:, :j], offset=mean)
-    factors = svd(PointSet(centered))
+    factors = svd(PointSet(centered), compute_u=False)
     return Subspace(basis=np.asarray(factors.v[:, :j]), offset=mean)
 
 

@@ -95,7 +95,7 @@ def linear_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
     if not 1 <= j <= d - 1:
         raise InvalidArgument(f"subspace dimension {j} must be in [1, {d - 1}]")
     m = min(n, d, coreset_size_linear(j, eps))
-    factors = svd(points)
+    factors = svd(points, compute_u=False)
     s = (factors.v[:, :m] * factors.sigma[:m]).T
     delta = tail_energy(factors, m)
     return Coreset(points=s, weights=np.ones(m), delta=delta)

@@ -70,9 +70,9 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
     if m == points.d:
         return ReducedInstance(reduced_points=points.rows, basis=np.eye(m), delta=0.0, m=m)
     if points.weights is not None:
-        factors = svd(PointSet(weighted_fold(points)))
+        factors = svd(PointSet(weighted_fold(points)), compute_u=False)
     else:
-        factors = svd(points)
+        factors = svd(points, compute_u=False)
     basis = np.asarray(factors.v[:, :m])
     reduced = np.asarray(points.rows) @ basis
     # tail of the (folded) spectrum = (weighted) projection cost of the rows

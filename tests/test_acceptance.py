@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,12 +351,12 @@ def test_criterion_10_cli(tmp_path):
     argv = ["coreset", "kmeans", "--k", "3", "--epsilon", "0.5", "--delta", "0.1", "--seed", "7", data]
     assert main(argv + ["-o", a]) == 0
     assert main(argv + ["-o", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     # binary round trip is lossless
     cf = read_coreset_binary(a)
     again = str(tmp_path / "c.cs")
     write_coreset_binary(again, cf)
-    assert open(a, "rb").read() == open(again, "rb").read()
+    assert Path(a).read_bytes() == Path(again).read_bytes()
     # negative control: corrupting delta flips eval to failure
     scale = np.ones(20)
     scale[0] = 3.0

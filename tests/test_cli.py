@@ -29,8 +29,8 @@ from conftest import make_blobs
 PACKAGE_ROOT = str(Path(tinycore.__file__).resolve().parents[1])
 
 
-def run_cli(args, text=True, **kwargs):
-    env = dict(os.environ)
+def run_cli(args, text=True, env=None, **kwargs):
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
@@ -144,6 +144,24 @@ class TestCoresetCommand:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
+
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_subspace_bytes_do_not_depend_on_blas_threads(self, tmp_path, affine):
+        # 20000 rows are five TSQR blocks; smaller inputs (9000x24, 12000x40)
+        # gave the same bytes at both thread counts even with LAPACK's
+        # one-call SVD, so they would not show a difference
+        rows = np.random.default_rng(20).standard_normal((20000, 32))
+        path = tmp_path / "in.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.12g")
+        argv = ["coreset", "subspace", "--j", "2", "--epsilon", "0.5", str(path)] + (["--affine"] if affine else [])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.cs"
+            env = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            proc = run_cli(argv + ["-o", str(out)], env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_subspace_byte_identical_reruns(self, tmp_path, data_csv):
         path, _ = data_csv
@@ -390,11 +408,11 @@ class TestSolveCommand:
         out = str(tmp_path / "sol.csv")
         code = main(["solve", "affine", "--j", "1", "--epsilon", "0.5", "--seed", "1", path, "-o", out])
         assert code == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert "offset," in text and "basis," in text
 
     def _solve_cost(self, out):
-        header = open(out).readline()
+        header = Path(out).read_text().splitlines()[0]
         return float(header.split("cost=")[1].strip())
 
     def test_single_point_k1_zero_cost(self, tmp_path):

@@ -109,6 +109,75 @@ class TestSvd:
             assert np.array_equal(x, y)
 
 
+class TestRightFactors:
+    """svd(points, compute_u=False): sigma and V from the TSQR factor R."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 7), (7, 1), (9, 40), (300, 17), (4096, 5), (4097, 5), (12289, 3), (9000, 24)]
+    )
+    def test_matches_the_full_svd(self, rng, shape):
+        a = rng.standard_normal(shape) + 3.0
+        f, g = svd(PointSet(a)), svd(PointSet(a), compute_u=False)
+        assert g.u is None
+        assert g.sigma.shape == f.sigma.shape and g.v.shape == f.v.shape
+        np.testing.assert_allclose(g.sigma, f.sigma, rtol=1e-12, atol=1e-12 * f.sigma[0])
+        # sign rule: the largest-magnitude entry of each column of V is positive
+        top = g.v[np.argmax(np.abs(g.v), axis=0), np.arange(g.v.shape[1])]
+        assert np.all(top > 0)
+        np.testing.assert_allclose(g.v, f.v, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [10000, 40000])
+    def test_small_tail_energy_over_many_blocks(self, n):
+        # the tail test above, on 3 and 10 blocks of the TSQR tree
+        gen = np.random.default_rng(4)
+        u, _ = np.linalg.qr(gen.standard_normal((n, 12)))
+        v, _ = np.linalg.qr(gen.standard_normal((12, 12)))
+        sigma = np.concatenate([[100.0, 50.0, 20.0, 10.0], np.linspace(1e-4, 5e-5, 8)])
+        a = (u * sigma) @ v.T
+        expect = float(np.sum(sigma[4:] ** 2))
+        assert tail_energy(svd(PointSet(a), compute_u=False), 4) == pytest.approx(expect, rel=1e-8)
+        core = linear_subspace_coreset(PointSet(a), 2, 2 / 3)
+        assert core.size == 4
+        assert core.delta == pytest.approx(expect, rel=1e-8)
+
+    def test_wrong_r_is_invalid_input(self, rng, monkeypatch):
+        # a QR that drops the lower half of every stack (at a merge, the
+        # second block's R) gives factors that do not fit the input
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": qr(m[: (m.shape[0] + 1) // 2], mode=mode))
+        with pytest.raises(InvalidInput, match="do not fit the input"):
+            svd(PointSet(rng.standard_normal((10000, 6))), compute_u=False)
+
+    def test_r_outside_the_row_space_is_invalid_input(self, monkeypatch):
+        # R = 0 gives sigma = 0 and V = the first unit vectors, orthogonal to
+        # these rows: V^T A^T A V = diag(sigma^2) holds, and only the energy
+        # of A outside span(V) shows the fault
+        monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": np.zeros((min(m.shape), m.shape[1])))
+        a = np.array([[0.0, 0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 4.0, 5.0, 6.0]])
+        with pytest.raises(InvalidInput, match="do not fit the input"):
+            svd(PointSet(a), compute_u=False)
+
+    def test_qr_failure_is_invalid_input(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR failed to converge")
+
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        with pytest.raises(InvalidInput, match="QR failed"):
+            svd(PointSet(np.eye(3)), compute_u=False)
+
+    def test_factors_without_u_refuse_u_uses(self, rng):
+        f = svd(PointSet(rng.standard_normal((6, 4))), compute_u=False)
+        with pytest.raises(InvalidArgument, match="no U"):
+            f.reconstruct()
+        with pytest.raises(InvalidArgument, match="no U"):
+            low_rank_approx(f, 2)
+
+    def test_rerun_gives_identical_factors(self, rng):
+        a = rng.standard_normal((9000, 7))
+        f, g = svd(PointSet(a), compute_u=False), svd(PointSet(a), compute_u=False)
+        assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
+
+
 class TestLowRankApprox:
     def test_zero_trailing_singular_value(self):
         f = svd(PointSet(np.diag([3.0, 2.0, 1.0])))
