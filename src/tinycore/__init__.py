@@ -43,7 +43,6 @@ from .linalg import (
     Subspace,
     SvdFactors,
     dist2,
-    low_rank_approx,
     svd,
     tail_energy,
     weighted_fold,
@@ -99,7 +98,6 @@ __all__ = [
     "lift_coreset",
     "linear_subspace_coreset",
     "lloyd_solve",
-    "low_rank_approx",
     "mahalanobis",
     "movement_sensitivities",
     "niceness_thresholds",

@@ -276,6 +276,16 @@ def _random_query(rng: np.random.Generator, d: int, kind: str, j: int, k: int, s
     return Subspace(basis=basis, offset=offset)
 
 
+def _check_j(j: int, d: int) -> None:
+    if not 1 <= j <= d - 1:
+        raise TinycoreError(f"--j {j} out of range: subspaces need 1 <= j <= d - 1 = {d - 1}")
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise TinycoreError(f"--k {k} out of range: k-means needs 1 <= k <= n = {n}")
+
+
 # -- commands -----------------------------------------------------------
 
 
@@ -283,6 +293,7 @@ def cmd_coreset(args: argparse.Namespace) -> int:
     points = load_points(args.input, args.weighted, args.header)
     t0 = time.perf_counter()
     if args.problem == "kmeans":
+        _check_k(args.k, points.n)
         builder = small_kmeans_coreset if args.small else kmeans_coreset
         core = builder(points, args.k, args.epsilon, args.delta, args.seed)
         construction = "small-kmeans" if args.small else "kmeans"
@@ -381,8 +392,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     points = load_points(args.data, args.weighted, args.header)
     if cf.d != points.d:
         raise TinycoreError(f"dimension mismatch: coreset d={cf.d}, data d={points.d}")
-    if args.query_kind != "centers" and not 1 <= args.j <= points.d:
-        raise TinycoreError(f"--j {args.j} out of range: subspace queries need 1 <= j <= d = {points.d}")
+    if args.query_kind != "centers":
+        _check_j(args.j, points.d)
     core = cf.to_coreset()
     rng = np.random.default_rng(args.seed)
     scale = float(np.max(np.abs(points.rows))) + 1.0
@@ -408,6 +419,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     points = load_points(args.input, args.weighted, args.header)
     if args.problem == "kmeans":
+        _check_k(args.k, points.n)
         problem = KMeansProblem(k=args.k)
 
         def solver(ps, pb):
@@ -416,6 +428,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             return lloyd_solve(ps, min(pb.k, ps.n), args.seed)
 
     else:
+        _check_j(args.j, points.d)
         problem = AffineClusteringProblem(j=args.j, k=1)
         solver = exact_tiny_solver  # the affine 1-clustering fit is exact at any n
     shape = approx_solution(points, problem, args.epsilon, solver, seed=args.seed)

@@ -7,7 +7,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .coreset import Coreset
+from .coreset import Coreset, _centered_fold
 from .dimred import lift_coreset, reduce
 from .errors import InvalidArgument, InvalidInput, ResourceLimit
 from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, svd
@@ -233,13 +233,10 @@ def _lift_shape(shape: QueryShape, basis: np.ndarray) -> QueryShape:
 
 def best_affine_subspace(points: PointSet, j: int) -> Subspace:
     """Optimal affine j-subspace of a weighted point set (centered SVD fit)."""
-    rows = np.asarray(points.rows)
-    w = points.effective_weights()
-    mean = (w[:, None] * rows).sum(axis=0) / w.sum()
-    centered = np.sqrt(w)[:, None] * (rows - mean)
+    centered, mean, _ = _centered_fold(points)
     if not np.any(centered):
         return Subspace(basis=np.eye(points.d)[:, :j], offset=mean)
-    factors = svd(PointSet(centered), compute_u=False)
+    factors = svd(PointSet(centered))
     return Subspace(basis=np.asarray(factors.v[:, :j]), offset=mean)
 
 

@@ -95,16 +95,41 @@ def linear_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
     if not 1 <= j <= d - 1:
         raise InvalidArgument(f"subspace dimension {j} must be in [1, {d - 1}]")
     m = min(n, d, coreset_size_linear(j, eps))
-    factors = svd(points, compute_u=False)
+    factors = svd(points)
     s = (factors.v[:, :m] * factors.sigma[:m]).T
     delta = tail_energy(factors, m)
     return Coreset(points=s, weights=np.ones(m), delta=delta)
 
 
-def _affine_from_centered(
-    centered: np.ndarray, mean: np.ndarray, total: float, j: int, eps: float
-) -> Coreset:
-    inner = linear_subspace_coreset(PointSet(centered), j, eps)
+def _centered_fold(points: PointSet) -> tuple[np.ndarray, np.ndarray, float]:
+    """The rows minus their (weighted) mean, row i scaled by sqrt(w_i), with the
+    mean and the total weight.
+
+    Unweighted input is centred at its plain mean and not scaled; unit
+    weights give the same bytes.
+    """
+    rows = np.asarray(points.rows)
+    if points.weights is None:
+        mean = rows.mean(axis=0)
+        return rows - mean, mean, float(points.n)
+    w = np.asarray(points.weights)
+    total = float(np.sum(w))
+    if not total > 0:
+        raise InvalidInput("total weight must be positive")
+    mean = (w[:, None] * rows).sum(axis=0) / total
+    return np.sqrt(w)[:, None] * (rows - mean), mean, total
+
+
+def affine_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
+    """Coreset for affine j-subspace queries: a symmetrized, recentered linear coreset.
+
+    The rows are recentered at their (weighted) mean and scaled by sqrt(w_i)
+    before the linear construction.  The output holds 2m points of weight
+    W/(2m), W the total weight, whose weighted mean equals the input mean, so
+    translations are charged correctly.
+    """
+    folded, mean, total = _centered_fold(points)
+    inner = linear_subspace_coreset(PointSet(folded), j, eps)
     m = inner.size
     scaled = math.sqrt(m / total) * np.asarray(inner.points)
     s = mean[None, :] + np.vstack([scaled, -scaled])
@@ -112,32 +137,10 @@ def _affine_from_centered(
     return Coreset(points=s, weights=w, delta=inner.delta)
 
 
-def affine_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
-    """Coreset for affine j-subspace queries: a symmetrized, recentered linear coreset.
-
-    The output holds 2m points of weight n/(2m) whose weighted mean equals the
-    input mean, so translations are charged correctly.
-    """
-    if points.weights is not None:
-        return affine_subspace_coreset_weighted(points, j, eps)
-    rows = np.asarray(points.rows)
-    mean = rows.mean(axis=0)
-    return _affine_from_centered(rows - mean, mean, float(points.n), j, eps)
-
-
 def affine_subspace_coreset_weighted(points: PointSet, j: int, eps: float) -> Coreset:
-    """Weighted-input variant: rows are recentered at the weighted mean and
-    scaled by sqrt(w_i) before the linear construction."""
-    if points.weights is None:
-        return affine_subspace_coreset(points, j, eps)
-    w = points.effective_weights()
-    total = float(np.sum(w))
-    if not total > 0:
-        raise InvalidInput("total weight must be positive")
-    rows = np.asarray(points.rows)
-    mean = (w[:, None] * rows).sum(axis=0) / total
-    folded = np.sqrt(w)[:, None] * (rows - mean)
-    return _affine_from_centered(folded, mean, total, j, eps)
+    """The same construction as :func:`affine_subspace_coreset`, which takes
+    weighted and unweighted input alike."""
+    return affine_subspace_coreset(points, j, eps)
 
 
 def merge_coresets(parts: list[Coreset]) -> tuple[np.ndarray, np.ndarray, float]:

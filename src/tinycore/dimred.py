@@ -69,10 +69,7 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
     m = reduction_rank(points.n, points.d, j, eps, mode)
     if m == points.d:
         return ReducedInstance(reduced_points=points.rows, basis=np.eye(m), delta=0.0, m=m)
-    if points.weights is not None:
-        factors = svd(PointSet(weighted_fold(points)), compute_u=False)
-    else:
-        factors = svd(points, compute_u=False)
+    factors = svd(points if points.weights is None else PointSet(weighted_fold(points)))
     basis = np.asarray(factors.v[:, :m])
     reduced = np.asarray(points.rows) @ basis
     # tail of the (folded) spectrum = (weighted) projection cost of the rows

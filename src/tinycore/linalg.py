@@ -1,9 +1,10 @@
-"""Dense matrix kernel: exact SVD, low-rank approximation and squared-distance evaluation.
+"""Dense matrix kernel: the thin SVD's sigma and V, and squared-distance evaluation.
 
 Everything downstream (subspace coresets, dimensionality reduction, the
-streaming summaries) is built on the thin SVD computed here.  The
-factorization comes from LAPACK through ``numpy.linalg``; every result is
-checked against the input matrix before use.
+streaming summaries) is built on sigma and V computed here; no construction
+needs U, and none is formed.  The factorization comes from LAPACK QR and SVD
+through ``numpy.linalg``; every result is checked against the input matrix
+before use.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .errors import InvalidArgument, InvalidInput
 
 TOL_ORTH = 1e-8
 TOL_RECON = 1e-8
-# Rows per leaf of the TSQR tree behind svd(compute_u=False).  A constant, so
+# Rows per leaf of the TSQR tree behind svd().  A constant, so
 # that the order in which rows are combined depends on nothing but n.
 _TSQR_BLOCK = 4096
 
@@ -69,32 +70,21 @@ class PointSet:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD A = U diag(sigma) V^T with sigma sorted non-increasingly.
+    """sigma and V of the thin SVD A = U diag(sigma) V^T, sigma sorted non-increasingly.
 
-    `u` is None when only the right factors were computed.
+    V is d x r with orthonormal columns, r = min(n, d).  U is not kept.
     """
 
-    u: Optional[np.ndarray]
     sigma: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        if self.u is not None:
-            object.__setattr__(self, "u", _as_readonly(self.u))
         object.__setattr__(self, "sigma", _as_readonly(self.sigma))
         object.__setattr__(self, "v", _as_readonly(self.v))
 
     @property
     def rank_bound(self) -> int:
         return self.sigma.shape[0]
-
-    def _left(self) -> np.ndarray:
-        if self.u is None:
-            raise InvalidArgument("these factors have no U; compute them with svd(points, compute_u=True)")
-        return self.u
-
-    def reconstruct(self) -> np.ndarray:
-        return (self._left() * self.sigma) @ self.v.T
 
 
 @dataclass(frozen=True)
@@ -156,34 +146,27 @@ class CenterSet:
 QueryShape = Union[CenterSet, Subspace]
 
 
-def svd(points: PointSet, compute_u: bool = True) -> SvdFactors:
-    """Exact thin SVD of the point matrix, computed by LAPACK through numpy.
+def svd(points: PointSet) -> SvdFactors:
+    """Thin SVD of the point matrix: sigma and V, without U.
 
-    The signs are fixed so that the largest-magnitude entry of each column of
-    V is positive (the matching column of U flips with it).  Weighted inputs
-    must be folded through :func:`weighted_fold` first; the factorization
-    itself is weight-agnostic.
-
-    With ``compute_u=False`` the n x r factor U is never formed and ``u`` is
-    None.  sigma and V then come from the SVD of the factor R of a
-    tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou, 2012): the R of
-    each block of 4096 rows, merged pairwise in a fixed tree.  The tree
-    depends on n alone, not on the BLAS thread count; with OpenBLAS 0.3.31
-    the bytes were the same at 1, 2 and 4 threads for up to 113 columns.
+    sigma and V come from the SVD of the factor R of a tall-skinny QR (TSQR;
+    Demmel, Grigori, Hoemmen & Langou, 2012): the R of each block of 4096
+    rows, merged pairwise in a fixed tree.  The n x r factor U is never
+    formed.  The tree depends on n alone, not on the BLAS thread count; with
+    OpenBLAS 0.3.31 the bytes were the same at 1, 2 and 4 threads for up to
+    113 columns.  The signs are fixed so that the largest-magnitude entry of
+    each column of V is positive.  Weighted inputs must be folded through
+    :func:`weighted_fold` first; the factorization itself is weight-agnostic.
     """
     a = np.asarray(points.rows)
-    if not compute_u:
-        return _right_factors(a)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        _, s, vt = np.linalg.svd(_tsqr_r(a), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise InvalidInput(f"SVD failed: {exc}") from exc
     v = vt.T
-    flip = _sign_flips(v)
-    v[:, flip] *= -1.0
-    u[:, flip] *= -1.0
-    factors = SvdFactors(u=u, sigma=s, v=v)
-    _check_factors(a, factors)
+    v[:, _sign_flips(v)] *= -1.0
+    factors = SvdFactors(sigma=s, v=v)
+    _check_fit(a, factors)
     return factors
 
 
@@ -201,44 +184,24 @@ def _tsqr_r(a: np.ndarray) -> np.ndarray:
     return rs[0]
 
 
-def _right_factors(a: np.ndarray) -> SvdFactors:
-    try:
-        _, s, vt = np.linalg.svd(_tsqr_r(a), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInput(f"SVD failed: {exc}") from exc
-    v = vt.T
-    v[:, _sign_flips(v)] *= -1.0
-    factors = SvdFactors(u=None, sigma=s, v=v)
-    _check_right_factors(a, factors)
-    return factors
-
-
-def _check_factors(a: np.ndarray, f: SvdFactors) -> None:
-    r = f.rank_bound
-    orth_u = np.max(np.abs(f.u.T @ f.u - np.eye(r)))
-    orth_v = np.max(np.abs(f.v.T @ f.v - np.eye(r)))
-    if orth_u > TOL_ORTH or orth_v > TOL_ORTH:
-        raise InvalidInput(f"SVD factors lost orthonormality (u={orth_u:.2e}, v={orth_v:.2e})")
-    norm_a = np.linalg.norm(a)
-    recon_err = np.linalg.norm(f.reconstruct() - a)
-    if recon_err > TOL_RECON * max(norm_a, 1.0):
-        raise InvalidInput(f"SVD reconstruction error {recon_err:.2e} exceeds tolerance")
-    if np.any(np.diff(f.sigma) > 1e-12 * max(f.sigma[0], 1.0)):
-        raise InvalidInput("singular values are not sorted non-increasingly")
-
-
-def _check_right_factors(a: np.ndarray, f: SvdFactors) -> None:
+def _check_fit(a: np.ndarray, f: SvdFactors) -> None:
     """Check sigma and V against A itself, without U.
 
-    U-free factors are only ever used through subspace costs
+    The factors are only ever used through subspace costs
     ||A||_F^2 - ||A X||_F^2, that is through the quadratic form of A^T A,
     which they replace by V diag(sigma^2) V^T.  The two differ by
-    G = V^T A^T A V - diag(sigma^2) inside span(V) and by the energy of A
-    outside span(V); both are checked.  Factors that pass `_check_factors`
-    with reconstruction error e <= TOL_RECON * max(||A||_F, 1) have
-    ||G||_F <= 2 ||A||_F e + e^2, the bound used here, and at most e^2
-    energy outside span(V), so this check accepts what that one accepts and
-    holds every cost to the same tolerance.
+    G = V^T A^T A V - diag(sigma^2) inside span(V) and by the energy
+    ||A||_F^2 - ||A V||_F^2 of A outside span(V).  Besides orthonormal V and
+    sorted sigma, this check bounds both by
+    t (2 + t) max(||A||_F^2, 1), with t = TOL_RECON.
+
+    Any thin SVD with orthonormal U and V and with
+    e = ||A - U diag(sigma) V^T||_F <= t max(||A||_F, 1) passes.  Put E = A - U
+    diag(sigma) V^T.  Then U diag(sigma) = (A - E) V, so
+    G = (AV)^T (EV) + (EV)^T (AV) - (EV)^T (EV) and
+    ||G||_F <= 2 ||A||_F e + e^2 <= t (2 + t) max(||A||_F^2, 1).  And
+    U diag(sigma) V^T vanishes outside span(V), so the energy of A there is
+    that of E there, at most e^2 <= t^2 max(||A||_F^2, 1).
     """
     r = f.rank_bound
     orth_v = np.max(np.abs(f.v.T @ f.v - np.eye(r)))
@@ -257,14 +220,6 @@ def _check_right_factors(a: np.ndarray, f: SvdFactors) -> None:
         raise InvalidInput(
             f"SVD right factors do not fit the input (gram={gram_err:.2e}, outside={outside:.2e})"
         )
-
-
-def low_rank_approx(factors: SvdFactors, m: int) -> np.ndarray:
-    """The m-rank approximation: keep the top m singular values, zero the rest."""
-    r = factors.rank_bound
-    if not 1 <= m <= r:
-        raise InvalidArgument(f"rank {m} out of range [1, {r}]")
-    return (factors._left()[:, :m] * factors.sigma[:m]) @ factors.v[:, :m].T
 
 
 def tail_energy(factors: SvdFactors, m: int) -> float:

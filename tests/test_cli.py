@@ -586,7 +586,7 @@ class TestEvalInputChecks:
         assert err.startswith(f"error: {out}: bad coreset header field"), err
 
     @pytest.mark.parametrize("query_kind", ["subspace", "affine"])
-    @pytest.mark.parametrize("j", [0, 5])
+    @pytest.mark.parametrize("j", [0, 3, 5])
     def test_eval_j_out_of_range_names_it(self, tmp_path, rng, capsys, query_kind, j):
         rows = rng.standard_normal((30, 3))
         path = tmp_path / "d.csv"
@@ -602,8 +602,46 @@ class TestEvalInputChecks:
         ])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: --j {j} out of range"), err
-        assert "Traceback" not in err
+        assert err == f"error: --j {j} out of range: subspaces need 1 <= j <= d - 1 = 2\n", err
+
+
+class TestParameterRanges:
+    """--j and --k are checked against the input once it is read: exit 1, one message each."""
+
+    @pytest.fixture
+    def rows30(self, tmp_path, rng):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, rng.standard_normal((30, 3)), delimiter=",")
+        return str(path)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_solve_affine_j_outside_1_to_d_minus_1_exits_1(self, tmp_path, rows30, capsys, j):
+        # the same check and message as eval's (TestEvalInputChecks)
+        out = tmp_path / "sol.csv"
+        argv = ["solve", "affine", "--j", str(j), "--epsilon", "0.5", "--seed", "1", rows30, "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --j {j} out of range: subspaces need 1 <= j <= d - 1 = 2\n", err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["coreset", "kmeans"],
+            ["coreset", "kmeans", "--small"],
+            ["solve", "kmeans"],
+        ],
+        ids=["coreset-kmeans", "coreset-small-kmeans", "solve-kmeans"],
+    )
+    def test_k_above_n_exits_1(self, tmp_path, rows30, capsys, command):
+        out = tmp_path / "o.cs"
+        argv = [*command, "--k", "31", "--epsilon", "0.5", "--seed", "1", rows30, "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --k 31 out of range: k-means needs 1 <= k <= n = 30\n", err
+        assert not out.exists()
+        argv[argv.index("31")] = "30"
+        assert main(argv) == 0
 
 
 # Blocks of about 64 bytes: a few lines each, so small files span many blocks.

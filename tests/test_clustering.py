@@ -4,6 +4,7 @@ import pytest
 from tinycore import (
     AffineClusteringProblem,
     InvalidArgument,
+    InvalidInput,
     KMeansProblem,
     PointSet,
     ResourceLimit,
@@ -217,3 +218,22 @@ class TestApproxSolution:
         ps = PointSet(rng.standard_normal((6, 4)))
         with pytest.raises(InvalidArgument):
             exact_tiny_solver(ps, AffineClusteringProblem(j=1, k=2))
+
+
+class TestBestAffineSubspace:
+    def test_unit_weights_match_unweighted(self, rng):
+        rows = rng.standard_normal((50, 6)) + 1e3
+        fw = best_affine_subspace(PointSet(rows, np.ones(50)), 2)
+        fu = best_affine_subspace(PointSet(rows), 2)
+        assert np.array_equal(fw.offset, fu.offset) and np.array_equal(fw.basis, fu.basis)
+
+    def test_offset_is_weighted_mean(self, rng):
+        rows = rng.standard_normal((30, 4))
+        w = rng.uniform(0.5, 3.0, 30)
+        fit = best_affine_subspace(PointSet(rows, w), 1)
+        np.testing.assert_allclose(fit.offset, w @ rows / w.sum(), rtol=1e-12, atol=1e-12)
+
+    def test_zero_total_weight_is_invalid_input(self, rng):
+        ps = PointSet(rng.standard_normal((4, 3)), np.zeros(4))
+        with pytest.raises(InvalidInput, match="total weight must be positive"):
+            best_affine_subspace(ps, 1)

@@ -11,7 +11,6 @@ from tinycore import (
     Subspace,
     dist2,
     linear_subspace_coreset,
-    low_rank_approx,
     svd,
     tail_energy,
     weighted_fold,
@@ -19,6 +18,12 @@ from tinycore import (
 from tinycore.linalg import TOL_ORTH, _nearest
 
 from conftest import oracle_cost_centers, oracle_cost_subspace, rand_orthonormal, rand_subspace
+
+
+def rank_m(a, f, m):
+    """A^(m) = A V_m V_m^T: the rows of A projected onto the top m right-singular directions."""
+    vm = f.v[:, :m]
+    return a @ vm @ vm.T
 
 
 class TestPointSet:
@@ -46,26 +51,29 @@ class TestSvd:
         np.testing.assert_allclose(f.sigma, [3.0, 2.0], atol=1e-12)
 
     def test_reconstruction_random_5x4(self, rng):
+        # V is square here, so projecting onto all of it gives A back
         a = rng.standard_normal((5, 4))
         f = svd(PointSet(a))
-        np.testing.assert_allclose(f.reconstruct(), a, atol=1e-10)
+        np.testing.assert_allclose(rank_m(a, f, 4), a, atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (12, 12), (40, 9), (9, 40)])
     def test_factor_invariants(self, rng, shape):
         a = rng.standard_normal(shape)
         f = svd(PointSet(a))
         r = min(shape)
-        assert f.sigma.shape == (r,)
+        assert f.sigma.shape == (r,) and f.v.shape == (shape[1], r)
         assert np.all(np.diff(f.sigma) <= 1e-12)
-        assert np.max(np.abs(f.u.T @ f.u - np.eye(r))) <= TOL_ORTH
         assert np.max(np.abs(f.v.T @ f.v - np.eye(r))) <= TOL_ORTH
-        np.testing.assert_allclose(f.reconstruct(), a, atol=1e-9 * max(1.0, np.abs(a).max()))
+        # the columns of AV = U diag(sigma) have norms sigma
+        np.testing.assert_allclose(np.linalg.norm(a @ f.v, axis=0), f.sigma, atol=1e-9 * max(1.0, f.sigma[0]))
+        # a full-rank A has its rows in span(V)
+        np.testing.assert_allclose(rank_m(a, f, r), a, atol=1e-9 * max(1.0, np.abs(a).max()))
 
     def test_rank_deficient_input(self, rng):
         a = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8))
         f = svd(PointSet(a))
         assert np.all(f.sigma[3:] < 1e-10)
-        np.testing.assert_allclose(f.reconstruct(), a, atol=1e-9)
+        np.testing.assert_allclose(rank_m(a, f, 3), a, atol=1e-9)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInput):
@@ -92,7 +100,7 @@ class TestSvd:
         v = np.asarray(f.v)
         top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
         assert np.all(top > 0)
-        np.testing.assert_allclose(f.reconstruct(), a, atol=1e-9)
+        np.testing.assert_allclose(np.linalg.norm(a @ v, axis=0), f.sigma, atol=1e-9)
 
     def test_lapack_failure_is_invalid_input(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -105,26 +113,27 @@ class TestSvd:
     def test_rerun_gives_identical_factors(self, rng):
         a = rng.standard_normal((300, 17))
         f, g = svd(PointSet(a)), svd(PointSet(a))
-        for x, y in ((f.u, g.u), (f.sigma, g.sigma), (f.v, g.v)):
-            assert np.array_equal(x, y)
+        assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
 
 
 class TestRightFactors:
-    """svd(points, compute_u=False): sigma and V from the TSQR factor R."""
+    """svd(points): sigma and V from the TSQR factor R."""
 
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 7), (7, 1), (9, 40), (300, 17), (4096, 5), (4097, 5), (12289, 3), (9000, 24)]
     )
     def test_matches_the_full_svd(self, rng, shape):
         a = rng.standard_normal(shape) + 3.0
-        f, g = svd(PointSet(a)), svd(PointSet(a), compute_u=False)
-        assert g.u is None
-        assert g.sigma.shape == f.sigma.shape and g.v.shape == f.v.shape
-        np.testing.assert_allclose(g.sigma, f.sigma, rtol=1e-12, atol=1e-12 * f.sigma[0])
+        g = svd(PointSet(a))
+        # the reference: LAPACK's SVD of A itself, under the same sign rule
+        _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt.T * np.sign(vt.T[np.argmax(np.abs(vt.T), axis=0), np.arange(vt.shape[0])])
+        assert g.sigma.shape == sigma.shape and g.v.shape == v.shape
+        np.testing.assert_allclose(g.sigma, sigma, rtol=1e-12, atol=1e-12 * sigma[0])
         # sign rule: the largest-magnitude entry of each column of V is positive
         top = g.v[np.argmax(np.abs(g.v), axis=0), np.arange(g.v.shape[1])]
         assert np.all(top > 0)
-        np.testing.assert_allclose(g.v, f.v, atol=1e-8)
+        np.testing.assert_allclose(g.v, v, atol=1e-8)
 
     @pytest.mark.parametrize("n", [10000, 40000])
     def test_small_tail_energy_over_many_blocks(self, n):
@@ -135,7 +144,7 @@ class TestRightFactors:
         sigma = np.concatenate([[100.0, 50.0, 20.0, 10.0], np.linspace(1e-4, 5e-5, 8)])
         a = (u * sigma) @ v.T
         expect = float(np.sum(sigma[4:] ** 2))
-        assert tail_energy(svd(PointSet(a), compute_u=False), 4) == pytest.approx(expect, rel=1e-8)
+        assert tail_energy(svd(PointSet(a)), 4) == pytest.approx(expect, rel=1e-8)
         core = linear_subspace_coreset(PointSet(a), 2, 2 / 3)
         assert core.size == 4
         assert core.delta == pytest.approx(expect, rel=1e-8)
@@ -146,7 +155,7 @@ class TestRightFactors:
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": qr(m[: (m.shape[0] + 1) // 2], mode=mode))
         with pytest.raises(InvalidInput, match="do not fit the input"):
-            svd(PointSet(rng.standard_normal((10000, 6))), compute_u=False)
+            svd(PointSet(rng.standard_normal((10000, 6))))
 
     def test_r_outside_the_row_space_is_invalid_input(self, monkeypatch):
         # R = 0 gives sigma = 0 and V = the first unit vectors, orthogonal to
@@ -155,7 +164,7 @@ class TestRightFactors:
         monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": np.zeros((min(m.shape), m.shape[1])))
         a = np.array([[0.0, 0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 4.0, 5.0, 6.0]])
         with pytest.raises(InvalidInput, match="do not fit the input"):
-            svd(PointSet(a), compute_u=False)
+            svd(PointSet(a))
 
     def test_qr_failure_is_invalid_input(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -163,50 +172,48 @@ class TestRightFactors:
 
         monkeypatch.setattr(np.linalg, "qr", fail)
         with pytest.raises(InvalidInput, match="QR failed"):
-            svd(PointSet(np.eye(3)), compute_u=False)
-
-    def test_factors_without_u_refuse_u_uses(self, rng):
-        f = svd(PointSet(rng.standard_normal((6, 4))), compute_u=False)
-        with pytest.raises(InvalidArgument, match="no U"):
-            f.reconstruct()
-        with pytest.raises(InvalidArgument, match="no U"):
-            low_rank_approx(f, 2)
+            svd(PointSet(np.eye(3)))
 
     def test_rerun_gives_identical_factors(self, rng):
         a = rng.standard_normal((9000, 7))
-        f, g = svd(PointSet(a), compute_u=False), svd(PointSet(a), compute_u=False)
+        f, g = svd(PointSet(a)), svd(PointSet(a))
         assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
 
 
 class TestLowRankApprox:
+    """A^(m) = A V_m V_m^T, formed from the V of svd()."""
+
     def test_zero_trailing_singular_value(self):
-        f = svd(PointSet(np.diag([3.0, 2.0, 1.0])))
-        np.testing.assert_allclose(low_rank_approx(f, 2), np.diag([3.0, 2.0, 0.0]), atol=1e-12)
+        a = np.diag([3.0, 2.0, 1.0])
+        f = svd(PointSet(a))
+        np.testing.assert_allclose(rank_m(a, f, 2), np.diag([3.0, 2.0, 0.0]), atol=1e-12)
 
     def test_rank_one_exact_recovery(self, rng):
         a = np.outer(rng.standard_normal(6), rng.standard_normal(4))
         f = svd(PointSet(a))
-        np.testing.assert_allclose(low_rank_approx(f, 1), a, atol=1e-10)
+        np.testing.assert_allclose(rank_m(a, f, 1), a, atol=1e-10)
 
     def test_residual_is_tail_energy(self, rng):
         a = rng.standard_normal((6, 4))
         f = svd(PointSet(a))
-        resid = np.linalg.norm(a - low_rank_approx(f, 2)) ** 2
+        resid = np.linalg.norm(a - rank_m(a, f, 2)) ** 2
         expect = float(np.sum(f.sigma[2:] ** 2))
         assert resid == pytest.approx(expect, rel=1e-9)
         assert tail_energy(f, 2) == pytest.approx(expect, rel=1e-12)
 
     def test_rank_out_of_range(self, rng):
         f = svd(PointSet(rng.standard_normal((4, 3))))
-        with pytest.raises(InvalidArgument):
-            low_rank_approx(f, 0)
-        with pytest.raises(InvalidArgument):
-            low_rank_approx(f, 4)
+        assert tail_energy(f, 0) == pytest.approx(np.linalg.norm(f.sigma) ** 2, rel=1e-12)
+        assert tail_energy(f, 3) == 0.0
+        with pytest.raises(InvalidArgument, match="out of range"):
+            tail_energy(f, -1)
+        with pytest.raises(InvalidArgument, match="out of range"):
+            tail_energy(f, 4)
 
     def test_eckart_young_consistency(self, rng):
         a = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 8))
         f = svd(PointSet(a))
-        resids = [np.linalg.norm(a - low_rank_approx(f, m)) ** 2 for m in range(1, 9)]
+        resids = [np.linalg.norm(a - rank_m(a, f, m)) ** 2 for m in range(1, 9)]
         assert all(x >= y - 1e-9 for x, y in zip(resids, resids[1:]))
         assert resids[3] == pytest.approx(0.0, abs=1e-16)  # rank 4 input
 
@@ -355,7 +362,7 @@ class TestMatrixInvariants:
             m = int(rng.integers(1, r))
             j = int(rng.integers(1, d))
             x = rand_orthonormal(rng, d, j)
-            gap = np.linalg.norm(a @ x) ** 2 - np.linalg.norm(low_rank_approx(f, m) @ x) ** 2
+            gap = np.linalg.norm(a @ x) ** 2 - np.linalg.norm(rank_m(a, f, m) @ x) ** 2
             bound = j * f.sigma[m] ** 2
             assert gap >= -1e-8
             assert gap <= bound * (1 + 1e-9) + 1e-9

@@ -135,11 +135,9 @@ class TestAffineWeighted:
         a = rng.standard_normal((20, 5))
         cw = affine_subspace_coreset_weighted(PointSet(a, np.ones(20)), 2, 0.5)
         cu = affine_subspace_coreset(PointSet(a), 2, 0.5)
-        assert cw.delta == pytest.approx(cu.delta, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(cw.weights, cu.weights)
-        for _ in range(30):
-            shape = rand_subspace(rng, 5, 2, affine=True)
-            assert coreset_cost(cw, shape) == pytest.approx(coreset_cost(cu, shape), rel=1e-9)
+        assert cw.delta == cu.delta
+        assert np.array_equal(cw.weights, cu.weights)
+        assert np.array_equal(cw.points, cu.points)
 
     def test_weight_five_equals_replication(self, rng):
         pts = rng.standard_normal((10, 6))
