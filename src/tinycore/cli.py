@@ -299,6 +299,7 @@ def cmd_coreset(args: argparse.Namespace) -> int:
         construction = "small-kmeans" if args.small else "kmeans"
         kind = "kmeans"
     else:
+        _check_j(args.j, points.d)
         if args.affine:
             core = affine_subspace_coreset(points, args.j, args.epsilon)
             construction = kind = "affine"
@@ -334,15 +335,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     if args.kind == "kmeans" and args.k is None:
         print("error: --kind kmeans requires --k", file=sys.stderr)
         return EXIT_USAGE
-    config = StreamConfig(
-        kind=args.kind,
-        eps=args.epsilon,
-        j=args.j,
-        k=args.k,
-        delta=args.delta,
-        seed=args.seed,
-    )
-    stream = CoresetStream(config)
     if args.input == "-":
         name, source = "<stdin>", contextlib.nullcontext(sys.stdin.buffer)
     else:
@@ -350,6 +342,12 @@ def cmd_stream(args: argparse.Namespace) -> int:
     count, every = 0, args.checkpoint
     with source as fh:
         for block in _csv_blocks(fh, name, args.header, args.skip_malformed):
+            if count == 0:  # the first block gives d, against which --j is checked
+                if args.kind != "kmeans":
+                    _check_j(args.j, block.shape[1])
+                stream = CoresetStream(StreamConfig(
+                    kind=args.kind, eps=args.epsilon, j=args.j, k=args.k, delta=args.delta, seed=args.seed
+                ))
             # extend up to each --checkpoint multiple, so its line shows the state at that count
             start = 0
             while start < len(block):
@@ -370,7 +368,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
         n_source=count,
         delta=core.delta,
         eps=args.epsilon,
-        seed=config.seed,
+        seed=args.seed,
         kind=args.kind,
         construction=f"stream-{args.kind}",
         points=np.asarray(core.points),

@@ -15,6 +15,7 @@ from .sensitivity import (
     DEFAULT_C_DIM,
     DEFAULT_C_S,
     DEFAULT_C_VC,
+    SensitivityProfile,
     _mean_update,
     bicriteria_kmeans,
     center_query_dimension,
@@ -65,25 +66,25 @@ def lloyd_solve(points: PointSet, k: int, seed: int, max_iters: int = 100) -> Ce
         raise InvalidInput("empty input")
     if not 1 <= k <= points.n:
         raise InvalidArgument(f"k={k} must be in [1, {points.n}]")
-    origin = np.mean(points.rows, axis=0)
-    rows = points.rows - origin
+    frame = points.frame
+    rows, norms = frame.rows, frame.norms
     w = points.effective_weights()
     rng = np.random.default_rng(seed)
-    centers = d2_seed(rows, w, k, rng)[0]
+    centers = d2_seed(rows, w, k, rng, norms=norms)[0]
     prev_idx = None
     for _ in range(max_iters):
-        idx, sq = _nearest(rows, centers)
+        idx, sq = _nearest(rows, centers, norms)
         occupied = np.bincount(idx, minlength=k) > 0
         if not np.all(occupied):
             for dead in np.where(~occupied)[0]:
                 far = int(np.argmax(w * sq))
                 centers[dead] = rows[far]
-                idx, sq = _nearest(rows, centers)
+                idx, sq = _nearest(rows, centers, norms)
         if prev_idx is not None and np.array_equal(idx, prev_idx):
             break
         centers = _mean_update(rows, w, idx, centers)
         prev_idx = idx
-    return CenterSet(centers + origin)
+    return CenterSet(centers + frame.origin)
 
 
 def _restricted_growth_strings(n: int, k: int) -> np.ndarray:
@@ -178,8 +179,7 @@ def kmeans_coreset(
     seed_bic = int(rng.integers(2**62))
     seed_sample = int(rng.integers(2**62))
     if sample_size is None:
-        bic = bicriteria_kmeans(points, min(k, points.n), delta, seed_bic)
-        profile = kmeans_sensitivities(points, bic, c_s=c_s)
+        profile = _sensitivity_profile(points, k, delta, seed_bic, c_s)
         dim_bound = center_query_dimension(points.d, k, c_dim=c_dim)
         s = vc_sample_size(profile.total, dim_bound, eps, delta, c_vc=c_vc)
     else:
@@ -188,15 +188,26 @@ def kmeans_coreset(
             raise InvalidArgument("sample_size must be >= 1")
         profile = None
     if s >= points.n:
-        return Coreset(
-            points=np.asarray(points.rows).copy(),
-            weights=points.effective_weights().copy(),
-            delta=0.0,
-        )
+        return Coreset(points=points.rows, weights=points.effective_weights(), delta=0.0)
     if profile is None:
-        bic = bicriteria_kmeans(points, min(k, points.n), delta, seed_bic)
-        profile = kmeans_sensitivities(points, bic, c_s=c_s)
+        profile = _sensitivity_profile(points, k, delta, seed_bic, c_s)
     return sensitivity_sample(points, profile, s, seed_sample)
+
+
+def _sensitivity_profile(
+    points: PointSet, k: int, delta: float, seed: int, c_s: float
+) -> SensitivityProfile:
+    """Bicriteria solution, then sensitivity bounds, both in the frame of `points`.
+
+    A frame built here is dropped again before the caller samples: sampling
+    reads the rows themselves, and the frame is one more copy of them.
+    """
+    built = "frame" not in vars(points)
+    bic = bicriteria_kmeans(points, min(k, points.n), delta, seed)
+    profile = kmeans_sensitivities(points, bic, c_s=c_s)
+    if built:
+        object.__delattr__(points, "frame")
+    return profile
 
 
 def small_kmeans_coreset(
@@ -274,9 +285,6 @@ def approx_solution(
     reduced = reduce(points, j=j_eff, eps=eps, mode="coreset-lift")
     low = PointSet(reduced.reduced_points, points.weights)
     if isinstance(problem, KMeansProblem):
-        inner = kmeans_coreset(low, problem.k, eps / 8.0, delta, seed=seed)
-        low_input = inner.as_point_set()
-    else:
-        low_input = low
-    shape_low = solver(low_input, problem)
-    return _lift_shape(shape_low, np.asarray(reduced.basis))
+        # rebinding frees the reduced set before the solver runs
+        low = kmeans_coreset(low, problem.k, eps / 8.0, delta, seed=seed).as_point_set()
+    return _lift_shape(solver(low, problem), np.asarray(reduced.basis))

@@ -8,6 +8,7 @@ requested dimension.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,12 +16,15 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidInput
 from .linalg import (
+    CenterSet,
+    Frame,
     PointSet,
     QueryShape,
     dist2_rows,
     svd,
     tail_energy,
     _as_readonly,
+    _frame,
 )
 
 
@@ -63,6 +67,11 @@ class Coreset:
     def as_point_set(self) -> PointSet:
         return PointSet(self.points, self.weights)
 
+    @functools.cached_property
+    def frame(self) -> Frame:
+        """The points in their own frame: built by the first center query, then kept."""
+        return _frame(self.points)
+
 
 def coreset_cost(coreset: Coreset, shape: QueryShape) -> float:
     """Cost of a query shape against a coreset triple: weighted sum plus offset.
@@ -70,7 +79,8 @@ def coreset_cost(coreset: Coreset, shape: QueryShape) -> float:
     This is the one evaluation used for coresets everywhere in the library and
     its tests; inputs themselves are evaluated by :func:`tinycore.linalg.dist2`.
     """
-    per_row = dist2_rows(np.asarray(coreset.points), shape)
+    frame = coreset.frame if isinstance(shape, CenterSet) else None
+    per_row = dist2_rows(np.asarray(coreset.points), shape, frame)
     return float(np.sum(np.asarray(coreset.weights) * per_row) + coreset.delta)
 
 

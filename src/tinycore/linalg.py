@@ -4,10 +4,12 @@ Everything downstream (subspace coresets, dimensionality reduction, the
 streaming summaries) is built on sigma and V computed here; no construction
 needs U, and none is formed.  The factorization comes from LAPACK QR and SVD
 through ``numpy.linalg``; every result is checked against the input matrix
-before use.
+before use.  Distances to centers are taken in the rows' own frame (their
+mean at the origin), cached once per point set.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -66,6 +68,42 @@ class PointSet:
 
     def total_weight(self) -> float:
         return float(np.sum(self.effective_weights()))
+
+    @functools.cached_property
+    def frame(self) -> Frame:
+        """The rows in their own frame: built on first use, then kept.
+
+        It is one more copy of the rows; :func:`~tinycore.kmeans_coreset`
+        drops a frame it built itself before it samples.
+        """
+        return _frame(self.rows)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Rows moved to their plain (unweighted) mean, with their squared norms.
+
+    Squared distances to centers are translation invariant, and the expansion
+    ||p||^2 - 2 p.c + ||c||^2 is accurate only near the origin, so centers
+    are measured here after moving them by -origin.  All three arrays are
+    read-only.
+    """
+
+    origin: np.ndarray
+    rows: np.ndarray
+    norms: np.ndarray
+
+
+def _frame(rows: np.ndarray) -> Frame:
+    """The frame of an n x d matrix: its mean, the centred rows and their squared norms."""
+    rows = np.asarray(rows, dtype=np.float64)
+    origin = rows.mean(axis=0)
+    # column-major, so the k x n products read rows.T contiguously
+    centred = np.subtract(rows, origin, order="F")
+    norms = np.einsum("ij,ij->i", centred, centred)
+    for a in (origin, centred, norms):
+        a.setflags(write=False)
+    return Frame(origin=origin, rows=centred, norms=norms)
 
 
 @dataclass(frozen=True)
@@ -236,31 +274,46 @@ def weighted_fold(points: PointSet) -> np.ndarray:
     return np.asarray(points.rows) * np.sqrt(points.effective_weights())[:, None]
 
 
+def _scores(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The k x n matrix ||c||^2 - 2 c.p: squared distances less the row norms."""
+    # scaling the k x d centers by -2 is exact, and cheaper than scaling k x n
+    scores = (-2.0 * centers) @ rows.T
+    scores += np.einsum("ij,ij->i", centers, centers)[:, None]
+    return scores
+
+
 def _nearest(
     rows: np.ndarray, centers: np.ndarray, norms: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest listed center per row (lowest index wins ties) and its squared distance.
 
-    `norms`, when given, holds the squared row norms.  The k x n distance
-    matrix is built center-major and reduced along its contiguous row axis:
-    a running minimum over the centers, moving the index only on a strict
-    decrease.
+    `norms`, when given, holds the squared row norms.  Pass rows near the
+    origin, such as a :class:`Frame`'s, with centers moved the same way.
+    The score matrix of :func:`_scores` is reduced along its contiguous row
+    axis, a running minimum over the centers that moves the index only on a
+    strict decrease; the row norms are added after the reduction.  Rounding
+    is monotone, so the squared distances are bit for bit those of
+    :func:`_frame_dist2`, which takes the minimum alone.
     """
     if norms is None:
         norms = np.einsum("ij,ij->i", rows, rows)
-    # scaling the k x d centers by -2 is exact, and cheaper than scaling k x n
-    d2 = (-2.0 * centers) @ rows.T
-    d2 += norms
-    d2 += np.einsum("ij,ij->i", centers, centers)[:, None]
-    np.maximum(d2, 0.0, out=d2)
-    sq = d2[0].copy()
+    scores = _scores(rows, centers)
+    sq = scores[0].copy()
     idx = np.zeros(rows.shape[0], dtype=np.intp)
     closer = np.empty(rows.shape[0], dtype=bool)
     for c in range(1, centers.shape[0]):
-        np.less(d2[c], sq, out=closer)
+        np.less(scores[c], sq, out=closer)
         np.putmask(idx, closer, c)
-        np.minimum(sq, d2[c], out=sq)
-    return idx, sq
+        np.minimum(sq, scores[c], out=sq)
+    sq += norms
+    return idx, np.maximum(sq, 0.0, out=sq)
+
+
+def _frame_dist2(frame: Frame, centers: np.ndarray) -> np.ndarray:
+    """Squared distance from each row of the frame to its nearest center."""
+    sq = _scores(frame.rows, centers - frame.origin).min(axis=0)
+    sq += frame.norms
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def _dist2_subspace(rows: np.ndarray, shape: Subspace) -> np.ndarray:
@@ -271,13 +324,20 @@ def _dist2_subspace(rows: np.ndarray, shape: Subspace) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def dist2_rows(rows: np.ndarray, shape: QueryShape) -> np.ndarray:
-    """Per-row squared distance to a query shape."""
+def dist2_rows(rows: np.ndarray, shape: QueryShape, frame: Optional[Frame] = None) -> np.ndarray:
+    """Per-row squared distance to a query shape.
+
+    Center sets are measured in the frame of the rows, so a common shift of
+    rows and centers changes nothing but rounding.  `frame`, when given, is
+    ``_frame(rows)`` cached by the caller; without it the frame is built
+    here, with the same bytes.  Subspaces are measured on the rows as they
+    are: a linear subspace is not translation invariant.
+    """
     rows = np.atleast_2d(rows)
     if isinstance(shape, CenterSet):
         if shape.d != rows.shape[1]:
             raise InvalidArgument("center set dimension does not match points")
-        return _nearest(rows, np.asarray(shape.centers))[1]
+        return _frame_dist2(_frame(rows) if frame is None else frame, np.asarray(shape.centers))
     if isinstance(shape, Subspace):
         if shape.basis.shape[0] != rows.shape[1]:
             raise InvalidArgument("subspace dimension does not match points")
@@ -287,7 +347,8 @@ def dist2_rows(rows: np.ndarray, shape: QueryShape) -> np.ndarray:
 
 def dist2(points: PointSet, shape: QueryShape) -> float:
     """Weighted sum of squared distances from the points to the shape."""
-    per_row = dist2_rows(np.asarray(points.rows), shape)
+    frame = points.frame if isinstance(shape, CenterSet) else None
+    per_row = dist2_rows(np.asarray(points.rows), shape, frame)
     if points.weights is None:
         return float(np.sum(per_row))
     return float(np.sum(points.effective_weights() * per_row))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -69,7 +70,12 @@ class BicriteriaSolution:
 
 
 def d2_seed(
-    rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator, restarts: int = 1
+    rows: np.ndarray,
+    weights: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    restarts: int = 1,
+    norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Squared-distance seeding: draw `count` rows, each proportional to its
     weighted squared distance from the rows already chosen, for `restarts`
@@ -78,13 +84,15 @@ def d2_seed(
     Each draw inverts the cumulative scores at a uniform variate (searching
     to the right, so a row of score 0 is never drawn).  A restart whose
     scores sum to 0 repeats its first draw.  Distances expand
-    ||p||^2 - 2 p.c + ||c||^2, so callers pass rows moved near the origin
-    (their mean) to keep the expansion accurate.
+    ||p||^2 - 2 p.c + ||c||^2, so callers pass the rows of a point set's
+    :class:`~tinycore.linalg.Frame` (moved to their mean), and its `norms`,
+    the squared row norms, to keep the expansion accurate.
     """
     cdf = np.cumsum(weights)
     if not cdf[-1] > 0:
         raise InvalidInput("total weight must be positive")
-    norms = np.einsum("ij,ij->i", rows, rows)
+    if norms is None:
+        norms = np.einsum("ij,ij->i", rows, rows)
     chosen = np.empty((restarts, count), dtype=np.intp)
     chosen[:, 0] = np.searchsorted(cdf, rng.random(restarts) * cdf[-1], side="right")
     best = np.full((restarts, rows.shape[0]), np.inf)
@@ -121,15 +129,14 @@ def bicriteria_kmeans(
         raise InvalidArgument(f"k={k} exceeds the number of points {points.n}")
     if not 0 < delta < 1:
         raise InvalidArgument("delta must lie in (0, 1)")
-    origin = np.mean(points.rows, axis=0)
-    rows = points.rows - origin
-    norms = np.einsum("ij,ij->i", rows, rows)
+    frame = points.frame
+    rows, norms = frame.rows, frame.norms
     w = points.effective_weights()
     count = min(points.n, beta * k)
     restarts = max(1, math.ceil(math.log2(1.0 / delta)))
     rng = np.random.default_rng(seed)
     best = None
-    for centers in d2_seed(rows, w, count, rng, restarts=restarts):
+    for centers in d2_seed(rows, w, count, rng, restarts=restarts, norms=norms):
         idx, _ = _nearest(rows, centers, norms)
         centers = _mean_update(rows, w, idx, centers)
         idx, sq = _nearest(rows, centers, norms)
@@ -140,7 +147,7 @@ def bicriteria_kmeans(
     costs = np.bincount(idx, weights=w * sq, minlength=centers.shape[0])
     sizes = np.bincount(idx, weights=w, minlength=centers.shape[0])
     return BicriteriaSolution(
-        centers=centers + origin, assignment=idx, cluster_costs=costs, cluster_sizes=sizes
+        centers=centers + frame.origin, assignment=idx, cluster_costs=costs, cluster_sizes=sizes
     )
 
 
@@ -167,10 +174,10 @@ def kmeans_sensitivities(
     """
     if bic.assignment.shape[0] != points.n:
         raise InvalidInput("bicriteria assignment does not match the point set")
-    origin = np.mean(points.rows, axis=0)
+    frame = points.frame
     w = points.effective_weights()
     idx = np.asarray(bic.assignment)
-    _, sq = _nearest(points.rows - origin, bic.centers - origin)
+    _, sq = _nearest(frame.rows, bic.centers - frame.origin, frame.norms)
     cluster_w = np.asarray(bic.cluster_sizes)[idx]
     if np.any(cluster_w <= 0):
         raise InvalidInput("bicriteria solution contains an empty assigned cluster")
@@ -292,7 +299,7 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
     n_rest = int(np.sum(rest))
     if n_rest < s:
         # Too few low-sensitivity points to renormalize against: keep everything.
-        return Coreset(points=rows.copy(), weights=w.copy(), delta=0.0)
+        return Coreset(points=rows, weights=w, delta=0.0)
 
     renorm = renormalize_bounds(sigma[rest], total, s)
     drawn = np.random.default_rng(seed).choice(n_rest, size=s, p=renorm / total)

@@ -443,6 +443,23 @@ class TestSolveCommand:
         opt = dist2(PointSet(rows), brute_force_kmeans(PointSet(rows), 3))
         assert self._solve_cost(out) <= 1.01 * opt
 
+    def test_kmeans_cost_ignores_a_common_shift(self, tmp_path, capsys):
+        # multiples of 1/64 below 2^6, so adding 1e7 and writing with repr are exact
+        gen = np.random.default_rng(8)
+        centers = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 10.0], [0.0, 30.0, -10.0]])
+        rows = np.round((np.repeat(centers, 100, axis=0) + 3.0 * gen.standard_normal((300, 3))) * 64) / 64
+        printed, costs = [], []
+        for shift in (0.0, 1e7):
+            path = tmp_path / f"shift{shift:g}.csv"
+            path.write_text("".join(",".join(map(repr, row)) + "\n" for row in (rows + shift).tolist()))
+            out = str(tmp_path / "sol.csv")
+            argv = ["solve", "kmeans", "--k", "3", "--epsilon", "0.5", "--seed", "1", str(path), "-o", out]
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+            costs.append(self._solve_cost(out))
+        assert printed[0] == printed[1]
+        assert costs[1] == pytest.approx(costs[0], rel=1e-9)
+
 
 # One bad line of each kind, as bytes, for rows of the given width.
 BAD_LINES = {
@@ -642,6 +659,26 @@ class TestParameterRanges:
         assert not out.exists()
         argv[argv.index("31")] = "30"
         assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["coreset", "subspace"],
+            ["coreset", "subspace", "--affine"],
+            ["stream", "--kind", "subspace"],
+            ["stream", "--kind", "affine"],
+        ],
+        ids=["coreset-subspace", "coreset-affine", "stream-subspace", "stream-affine"],
+    )
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_subspace_j_outside_1_to_d_minus_1_exits_1(self, tmp_path, rows30, capsys, command, j):
+        # the stream learns d from its first block and checks --j there
+        out = tmp_path / "o.cs"
+        argv = [*command, "--j", str(j), "--epsilon", "0.5", "--seed", "1", rows30, "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --j {j} out of range: subspaces need 1 <= j <= d - 1 = 2\n", err
+        assert not out.exists()
 
 
 # Blocks of about 64 bytes: a few lines each, so small files span many blocks.

@@ -155,6 +155,18 @@ class TestKmeansCoreset:
         core = kmeans_coreset(PointSet(rows), 2, 0.5, 0.1, seed=1, c_vc=1e-3)
         assert core.delta == 0.0
 
+    @pytest.mark.parametrize("sample_size", [None, 50])
+    def test_leaves_the_input_frame_as_it_found_it(self, rng, sample_size):
+        # a frame built for the construction is dropped before sampling; one cached before is kept
+        ps = PointSet(make_blobs(rng, 300, 4, 3))
+        first = kmeans_coreset(ps, 3, 0.5, 0.1, seed=2, sample_size=sample_size, c_vc=1e-3)
+        assert "frame" not in vars(ps)
+        frame = ps.frame
+        again = kmeans_coreset(ps, 3, 0.5, 0.1, seed=2, sample_size=sample_size, c_vc=1e-3)
+        assert ps.frame is frame
+        assert np.asarray(again.points).tobytes() == np.asarray(first.points).tobytes()
+        assert np.asarray(again.weights).tobytes() == np.asarray(first.weights).tobytes()
+
 
 class TestSmallKmeansCoreset:
     def test_cap_binding_degenerates_to_plain_coreset(self, rng):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +7,19 @@ from hypothesis import strategies as st
 
 from tinycore import (
     CenterSet,
+    Coreset,
     InvalidArgument,
     InvalidInput,
     PointSet,
     Subspace,
+    coreset_cost,
     dist2,
     linear_subspace_coreset,
     svd,
     tail_energy,
     weighted_fold,
 )
-from tinycore.linalg import TOL_ORTH, _nearest
+from tinycore.linalg import TOL_ORTH, _frame, _nearest, dist2_rows
 
 from conftest import oracle_cost_centers, oracle_cost_subspace, rand_orthonormal, rand_subspace
 
@@ -299,6 +303,56 @@ class TestNearest:
         idx1, sq1 = _nearest(rows, centers, norms)
         assert idx0.tobytes() == idx1.tobytes()
         assert sq0.tobytes() == sq1.tobytes()
+
+
+class TestFrame:
+    """Center queries run in the rows' cached frame, through the one score kernel."""
+
+    def test_kernel_and_query_give_the_same_bytes(self, rng):
+        rows = 1e3 + rng.standard_normal((700, 6))
+        centers = 1e3 + rng.standard_normal((7, 6))
+        centers[3] = centers[1]  # tied centers
+        centers[6] = centers[0]
+        frame = _frame(rows)
+        _, sq = _nearest(frame.rows, centers - frame.origin, frame.norms)
+        assert sq.tobytes() == dist2_rows(rows, CenterSet(centers)).tobytes()
+
+    def test_raw_rows_and_cached_frame_give_the_same_bytes(self, rng):
+        ps = PointSet(rng.standard_normal((300, 4)) - 50.0, rng.random(300))
+        shape = CenterSet(rng.standard_normal((3, 4)))
+        raw = dist2_rows(np.asarray(ps.rows), shape)
+        assert raw.tobytes() == dist2_rows(np.asarray(ps.rows), shape, ps.frame).tobytes()
+        assert dist2(ps, shape) == float(np.sum(ps.effective_weights() * raw))
+
+    @pytest.mark.parametrize("make", [
+        lambda rows: PointSet(rows),
+        lambda rows: Coreset(rows, np.ones(rows.shape[0]), 0.0),
+    ], ids=["PointSet", "Coreset"])
+    def test_frame_is_built_once_and_read_only(self, rng, make):
+        rows = rng.standard_normal((50, 3)) + 7.0
+        obj = make(rows)
+        before = repr(obj)
+        frame = obj.frame
+        assert obj.frame is frame
+        np.testing.assert_array_equal(frame.origin, rows.mean(axis=0))
+        np.testing.assert_array_equal(frame.rows, rows - rows.mean(axis=0))
+        for a in (frame.origin, frame.rows, frame.norms):
+            assert not a.flags.writeable
+        with pytest.raises(AttributeError):
+            frame.rows = rows
+        with pytest.raises(AttributeError):
+            obj.frame = frame
+        # the cache is not a field: repr and equality see the same fields as before
+        assert repr(obj) == before
+        assert "frame" not in {f.name for f in dataclasses.fields(obj)}
+        one, other = make(np.array([[3.0]])), make(np.array([[3.0]]))
+        one.frame
+        assert one == other
+
+    def test_subspace_queries_build_no_frame(self, rng):
+        core = Coreset(rng.standard_normal((20, 3)), np.ones(20), 0.0)
+        coreset_cost(core, Subspace(basis=np.eye(3)[:, :1]))
+        assert "frame" not in vars(core)
 
 
 class TestWeightedFold:

@@ -5,6 +5,7 @@ import pytest
 
 from tinycore import (
     CenterSet,
+    Coreset,
     InvalidArgument,
     InvalidInput,
     PointSet,
@@ -369,3 +370,15 @@ class TestTranslationInvariance:
         c0 = np.asarray(lloyd_solve(base, 5, seed=4).centers)
         c1 = np.asarray(lloyd_solve(moved, 5, seed=4).centers) - shift
         np.testing.assert_allclose(c1, c0, rtol=0, atol=1e-9 * np.abs(c0).max())
+
+    @pytest.mark.parametrize("shift", [1e4, 1e6, 1e8])
+    def test_center_queries_ignore_a_common_shift(self, shift):
+        rows = self.dyadic_rows()
+        gen = np.random.default_rng(12)
+        centers = np.round(40.0 * gen.standard_normal((4, 3)) * 64) / 64
+        weights = gen.integers(1, 65, rows.shape[0]) / 8.0
+        base, moved = CenterSet(centers), CenterSet(centers + shift)
+        assert dist2(PointSet(rows + shift), moved) == pytest.approx(dist2(PointSet(rows), base), rel=1e-9)
+        core0 = Coreset(rows, weights, 3.5)
+        core1 = Coreset(rows + shift, weights, 3.5)
+        assert coreset_cost(core1, moved) == pytest.approx(coreset_cost(core0, base), rel=1e-9)
