@@ -9,6 +9,7 @@ is such a set or the depth bound is reached.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -17,13 +18,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgument, InvalidInput
-from .linalg import CenterSet, PointSet, _as_readonly
+from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
 
 logger = logging.getLogger("tinycore.bregman")
 
 MAX_RECURSION_DEPTH = 12
 _BRUTE_LEAF = 8
 _LLOYD_RESTARTS = 3
+_VALIDATE_DRAWS = 200
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,15 @@ class Divergence:
             return np.asarray(self.evaluator(np.atleast_2d(points), np.asarray(q)))
         return self.mahalanobis(points, q)
 
+    def _to_each_center(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
+        """The n x k matrix of d_phi from each row to each center."""
+        return np.column_stack([self.between(points, c) for c in np.asarray(centers.centers)])
+
     def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
         """d_phi from each row to its nearest center."""
-        cols = [self.between(points, c) for c in np.asarray(centers.centers)]
-        return np.min(np.column_stack(cols), axis=1)
+        return np.min(self._to_each_center(points, centers), axis=1)
 
-    def validate(self, sample: np.ndarray, rng: np.random.Generator, draws: int = 200) -> None:
+    def validate(self, sample: np.ndarray, rng: np.random.Generator) -> None:
         """Sampled check of the similarity sandwich and the centroid identity.
 
         A violation logs a diagnostic; declared custom divergences are trusted
@@ -76,7 +81,7 @@ class Divergence:
         """
         pts = np.atleast_2d(sample)
         n = pts.shape[0]
-        for _ in range(draws):
+        for _ in range(_VALIDATE_DRAWS):
             p = pts[rng.integers(n)] + 0.01 * rng.standard_normal(pts.shape[1])
             q = pts[rng.integers(n)] + 0.01 * rng.standard_normal(pts.shape[1])
             d_phi = float(self.between(p[None, :], q)[0])
@@ -156,18 +161,13 @@ def niceness_thresholds(eps: float, m: float) -> tuple[float, int]:
     return f1, nu
 
 
-def _centroid(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (w[:, None] * rows).sum(axis=0) / w.sum()
-
-
 def _opt1(rows: np.ndarray, w: np.ndarray, div: Divergence) -> float:
-    mu = _centroid(rows, w)
+    mu = _weighted_mean(rows, w)
     return float(np.sum(w * div.between(rows, mu)))
 
 
 def _assign(rows: np.ndarray, centers: CenterSet, div: Divergence) -> np.ndarray:
-    cols = np.column_stack([div.between(rows, c) for c in np.asarray(centers.centers)])
-    return np.argmin(cols, axis=1)
+    return np.argmin(div._to_each_center(rows, centers), axis=1)
 
 
 def _brute_kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence) -> CenterSet:
@@ -179,7 +179,7 @@ def _brute_kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence)
         centers, cost = [], 0.0
         for part in range(assign.max() + 1):
             mask = assign == part
-            mu = _centroid(rows[mask], w[mask])
+            mu = _weighted_mean(rows[mask], w[mask])
             cost += float(np.sum(w[mask] * div.between(rows[mask], mu)))
             centers.append(mu)
         if cost < best_cost:
@@ -201,7 +201,7 @@ def _lloyd_kclustering(
             for part in range(k):
                 mask = assign == part
                 if np.any(mask):
-                    new_centers[part] = _centroid(rows[mask], w[mask])
+                    new_centers[part] = _weighted_mean(rows[mask], w[mask])
             if np.allclose(new_centers, centers):
                 break
             centers = new_centers
@@ -212,7 +212,8 @@ def _lloyd_kclustering(
 
 
 def default_bregman_solver(points: PointSet, k: int, div: Divergence, seed: int = 0) -> CenterSet:
-    """Optimal centers for n <= 12, seeded Lloyd with restarts above that."""
+    """Optimal centers for n <= 8 (by partition enumeration), seeded Lloyd
+    with restarts above that."""
     rows = np.asarray(points.rows)
     w = points.effective_weights()
     if points.n <= k:
@@ -275,13 +276,13 @@ def bregman_coreset(
     k: int,
     eps: float,
     div: Divergence,
-    solver: Optional[BregmanSolver] = None,
     seed: int = 0,
 ) -> list[ClusteringFeature]:
     """One clustering feature per leaf of the pseudo-random partition.
 
     The feature count is at most 2 * k^nu; the recursion depth is capped at
     12 with a diagnostic because the formula value explodes for small eps.
+    Each split is found by :func:`default_bregman_solver` with `seed`.
     """
     if not 0 < eps < 1:
         raise InvalidArgument("eps must lie in (0, 1)")
@@ -289,9 +290,6 @@ def bregman_coreset(
         raise InvalidArgument("k must be >= 1")
     rows = np.asarray(points.rows)
     w = points.effective_weights()
-    if solver is None:
-        def solver(ps: PointSet, kk: int, dv: Divergence) -> CenterSet:
-            return default_bregman_solver(ps, kk, dv, seed=seed)
     div.validate(rows[: min(points.n, 64)], np.random.default_rng(seed))
     if points.n <= k:
         return [
@@ -304,10 +302,11 @@ def bregman_coreset(
     depth = min(nu, MAX_RECURSION_DEPTH)
     if nu > MAX_RECURSION_DEPTH:
         logger.info("recursion depth formula gives %d; capping at %d", nu, MAX_RECURSION_DEPTH)
+    solver = functools.partial(default_bregman_solver, seed=seed)
     leaves = partition_helper(points, k, 0, depth, f1, solver, div)
     features = []
     for leaf in leaves:
-        mu = _centroid(rows[leaf], w[leaf])
+        mu = _weighted_mean(rows[leaf], w[leaf])
         features.append(
             ClusteringFeature(
                 centroid=mu,

@@ -261,6 +261,7 @@ def load_points(path: str, weighted: bool, header: bool) -> PointSet:
     if not blocks:
         raise TinycoreError(f"{path}: empty input")
     rows = np.concatenate(blocks)
+    del blocks  # so that the copy PointSet makes is the second, not the third
     if not weighted:
         return PointSet(rows)
     if rows.shape[1] < 2:
@@ -307,17 +308,7 @@ def cmd_coreset(args: argparse.Namespace) -> int:
             core = linear_subspace_coreset(points, args.j, args.epsilon)
             construction = kind = "subspace"
     elapsed = time.perf_counter() - t0
-    cf = CoresetFile(
-        n_source=points.n,
-        delta=core.delta,
-        eps=args.epsilon,
-        seed=args.seed,
-        kind=kind,
-        construction=construction,
-        points=np.asarray(core.points),
-        weights=np.asarray(core.weights),
-    )
-    _write(args.output, cf, args.format)
+    cf = _write_coreset(args, core, points.n, kind, construction)
     print(
         f"coreset: {points.n} x {points.d} -> {cf.m} points, "
         f"delta={cf.delta:.6g}, total_weight={np.sum(cf.weights):.6g}, {elapsed:.3f}s"
@@ -363,18 +354,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     )
     if count == 0:
         raise TinycoreError(f"{name}: empty input")
-    core = stream.query()
-    cf = CoresetFile(
-        n_source=count,
-        delta=core.delta,
-        eps=args.epsilon,
-        seed=args.seed,
-        kind=args.kind,
-        construction=f"stream-{args.kind}",
-        points=np.asarray(core.points),
-        weights=np.asarray(core.weights),
-    )
-    _write(args.output, cf, args.format)
+    cf = _write_coreset(args, stream.query(), count, args.kind, f"stream-{args.kind}")
     print(
         f"stream: {count} points -> {cf.m} summary points, delta={cf.delta:.6g}, "
         f"peak_live={stream.peak_live_points}, reduces={stream.reduce_count}"
@@ -427,7 +407,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     else:
         _check_j(args.j, points.d)
-        problem = AffineClusteringProblem(j=args.j, k=1)
+        problem = AffineClusteringProblem(j=args.j)
         solver = exact_tiny_solver  # the affine 1-clustering fit is exact at any n
     shape = approx_solution(points, problem, args.epsilon, solver, seed=args.seed)
     cost = dist2(points, shape)
@@ -445,11 +425,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write(path: str, cf: CoresetFile, fmt: str) -> None:
-    if fmt == "binary":
-        write_coreset_binary(path, cf)
-    else:
-        write_coreset_csv(path, cf)
+def _write_coreset(
+    args: argparse.Namespace, core: Coreset, n_source: int, kind: str, construction: str
+) -> CoresetFile:
+    """Write `core` to --output in --format, with --epsilon and --seed in its header."""
+    cf = CoresetFile(
+        n_source=n_source,
+        delta=core.delta,
+        eps=args.epsilon,
+        seed=args.seed,
+        kind=kind,
+        construction=construction,
+        points=np.asarray(core.points),
+        weights=np.asarray(core.weights),
+    )
+    write = write_coreset_binary if args.format == "binary" else write_coreset_csv
+    write(args.output, cf)
+    return cf
 
 
 # -- argument parsing ----------------------------------------------------

@@ -10,10 +10,8 @@ import numpy as np
 from .coreset import Coreset, _centered_fold
 from .dimred import lift_coreset, reduce
 from .errors import InvalidArgument, InvalidInput, ResourceLimit
-from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, svd
+from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, _weighted_mean, svd
 from .sensitivity import (
-    DEFAULT_C_DIM,
-    DEFAULT_C_S,
     DEFAULT_C_VC,
     SensitivityProfile,
     _mean_update,
@@ -39,6 +37,7 @@ __all__ = [
 
 BRUTE_FORCE_MAX_POINTS = 14
 _BRUTE_CHUNK = 20000
+_LLOYD_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -48,15 +47,16 @@ class KMeansProblem:
 
 @dataclass(frozen=True)
 class AffineClusteringProblem:
+    """One affine j-subspace."""
+
     j: int
-    k: int
 
 
 Problem = Union[KMeansProblem, AffineClusteringProblem]
 Solver = Callable[[PointSet, Problem], QueryShape]
 
 
-def lloyd_solve(points: PointSet, k: int, seed: int, max_iters: int = 100) -> CenterSet:
+def lloyd_solve(points: PointSet, k: int, seed: int) -> CenterSet:
     """Seeded Lloyd iteration on weighted points; cost never increases per step.
 
     Clusters that empty out are reseeded at the point with the largest
@@ -72,7 +72,7 @@ def lloyd_solve(points: PointSet, k: int, seed: int, max_iters: int = 100) -> Ce
     rng = np.random.default_rng(seed)
     centers = d2_seed(rows, w, k, rng, norms=norms)[0]
     prev_idx = None
-    for _ in range(max_iters):
+    for _ in range(_LLOYD_MAX_ITERS):
         idx, sq = _nearest(rows, centers, norms)
         occupied = np.bincount(idx, minlength=k) > 0
         if not np.all(occupied):
@@ -150,7 +150,7 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
     for part in range(k):
         mask = best == part
         if np.any(mask):
-            centers.append((w[mask, None] * rows[mask]).sum(axis=0) / w[mask].sum())
+            centers.append(_weighted_mean(rows[mask], w[mask]))
     return CenterSet(np.vstack(centers))
 
 
@@ -161,9 +161,7 @@ def kmeans_coreset(
     delta: float,
     seed: int,
     sample_size: Optional[int] = None,
-    c_s: float = DEFAULT_C_S,
     c_vc: float = DEFAULT_C_VC,
-    c_dim: float = DEFAULT_C_DIM,
 ) -> Coreset:
     """Sensitivity-sampling coreset for k center queries (offset is zero).
 
@@ -179,8 +177,8 @@ def kmeans_coreset(
     seed_bic = int(rng.integers(2**62))
     seed_sample = int(rng.integers(2**62))
     if sample_size is None:
-        profile = _sensitivity_profile(points, k, delta, seed_bic, c_s)
-        dim_bound = center_query_dimension(points.d, k, c_dim=c_dim)
+        profile = _sensitivity_profile(points, k, delta, seed_bic)
+        dim_bound = center_query_dimension(points.d, k)
         s = vc_sample_size(profile.total, dim_bound, eps, delta, c_vc=c_vc)
     else:
         s = int(sample_size)
@@ -190,13 +188,11 @@ def kmeans_coreset(
     if s >= points.n:
         return Coreset(points=points.rows, weights=points.effective_weights(), delta=0.0)
     if profile is None:
-        profile = _sensitivity_profile(points, k, delta, seed_bic, c_s)
+        profile = _sensitivity_profile(points, k, delta, seed_bic)
     return sensitivity_sample(points, profile, s, seed_sample)
 
 
-def _sensitivity_profile(
-    points: PointSet, k: int, delta: float, seed: int, c_s: float
-) -> SensitivityProfile:
+def _sensitivity_profile(points: PointSet, k: int, delta: float, seed: int) -> SensitivityProfile:
     """Bicriteria solution, then sensitivity bounds, both in the frame of `points`.
 
     A frame built here is dropped again before the caller samples: sampling
@@ -204,7 +200,7 @@ def _sensitivity_profile(
     """
     built = "frame" not in vars(points)
     bic = bicriteria_kmeans(points, min(k, points.n), delta, seed)
-    profile = kmeans_sensitivities(points, bic, c_s=c_s)
+    profile = kmeans_sensitivities(points, bic)
     if built:
         object.__delattr__(points, "frame")
     return profile
@@ -217,9 +213,7 @@ def small_kmeans_coreset(
     delta: float,
     seed: int,
     sample_size: Optional[int] = None,
-    c_s: float = DEFAULT_C_S,
     c_vc: float = DEFAULT_C_VC,
-    c_dim: float = DEFAULT_C_DIM,
 ) -> Coreset:
     """Dimension-independent k-means coreset: reduce, sample at eps/8, lift.
 
@@ -227,10 +221,7 @@ def small_kmeans_coreset(
     below the input rank; the sampled part keeps offset zero.
     """
     reduced = reduce(points, j=k, eps=eps, mode="coreset-lift")
-    low = PointSet(reduced.reduced_points, points.weights)
-    inner = kmeans_coreset(
-        low, k, eps / 8.0, delta, seed, sample_size=sample_size, c_s=c_s, c_vc=c_vc, c_dim=c_dim
-    )
+    inner = kmeans_coreset(reduced.points, k, eps / 8.0, delta, seed, sample_size=sample_size, c_vc=c_vc)
     return lift_coreset(inner, reduced)
 
 
@@ -255,8 +246,6 @@ def exact_tiny_solver(points: PointSet, problem: Problem) -> QueryShape:
     """Exhaustive optimal solver for desk-scale instances (n <= 14)."""
     if isinstance(problem, KMeansProblem):
         return brute_force_kmeans(points, problem.k)
-    if problem.k != 1:
-        raise InvalidArgument("affine query shapes hold a single subspace; use k=1")
     return best_affine_subspace(points, problem.j)
 
 
@@ -279,12 +268,13 @@ def approx_solution(
     if isinstance(problem, KMeansProblem):
         j_eff = problem.k
     elif isinstance(problem, AffineClusteringProblem):
-        j_eff = problem.k * (problem.j + 1)
+        j_eff = problem.j + 1
     else:
         raise InvalidArgument(f"unsupported problem {problem!r}")
     reduced = reduce(points, j=j_eff, eps=eps, mode="coreset-lift")
-    low = PointSet(reduced.reduced_points, points.weights)
+    low, basis = reduced.points, np.asarray(reduced.basis)
+    del reduced
     if isinstance(problem, KMeansProblem):
-        # rebinding frees the reduced set before the solver runs
+        # with `reduced` gone, rebinding frees the reduced set before the solver runs
         low = kmeans_coreset(low, problem.k, eps / 8.0, delta, seed=seed).as_point_set()
-    return _lift_shape(solver(low, problem), np.asarray(reduced.basis))
+    return _lift_shape(solver(low, problem), basis)

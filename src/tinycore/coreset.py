@@ -25,6 +25,7 @@ from .linalg import (
     tail_energy,
     _as_readonly,
     _frame,
+    _weighted_mean,
 )
 
 
@@ -126,7 +127,7 @@ def _centered_fold(points: PointSet) -> tuple[np.ndarray, np.ndarray, float]:
     total = float(np.sum(w))
     if not total > 0:
         raise InvalidInput("total weight must be positive")
-    mean = (w[:, None] * rows).sum(axis=0) / total
+    mean = _weighted_mean(rows, w)
     return np.sqrt(w)[:, None] * (rows - mean), mean, total
 
 

@@ -23,15 +23,14 @@ REDUCE_MODES = ("general", "coreset-lift", "kmeans")
 
 @dataclass(frozen=True)
 class ReducedInstance:
-    """Coordinates of A^(m) in the top-m singular basis, plus basis and offset."""
+    """A^(m) in the top-m singular basis, with the input's weights, plus basis and offset."""
 
-    reduced_points: np.ndarray
+    points: PointSet
     basis: np.ndarray
     delta: float
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "reduced_points", _as_readonly(self.reduced_points))
         object.__setattr__(self, "basis", _as_readonly(self.basis))
         object.__setattr__(self, "delta", float(self.delta))
         if self.delta < 0:
@@ -39,7 +38,7 @@ class ReducedInstance:
 
     def ambient_points(self) -> np.ndarray:
         """The rows of A^(m) expressed in the original d coordinates."""
-        return np.asarray(self.reduced_points) @ np.asarray(self.basis).T
+        return np.asarray(self.points.rows) @ np.asarray(self.basis).T
 
 
 def reduction_rank(n: int, d: int, j: int, eps: float, mode: str) -> int:
@@ -60,7 +59,8 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
 
     For k-means modes pass j := k.  The rank m is capped at min(n, d).  When
     m = d every direction is kept, the reduction is exact with delta = 0, and
-    the identity is returned as the basis without computing an SVD.
+    the input itself is returned, with the identity as the basis, without
+    computing an SVD.
     """
     if j < 1:
         raise InvalidArgument("query dimension must be >= 1")
@@ -68,13 +68,13 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
         raise InvalidArgument("eps must lie in (0, 1]")
     m = reduction_rank(points.n, points.d, j, eps, mode)
     if m == points.d:
-        return ReducedInstance(reduced_points=points.rows, basis=np.eye(m), delta=0.0, m=m)
+        return ReducedInstance(points=points, basis=np.eye(m), delta=0.0, m=m)
     factors = svd(points if points.weights is None else PointSet(weighted_fold(points)))
     basis = np.asarray(factors.v[:, :m])
-    reduced = np.asarray(points.rows) @ basis
+    reduced = PointSet(np.asarray(points.rows) @ basis, points.weights)
     # tail of the (folded) spectrum = (weighted) projection cost of the rows
     delta = tail_energy(factors, m)
-    return ReducedInstance(reduced_points=reduced, basis=basis, delta=delta, m=m)
+    return ReducedInstance(points=reduced, basis=basis, delta=delta, m=m)
 
 
 def weak_triangle_gap(a: PointSet, b: PointSet, shape: QueryShape, eps: float) -> float:

@@ -274,6 +274,11 @@ def weighted_fold(points: PointSet) -> np.ndarray:
     return np.asarray(points.rows) * np.sqrt(points.effective_weights())[:, None]
 
 
+def _weighted_mean(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The mean of the rows under weights w, whose sum the caller keeps positive."""
+    return (w[:, None] * rows).sum(axis=0) / w.sum()
+
+
 def _scores(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """The k x n matrix ||c||^2 - 2 c.p: squared distances less the row norms."""
     # scaling the k x d centers by -2 is exact, and cheaper than scaling k x n

@@ -21,8 +21,7 @@ from .linalg import PointSet, _as_readonly, _nearest
 
 DEFAULT_C_S = 8.0
 DEFAULT_C_VC = 1.0
-DEFAULT_C_DIM = 1.0
-DEFAULT_BETA = 2
+_BETA = 2  # a bicriteria solution holds _BETA * k centers
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class SensitivityProfile:
 
 @dataclass(frozen=True)
 class BicriteriaSolution:
-    """beta*k centers with per-cluster assignment, weighted costs and sizes."""
+    """2k centers with per-cluster assignment, weighted costs and sizes."""
 
     centers: np.ndarray
     assignment: np.ndarray
@@ -115,10 +114,8 @@ def d2_seed(
     return rows[chosen]
 
 
-def bicriteria_kmeans(
-    points: PointSet, k: int, delta: float, seed: int, beta: int = DEFAULT_BETA
-) -> BicriteriaSolution:
-    """Constant-factor solution with beta*k centers via squared-distance seeding.
+def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> BicriteriaSolution:
+    """Constant-factor solution with 2k centers via squared-distance seeding.
 
     Seeds ceil(log2(1/delta)) independent attempts in one pass, refines each
     with one weighted mean update, and keeps the cheapest.
@@ -132,7 +129,7 @@ def bicriteria_kmeans(
     frame = points.frame
     rows, norms = frame.rows, frame.norms
     w = points.effective_weights()
-    count = min(points.n, beta * k)
+    count = min(points.n, _BETA * k)
     restarts = max(1, math.ceil(math.log2(1.0 / delta)))
     rng = np.random.default_rng(seed)
     best = None
@@ -164,13 +161,12 @@ def _mean_update(
     return out
 
 
-def kmeans_sensitivities(
-    points: PointSet, bic: BicriteriaSolution, c_s: float = DEFAULT_C_S
-) -> SensitivityProfile:
+def kmeans_sensitivities(points: PointSet, bic: BicriteriaSolution) -> SensitivityProfile:
     """Sensitivity upper bounds from a bicriteria solution.
 
-    sigma_i = c_s * (w_i / |J_i|_w + w_i * dist2(p_i, C') / cost(A, C')); when
-    the total cost vanishes only the cluster-share term remains.
+    sigma_i = c_s * (w_i / |J_i|_w + w_i * dist2(p_i, C') / cost(A, C')) with
+    c_s = DEFAULT_C_S; when the total cost vanishes only the cluster-share
+    term remains.
     """
     if bic.assignment.shape[0] != points.n:
         raise InvalidInput("bicriteria assignment does not match the point set")
@@ -185,7 +181,7 @@ def kmeans_sensitivities(
     share = w / cluster_w
     if total_cost > 0:
         share = share + w * sq / total_cost
-    sigma = c_s * share
+    sigma = DEFAULT_C_S * share
     sigma = np.maximum(sigma, 1.0 / points.n)
     return SensitivityProfile(sigma=sigma, total=float(np.sum(sigma)))
 
@@ -237,9 +233,9 @@ def vc_sample_size(
     return max(1, math.ceil(raw))
 
 
-def center_query_dimension(d: int, k: int, c_dim: float = DEFAULT_C_DIM) -> int:
+def center_query_dimension(d: int, k: int) -> int:
     """VC-dimension bound for ranges induced by k point centers in d dimensions."""
-    return max(1, math.ceil(c_dim * d * k * math.log2(k + 1)))
+    return max(1, math.ceil(d * k * math.log2(k + 1)))
 
 
 def renormalize_bounds(sigma: np.ndarray, total: float, s: int) -> np.ndarray:

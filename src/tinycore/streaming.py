@@ -94,13 +94,13 @@ class CoresetStream:
     def points_seen(self) -> int:
         return self._points_seen
 
-    def gamma(self, epoch: Optional[int] = None) -> float:
-        h = self._epoch if epoch is None else epoch
-        return self.config.eps / (10.0 * h)
+    def gamma(self) -> float:
+        """The current epoch's level precision."""
+        return self.config.eps / (10.0 * self._epoch)
 
-    def level_size(self, epoch: Optional[int] = None) -> int:
-        """Target coreset size for one reduce at the given epoch's precision."""
-        gamma = self.gamma(epoch)
+    def level_size(self) -> int:
+        """Target coreset size for one reduce at the current epoch's precision."""
+        gamma = self.gamma()
         cfg = self.config
         if cfg.kind == "subspace":
             return coreset_size_linear(cfg.j, gamma)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -740,6 +741,20 @@ class TestBlockReader:
             points=np.asarray(core.points), weights=np.asarray(core.weights),
         ))
         assert out.read_bytes() == want.read_bytes()
+
+    def test_load_points_holds_two_copies_at_most(self, tmp_path, rng):
+        rows = rng.standard_normal((20000, 8))
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(_lines(rows)) + b"\n")
+        tracemalloc.start()
+        try:
+            points = load_points(str(path), False, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(points.rows, rows)
+        # the parsed blocks or their concatenation, and the copy PointSet keeps
+        assert peak < 2.5 * rows.nbytes
 
     def test_bad_line_at_every_position_names_its_line(self, tmp_path, rng, small_blocks, capsys):
         good = _lines(rng.standard_normal((30, 3)))

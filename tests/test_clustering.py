@@ -3,7 +3,6 @@ import pytest
 
 from tinycore import (
     AffineClusteringProblem,
-    InvalidArgument,
     InvalidInput,
     KMeansProblem,
     PointSet,
@@ -222,14 +221,9 @@ class TestApproxSolution:
     def test_affine_problem(self, rng):
         rows = rng.standard_normal((10, 5)) + 3.0
         ps = PointSet(rows)
-        shape = approx_solution(ps, AffineClusteringProblem(j=1, k=1), 0.5, exact_tiny_solver)
+        shape = approx_solution(ps, AffineClusteringProblem(j=1), 0.5, exact_tiny_solver)
         opt = dist2(ps, best_affine_subspace(ps, 1))
         assert dist2(ps, shape) <= (1 + 0.5) / (1 - 0.5) * opt + 1e-9
-
-    def test_rejects_multi_subspace(self, rng):
-        ps = PointSet(rng.standard_normal((6, 4)))
-        with pytest.raises(InvalidArgument):
-            exact_tiny_solver(ps, AffineClusteringProblem(j=1, k=2))
 
 
 class TestBestAffineSubspace:

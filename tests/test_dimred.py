@@ -98,8 +98,17 @@ class TestReduce:
         assert red.m == 6
         assert red.delta == 0.0
         assert np.array_equal(red.basis, np.eye(6))
-        assert np.array_equal(red.reduced_points, a)
+        assert np.array_equal(red.points.rows, a)
         assert calls == []
+
+    def test_reduced_instance_is_a_weighted_point_set(self, rng):
+        ps = PointSet(rng.standard_normal((50, 12)), rng.uniform(1.0, 3.0, 50))
+        # at the cap the input itself, not a copy of its rows
+        assert reduce(ps, 2, 0.5, "general").points is ps
+        red = reduce(ps, 1, 1.0, "general")
+        assert red.m == 7
+        assert np.array_equal(red.points.weights, ps.weights)
+        np.testing.assert_array_equal(red.points.rows, np.asarray(ps.rows) @ red.basis)
 
     def test_eps_validation(self, rng):
         ps = PointSet(rng.standard_normal((5, 3)))
@@ -187,7 +196,7 @@ class TestLiftCoreset:
         a = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 8))
         red = reduce(PointSet(a), 2, 1.0, "coreset-lift")
         assert red.delta == pytest.approx(0.0, abs=1e-10)
-        low = Coreset(points=red.reduced_points, weights=np.ones(20), delta=0.0)
+        low = Coreset(points=red.points.rows, weights=np.ones(20), delta=0.0)
         lifted = lift_coreset(low, red)
         assert lifted.delta == pytest.approx(0.0, abs=1e-10)
         np.testing.assert_allclose(lifted.points, a, atol=1e-9)
@@ -196,7 +205,7 @@ class TestLiftCoreset:
         a = rng.standard_normal((60, 30))
         ps = PointSet(a)
         red = reduce(ps, 1, 1.0, "coreset-lift")
-        low = Coreset(points=red.reduced_points, weights=np.ones(60), delta=0.0)
+        low = Coreset(points=red.points.rows, weights=np.ones(60), delta=0.0)
         lifted = lift_coreset(low, red)
         assert lifted.delta == pytest.approx(red.delta)
         np.testing.assert_allclose(lifted.points, red.ambient_points(), atol=1e-9)
@@ -209,7 +218,7 @@ class TestLiftCoreset:
         rows = make_blobs(rng, 100, 15, 2)
         ps = PointSet(rows)
         red = reduce(ps, 2, 0.8, "coreset-lift")
-        inner = kmeans_coreset(PointSet(red.reduced_points), 2, 0.1, 0.1, seed=5)
+        inner = kmeans_coreset(red.points, 2, 0.1, 0.1, seed=5)
         lifted = lift_coreset(inner, red)
         for _ in range(200):
             centers = CenterSet(6 * rng.standard_normal((2, 15)))
@@ -224,7 +233,7 @@ class TestLiftCoreset:
         red = reduce(ps, 1, 1.0, "coreset-lift")  # m = 32 < 50
         assert 0 < red.m < 50
         assert red.delta > 0
-        low = Coreset(points=red.reduced_points, weights=np.ones(300), delta=0.0)
+        low = Coreset(points=red.points.rows, weights=np.ones(300), delta=0.0)
         lifted = lift_coreset(low, red)
         for shape in shapes_in_subspace(rng, 50, 1, 100):
             true = dist2(ps, shape)
