@@ -366,6 +366,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        print("error: --epsilon must be finite and > 0", file=sys.stderr)
+        return EXIT_USAGE
     cf = read_coreset_file(args.coreset)
     points = load_points(args.data, args.weighted, args.header)
     if cf.d != points.d:
@@ -411,6 +414,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         solver = exact_tiny_solver  # the affine 1-clustering fit is exact at any n
     shape = approx_solution(points, problem, args.epsilon, solver, seed=args.seed)
     cost = dist2(points, shape)
+    if not math.isfinite(cost):
+        raise TinycoreError(f"the solution's cost on the full data is {cost}, not finite")
     with open(args.output, "w") as fh:
         if isinstance(shape, CenterSet):
             fh.write("# tinycore solution kind=centers cost=%.17g\n" % cost)

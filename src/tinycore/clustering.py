@@ -146,6 +146,8 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best = chunk[i]
+    if best is None:
+        raise InvalidInput("no partition has a finite cost: the squared entries overflow float64")
     centers = []
     for part in range(k):
         mask = best == part

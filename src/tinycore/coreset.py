@@ -8,50 +8,38 @@ requested dimension.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidArgument, InvalidInput
-from .linalg import (
-    CenterSet,
-    Frame,
-    PointSet,
-    QueryShape,
-    dist2_rows,
-    svd,
-    tail_energy,
-    _as_readonly,
-    _frame,
-    _weighted_mean,
-)
+from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _weighted_mean
 
 
 @dataclass(frozen=True)
 class Coreset:
-    """Weighted summary (points, weights, delta) of a larger point set."""
+    """Weighted summary (points, weights, delta) of a larger point set.
+
+    The points and weights are those of one weighted :class:`PointSet`,
+    which checks them, holds them read-only and caches their frame; the
+    coreset itself checks only that weights are given and that delta >= 0.
+    """
 
     points: np.ndarray
     weights: np.ndarray
     delta: float
+    _point_set: PointSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if pts.shape[0] < 1:
-            raise InvalidInput("coreset must contain at least one point")
-        if w.shape[0] != pts.shape[0]:
-            raise InvalidInput("coreset weight vector length mismatch")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise InvalidInput("coreset entries must be finite")
-        if np.any(w < 0):
-            raise InvalidInput("coreset weights must be non-negative")
+        if self.weights is None:
+            raise InvalidInput("coreset weights must be given")
+        ps = PointSet(self.points, self.weights)
         if not self.delta >= 0:
             raise InvalidInput("coreset offset must be non-negative")
-        object.__setattr__(self, "points", _as_readonly(pts))
-        object.__setattr__(self, "weights", _as_readonly(w))
+        object.__setattr__(self, "_point_set", ps)
+        object.__setattr__(self, "points", ps.rows)
+        object.__setattr__(self, "weights", ps.weights)
         object.__setattr__(self, "delta", float(self.delta))
 
     @property
@@ -63,26 +51,25 @@ class Coreset:
         return self.points.shape[1]
 
     def total_weight(self) -> float:
-        return float(np.sum(self.weights))
+        return self._point_set.total_weight()
 
     def as_point_set(self) -> PointSet:
-        return PointSet(self.points, self.weights)
+        """The weighted point set (S, w) itself, not a copy."""
+        return self._point_set
 
-    @functools.cached_property
+    @property
     def frame(self) -> Frame:
-        """The points in their own frame: built by the first center query, then kept."""
-        return _frame(self.points)
+        """The frame of the point set: built by the first center query, then kept."""
+        return self._point_set.frame
 
 
 def coreset_cost(coreset: Coreset, shape: QueryShape) -> float:
-    """Cost of a query shape against a coreset triple: weighted sum plus offset.
+    """Cost of a query shape against a coreset: ``dist2(S, shape) + delta``.
 
-    This is the one evaluation used for coresets everywhere in the library and
-    its tests; inputs themselves are evaluated by :func:`tinycore.linalg.dist2`.
+    The weighted sum is :func:`tinycore.linalg.dist2` on the coreset's point
+    set, so inputs and coresets share one evaluation and one cached frame.
     """
-    frame = coreset.frame if isinstance(shape, CenterSet) else None
-    per_row = dist2_rows(np.asarray(coreset.points), shape, frame)
-    return float(np.sum(np.asarray(coreset.weights) * per_row) + coreset.delta)
+    return dist2(coreset.as_point_set(), shape) + coreset.delta
 
 
 def coreset_size_linear(j: int, eps: float) -> int:

@@ -28,13 +28,17 @@ class ReducedInstance:
     points: PointSet
     basis: np.ndarray
     delta: float
-    m: int
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _as_readonly(self.basis))
         object.__setattr__(self, "delta", float(self.delta))
         if self.delta < 0:
             raise InvalidInput("reduction offset must be non-negative")
+
+    @property
+    def m(self) -> int:
+        """The rank of the reduction: the number of basis columns."""
+        return self.basis.shape[1]
 
     def ambient_points(self) -> np.ndarray:
         """The rows of A^(m) expressed in the original d coordinates."""
@@ -68,13 +72,13 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
         raise InvalidArgument("eps must lie in (0, 1]")
     m = reduction_rank(points.n, points.d, j, eps, mode)
     if m == points.d:
-        return ReducedInstance(points=points, basis=np.eye(m), delta=0.0, m=m)
+        return ReducedInstance(points=points, basis=np.eye(m), delta=0.0)
     factors = svd(points if points.weights is None else PointSet(weighted_fold(points)))
     basis = np.asarray(factors.v[:, :m])
     reduced = PointSet(np.asarray(points.rows) @ basis, points.weights)
     # tail of the (folded) spectrum = (weighted) projection cost of the rows
     delta = tail_energy(factors, m)
-    return ReducedInstance(points=reduced, basis=basis, delta=delta, m=m)
+    return ReducedInstance(points=reduced, basis=basis, delta=delta)
 
 
 def weak_triangle_gap(a: PointSet, b: PointSet, shape: QueryShape, eps: float) -> float:

@@ -153,10 +153,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def is_affine(self) -> bool:
-        return self.offset is not None
-
 
 @dataclass(frozen=True)
 class CenterSet:
@@ -248,6 +244,8 @@ def _check_fit(a: np.ndarray, f: SvdFactors) -> None:
     if np.any(np.diff(f.sigma) > 1e-12 * max(f.sigma[0], 1.0)):
         raise InvalidInput("singular values are not sorted non-increasingly")
     energy = np.linalg.norm(a) ** 2
+    if not np.isfinite(energy):
+        raise InvalidInput("input too large: its squared norm overflows float64")
     b = a @ f.v
     gram = b.T @ b
     outside = energy - np.trace(gram)

@@ -305,6 +305,16 @@ class TestEvalCommand:
         assert code == 2
         assert err.startswith("error: --count must be >= 1")
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_epsilon_not_finite_and_positive_exits_2_before_reading(self, tmp_path, capsys, eps):
+        missing = str(tmp_path / "missing")
+        code = main([
+            "eval", missing + ".cs", missing + ".csv", "--query-kind", "centers",
+            "--epsilon=" + eps, "--seed", "1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --epsilon must be finite and > 0\n"
+
     def test_dimension_mismatch_exits_1(self, tmp_path, data_csv, rng):
         path, _ = data_csv
         cf = CoresetFile(
@@ -679,6 +689,31 @@ class TestParameterRanges:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: --j {j} out of range: subspaces need 1 <= j <= d - 1 = 2\n", err
+        assert not out.exists()
+
+
+class TestSquareOverflow:
+    """Finite input whose squares overflow float64 ends as one error line, exit 1."""
+
+    @pytest.mark.parametrize("n", [4, 20])  # brute force below 13 rows, Lloyd above
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "kmeans", "--k", "2", "--seed", "1"],
+            ["solve", "affine", "--j", "1", "--seed", "1"],
+            ["coreset", "subspace", "--j", "1"],
+        ],
+        ids=["solve-kmeans", "solve-affine", "coreset-subspace"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exits_1_with_error(self, tmp_path, rng, capsys, command, n):
+        rows = rng.standard_normal((n, 2))
+        rows[1, 1] = 1e160
+        path = tmp_path / "big.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        out = tmp_path / "o.out"
+        assert main([*command, "--epsilon", "0.5", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
 

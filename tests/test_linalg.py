@@ -319,10 +319,16 @@ class TestFrame:
 
     def test_raw_rows_and_cached_frame_give_the_same_bytes(self, rng):
         ps = PointSet(rng.standard_normal((300, 4)) - 50.0, rng.random(300))
-        shape = CenterSet(rng.standard_normal((3, 4)))
-        raw = dist2_rows(np.asarray(ps.rows), shape)
-        assert raw.tobytes() == dist2_rows(np.asarray(ps.rows), shape, ps.frame).tobytes()
-        assert dist2(ps, shape) == float(np.sum(ps.effective_weights() * raw))
+        centers = CenterSet(rng.standard_normal((3, 4)))
+        affine = Subspace(basis=rand_orthonormal(rng, 4, 2), offset=rng.standard_normal(4) - 50.0)
+        # a weighted coreset is measured by the same kernel, plus its offset
+        core = Coreset(ps.rows, ps.weights, 2.5)
+        for shape in (centers, affine):
+            raw = dist2_rows(np.asarray(ps.rows), shape)
+            assert raw.tobytes() == dist2_rows(np.asarray(ps.rows), shape, ps.frame).tobytes()
+            assert dist2(ps, shape) == float(np.sum(ps.effective_weights() * raw))
+            assert coreset_cost(core, shape) == dist2(core.as_point_set(), shape) + core.delta
+            assert coreset_cost(core, shape) == float(np.sum(ps.effective_weights() * raw) + 2.5)
 
     @pytest.mark.parametrize("make", [
         lambda rows: PointSet(rows),
@@ -352,7 +358,19 @@ class TestFrame:
     def test_subspace_queries_build_no_frame(self, rng):
         core = Coreset(rng.standard_normal((20, 3)), np.ones(20), 0.0)
         coreset_cost(core, Subspace(basis=np.eye(3)[:, :1]))
-        assert "frame" not in vars(core)
+        assert "frame" not in vars(core) and "frame" not in vars(core.as_point_set())
+
+    def test_coreset_is_its_point_set(self, rng):
+        core = Coreset(rng.standard_normal((20, 3)), rng.random(20), 1.5)
+        ps = core.as_point_set()
+        assert core.as_point_set() is ps
+        assert np.shares_memory(core.points, ps.rows)
+        assert np.shares_memory(core.weights, ps.weights)
+        assert core.frame is ps.frame
+
+    def test_coreset_requires_weights(self, rng):
+        with pytest.raises(InvalidInput):
+            Coreset(rng.standard_normal((4, 2)), None, 0.0)
 
 
 class TestWeightedFold:
