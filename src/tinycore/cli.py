@@ -382,6 +382,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for i in range(args.count):
         shape = _random_query(rng, points.d, args.query_kind, args.j, args.k, scale)
         true_cost = dist2(points, shape)
+        if not math.isfinite(true_cost):
+            raise TinycoreError(f"query {i}: the cost on the data is {true_cost}, not finite")
         est = coreset_cost(core, shape)
         ratio = est / true_cost if true_cost > 0 else (1.0 if est == 0 else float("inf"))
         ratios.append(ratio)

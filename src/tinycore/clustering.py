@@ -173,6 +173,8 @@ def kmeans_coreset(
     overrides the VC formula, which the streaming layer uses to pin the
     summary size per level.
     """
+    if k < 1:
+        raise InvalidArgument("k must be >= 1")
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise InvalidArgument("eps and delta must lie in (0, 1)")
     rng = np.random.default_rng(seed)

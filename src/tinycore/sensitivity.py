@@ -87,6 +87,17 @@ def d2_seed(
     :class:`~tinycore.linalg.Frame` (moved to their mean), and its `norms`,
     the squared row norms, to keep the expansion accurate.
     """
+    chosen, _ = _d2_pass(rows, weights, count, rng, restarts, norms, cost=False)
+    return rows[chosen]
+
+
+def _d2_pass(
+    rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator,
+    restarts: int, norms: Optional[np.ndarray], cost: bool,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The draws of :func:`d2_seed` as restarts x count row indices and, with
+    `cost`, each restart's seeding cost sum w * min ||p - c||^2 over its own
+    draws (one more distance pass, for the last draw)."""
     cdf = np.cumsum(weights)
     if not cdf[-1] > 0:
         raise InvalidInput("total weight must be positive")
@@ -96,13 +107,15 @@ def d2_seed(
     chosen[:, 0] = np.searchsorted(cdf, rng.random(restarts) * cdf[-1], side="right")
     best = np.full((restarts, rows.shape[0]), np.inf)
     cand = np.empty_like(best)
-    for i in range(1, count):
+    for i in range(1, count + 1 if cost else count):
         last = chosen[:, i - 1]
         np.matmul(-2.0 * rows[last], rows.T, out=cand)
         cand += norms
         cand += norms[last][:, None]
         np.maximum(cand, 0.0, out=cand)
         np.minimum(best, cand, out=best)
+        if i == count:
+            break
         np.multiply(best, weights, out=cand)
         np.cumsum(cand, axis=1, out=cand)
         u = rng.random(restarts) * cand[:, -1]
@@ -111,14 +124,19 @@ def d2_seed(
                 chosen[r, i] = np.searchsorted(cand[r], u[r], side="right")
             else:
                 chosen[r, i] = chosen[r, 0]
-    return rows[chosen]
+    return chosen, best @ weights if cost else None
 
 
 def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> BicriteriaSolution:
     """Constant-factor solution with 2k centers via squared-distance seeding.
 
-    Seeds ceil(log2(1/delta)) independent attempts in one pass, refines each
-    with one weighted mean update, and keeps the cheapest.
+    Seeds ceil(log2(1/delta)) independent restarts in one pass, keeps the one
+    whose seeds cost least (the first on ties) and refines it with one
+    weighted mean update.  Each restart's seeds cost at most c * OPT with
+    constant probability (Aggarwal, Deshpande & Kannan 2009; Wei 2016), so
+    with probability >= 1 - delta the cheapest does, and the refinement can
+    only lower its cost.  A seeding cost that is not finite (squares that
+    overflow float64) raises InvalidInput.
     """
     if k < 1:
         raise InvalidArgument("k must be >= 1")
@@ -132,15 +150,13 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     count = min(points.n, _BETA * k)
     restarts = max(1, math.ceil(math.log2(1.0 / delta)))
     rng = np.random.default_rng(seed)
-    best = None
-    for centers in d2_seed(rows, w, count, rng, restarts=restarts, norms=norms):
-        idx, _ = _nearest(rows, centers, norms)
-        centers = _mean_update(rows, w, idx, centers)
-        idx, sq = _nearest(rows, centers, norms)
-        cost = float(np.sum(w * sq))
-        if best is None or cost < best[0]:
-            best = (cost, centers, idx, sq)
-    _, centers, idx, sq = best
+    chosen, seed_costs = _d2_pass(rows, w, count, rng, restarts, norms, cost=True)
+    if not np.all(np.isfinite(seed_costs)):
+        raise InvalidInput("seeding cost is not finite: the squared entries overflow float64")
+    centers = rows[chosen[np.argmin(seed_costs)]]
+    idx, _ = _nearest(rows, centers, norms)
+    centers = _mean_update(rows, w, idx, centers)
+    idx, sq = _nearest(rows, centers, norms)
     costs = np.bincount(idx, weights=w * sq, minlength=centers.shape[0])
     sizes = np.bincount(idx, weights=w, minlength=centers.shape[0])
     return BicriteriaSolution(

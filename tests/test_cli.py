@@ -716,6 +716,41 @@ class TestSquareOverflow:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["coreset", "kmeans", "--k", "2"],
+            ["coreset", "kmeans", "--small", "--k", "2"],
+            ["stream", "--kind", "kmeans", "--k", "2"],
+        ],
+        ids=["coreset-kmeans", "coreset-kmeans-small", "stream-kmeans"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kmeans_construction_exits_1_with_error(self, tmp_path, rng, capsys, command):
+        rows = rng.standard_normal((5000, 3))  # enough rows that the coreset and the stream sample
+        rows[1, 1] = 1e160
+        path = tmp_path / "big.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        out = tmp_path / "o.out"
+        assert main([*command, "--epsilon", "0.5", "--seed", "1", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eval_stops_at_a_true_cost_that_is_not_finite(self, tmp_path, rng, capsys):
+        rows = rng.standard_normal((200, 3))
+        clean, big, core = tmp_path / "clean.csv", tmp_path / "big.csv", tmp_path / "c.tcs"
+        np.savetxt(clean, rows, delimiter=",", fmt="%.17g")
+        rows[1, 1] = 1e160
+        np.savetxt(big, rows, delimiter=",", fmt="%.17g")
+        common = ["--k", "2", "--epsilon", "0.5", "--seed", "1"]
+        assert main(["coreset", "kmeans", *common, str(clean), "-o", str(core)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(core), str(big), "--query-kind", "centers", *common]) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert "true=" not in stdout
+
 
 # Blocks of about 64 bytes: a few lines each, so small files span many blocks.
 SMALL_BLOCK = 64

@@ -3,6 +3,7 @@ import pytest
 
 from tinycore import (
     AffineClusteringProblem,
+    InvalidArgument,
     InvalidInput,
     KMeansProblem,
     PointSet,
@@ -165,6 +166,20 @@ class TestKmeansCoreset:
         assert ps.frame is frame
         assert np.asarray(again.points).tobytes() == np.asarray(first.points).tobytes()
         assert np.asarray(again.weights).tobytes() == np.asarray(first.weights).tobytes()
+
+    @pytest.mark.parametrize("sample_size", [None, 10, 30])
+    def test_k_below_one_rejected_on_every_path(self, sample_size):
+        # sample_size=30 returns the input without seeding anything
+        for k in (0, -1):
+            with pytest.raises(InvalidArgument):
+                kmeans_coreset(PointSet(np.ones((30, 3))), k, 0.5, 0.1, 0, sample_size=sample_size)
+
+    @pytest.mark.parametrize("sample_size", [10, 30])
+    def test_k_above_n_allowed(self, rng, sample_size):
+        # stream reduces pass their configured k, which small merged inputs can fall below
+        rows = rng.standard_normal((30, 3))
+        core = kmeans_coreset(PointSet(rows), 40, 0.5, 0.1, 0, sample_size=sample_size)
+        assert core.size == min(sample_size, 30)
 
 
 class TestSmallKmeansCoreset:

@@ -20,7 +20,10 @@ from tinycore import (
     sensitivity_sample,
     vc_sample_size,
 )
+from tinycore import sensitivity
 from tinycore.sensitivity import DEFAULT_C_S, d2_seed, renormalize_bounds
+
+from conftest import make_blobs
 
 
 def grid_sensitivity(rows, w, grid):
@@ -73,6 +76,47 @@ class TestBicriteria:
     def test_rejects_k_above_n(self, rng):
         with pytest.raises(InvalidArgument):
             bicriteria_kmeans(PointSet(rng.standard_normal((3, 2))), 4, 0.1, seed=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refines_the_restart_with_the_least_seeding_cost(self, seed):
+        gen = np.random.default_rng(seed + 50)
+        ps = PointSet(make_blobs(gen, 300, 3, 4), gen.uniform(0.5, 2.0, 300))
+        rows, w = np.asarray(ps.rows), np.asarray(ps.weights)
+        delta, k = 0.01, 3  # 7 restarts of 6 seeds
+        frame = ps.frame
+        seeds = d2_seed(frame.rows, w, 2 * k, np.random.default_rng(seed), restarts=7, norms=frame.norms)
+        seeds = seeds + frame.origin
+        d2 = ((rows[None, :, None, :] - seeds[:, None, :, :]) ** 2).sum(-1)  # restart x row x seed
+        seeding_costs = (w * d2.min(axis=2)).sum(axis=1)
+        centers = seeds[np.argmin(seeding_costs)]
+        idx = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(-1).argmin(axis=1)
+        for c in np.unique(idx):
+            centers[c] = np.average(rows[idx == c], axis=0, weights=w[idx == c])
+        bic = bicriteria_kmeans(ps, k, delta, seed)
+        np.testing.assert_allclose(np.asarray(bic.centers), centers, rtol=1e-10, atol=1e-10)
+        d2 = ((rows[:, None, :] - np.asarray(bic.centers)[None, :, :]) ** 2).sum(-1)
+        np.testing.assert_array_equal(np.asarray(bic.assignment), d2.argmin(axis=1))
+        assert bic.total_cost <= seeding_costs.min() * (1 + 1e-12)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-3])  # 1, 4 and 10 restarts
+    def test_two_assignment_passes_whatever_the_restart_count(self, rng, monkeypatch, delta):
+        calls = []
+        nearest = sensitivity._nearest
+
+        def counting(*args):
+            calls.append(1)
+            return nearest(*args)
+
+        monkeypatch.setattr(sensitivity, "_nearest", counting)
+        bicriteria_kmeans(PointSet(make_blobs(rng, 200, 3, 3)), 3, delta, seed=1)
+        assert len(calls) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_seeding_cost_not_finite_is_invalid_input(self, rng):
+        rows = rng.standard_normal((50, 3))
+        rows[1, 1] = 1e160  # finite, but its square overflows float64
+        with pytest.raises(InvalidInput, match="overflow"):
+            bicriteria_kmeans(PointSet(rows), 2, 0.1, seed=0)
 
 
 class TestD2Seed:
