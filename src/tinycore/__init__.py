@@ -6,11 +6,8 @@ whose clustering or subspace-approximation cost matches the input within a
 unbounded streams in polylogarithmic memory.
 """
 from .bregman import (
-    ClusteringFeature,
     Divergence,
     bregman_coreset,
-    cf_cost,
-    cf_total_cost,
     mahalanobis,
     niceness_thresholds,
     partition_helper,
@@ -64,7 +61,6 @@ __all__ = [
     "AffineClusteringProblem",
     "BicriteriaSolution",
     "CenterSet",
-    "ClusteringFeature",
     "Coreset",
     "CoresetStream",
     "Divergence",
@@ -87,8 +83,6 @@ __all__ = [
     "bicriteria_kmeans",
     "bregman_coreset",
     "brute_force_kmeans",
-    "cf_cost",
-    "cf_total_cost",
     "coreset_cost",
     "coreset_size_linear",
     "dist2",

@@ -1,15 +1,18 @@
-"""Clustering-feature coresets for k-clustering under m-similar Bregman divergences.
+"""Coresets for k-clustering under m-similar Bregman divergences.
 
 A divergence sandwiched between m * d_B and d_B for a Mahalanobis distance
 d_B obeys the centroid decomposition identity, so any point set whose best
 k-clustering is not much cheaper than its 1-clustering can be represented
-exactly enough by a single clustering feature (centroid, weight, internal
-cost).  The construction partitions the input recursively until every leaf
-is such a set or the depth bound is reached.
+exactly enough by its centroid, its weight and its internal cost.  The
+construction partitions the input recursively until every leaf is such a
+set or the depth bound is reached, and returns a :class:`Coreset`: one
+centroid per leaf as its points, the leaf weights as its weights, and the
+summed internal cost as its offset delta.  :meth:`Divergence.cost` prices
+centers against it, and coresets of disjoint inputs merge through
+:func:`~tinycore.coreset.merge_coresets` like any other.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -17,6 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import linalg
+from .clustering import _partition_costs, _restricted_growth_strings
+from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput
 from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
 
@@ -34,7 +40,8 @@ class Divergence:
 
     `matrix` is the regular matrix B of the declared d_B(x, y) = ||B(x-y)||^2;
     `similarity` is the constant m in (0, 1] with m * d_B <= d_phi <= d_B.
-    Without a custom evaluator the divergence *is* d_B.
+    Without a custom evaluator the divergence *is* d_B, which is the squared
+    Euclidean distance between the rows mapped by B.
     """
 
     matrix: Optional[np.ndarray] = None
@@ -53,10 +60,17 @@ class Divergence:
                 raise InvalidArgument("Mahalanobis matrix must be regular")
             object.__setattr__(self, "matrix", _as_readonly(b))
 
+    def _embed(self, rows: np.ndarray) -> np.ndarray:
+        """The rows mapped by B (unchanged when no matrix is declared)."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        if self.matrix is None:
+            return rows
+        if self.matrix.shape[1] != rows.shape[1]:
+            raise InvalidArgument("Mahalanobis matrix size does not match the row dimension")
+        return rows @ self.matrix.T
+
     def mahalanobis(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        diff = np.atleast_2d(points) - np.asarray(q)[None, :]
-        if self.matrix is not None:
-            diff = diff @ np.asarray(self.matrix).T
+        diff = self._embed(np.atleast_2d(points) - np.asarray(q)[None, :])
         return np.sum(diff * diff, axis=1)
 
     def between(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -65,20 +79,39 @@ class Divergence:
             return np.asarray(self.evaluator(np.atleast_2d(points), np.asarray(q)))
         return self.mahalanobis(points, q)
 
-    def _to_each_center(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
-        """The n x k matrix of d_phi from each row to each center."""
-        return np.column_stack([self.between(points, c) for c in np.asarray(centers.centers)])
+    def _nearest(self, rows: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest center per row (lowest index wins ties) and its d_phi.
+
+        d_B is measured in the frame of the mapped rows, as :func:`tinycore.dist2`
+        measures squared Euclidean distance; a custom evaluator is called once
+        per center.
+        """
+        if self.evaluator is not None:
+            each = np.array([self.between(rows, c) for c in centers])
+            return np.argmin(each, axis=0), each.min(axis=0)
+        frame = linalg._frame(self._embed(rows))
+        return linalg._nearest(frame.rows, self._embed(centers) - frame.origin, frame.norms)
 
     def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
         """d_phi from each row to its nearest center."""
-        return np.min(self._to_each_center(points, centers), axis=1)
+        return self._nearest(points, np.asarray(centers.centers))[1]
+
+    def cost(self, coreset: Coreset, centers: CenterSet) -> float:
+        """sum_i w_i * min_c d_phi(s_i, c) + delta: the cost of the centers on a coreset."""
+        if centers.d != coreset.d:
+            raise InvalidArgument("center dimension does not match the coreset")
+        near = self.to_centers(coreset.points, centers)
+        return float(np.sum(coreset.weights * near)) + coreset.delta
 
     def validate(self, sample: np.ndarray, rng: np.random.Generator) -> None:
-        """Sampled check of the similarity sandwich and the centroid identity.
+        """Sampled check of a custom evaluator's similarity sandwich and centroid identity.
 
         A violation logs a diagnostic; declared custom divergences are trusted
-        beyond these spot checks.
+        beyond these spot checks.  Without an evaluator d_phi is d_B, for which
+        both hold exactly, so nothing is checked.
         """
+        if self.evaluator is None:
+            return
         pts = np.atleast_2d(sample)
         n = pts.shape[0]
         for _ in range(_VALIDATE_DRAWS):
@@ -116,35 +149,6 @@ def mahalanobis(matrix: np.ndarray) -> Divergence:
     return Divergence(matrix=matrix, similarity=1.0, name="mahalanobis")
 
 
-@dataclass(frozen=True)
-class ClusteringFeature:
-    """Centroid, weight and internal 1-clustering cost of a represented set."""
-
-    centroid: np.ndarray
-    weight: float
-    internal_cost: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "centroid", _as_readonly(np.asarray(self.centroid).reshape(-1)))
-        if not self.weight > 0:
-            raise InvalidInput("clustering feature weight must be positive")
-        if self.internal_cost < 0:
-            raise InvalidInput("clustering feature internal cost must be non-negative")
-
-
-def cf_cost(cf: ClusteringFeature, centers: CenterSet, div: Divergence) -> float:
-    """Cost charged by one clustering feature: internal cost plus the weighted
-    divergence from its centroid to the nearest center."""
-    if centers.d != cf.centroid.shape[0]:
-        raise InvalidArgument("center dimension does not match the feature")
-    near = float(div.to_centers(np.asarray(cf.centroid)[None, :], centers)[0])
-    return cf.internal_cost + cf.weight * near
-
-
-def cf_total_cost(features: list[ClusteringFeature], centers: CenterSet, div: Divergence) -> float:
-    return float(sum(cf_cost(cf, centers, div) for cf in features))
-
-
 def niceness_thresholds(eps: float, m: float) -> tuple[float, int]:
     """The pseudo-randomness threshold f1 and the recursion depth bound nu.
 
@@ -162,113 +166,95 @@ def niceness_thresholds(eps: float, m: float) -> tuple[float, int]:
 
 
 def _opt1(rows: np.ndarray, w: np.ndarray, div: Divergence) -> float:
-    mu = _weighted_mean(rows, w)
-    return float(np.sum(w * div.between(rows, mu)))
+    """Weighted cost of the rows at their weighted mean, the optimal 1-center of every
+    Bregman divergence."""
+    return float(np.sum(w * div._nearest(rows, _weighted_mean(rows, w)[None, :])[1]))
 
 
-def _assign(rows: np.ndarray, centers: CenterSet, div: Divergence) -> np.ndarray:
-    return np.argmin(div._to_each_center(rows, centers), axis=1)
-
-
-def _brute_kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence) -> CenterSet:
-    from .clustering import _restricted_growth_strings  # partition enumeration
-
-    n = rows.shape[0]
-    best_cost, best_centers = math.inf, None
-    for assign in _restricted_growth_strings(n, k).astype(np.int64):
-        centers, cost = [], 0.0
-        for part in range(assign.max() + 1):
-            mask = assign == part
-            mu = _weighted_mean(rows[mask], w[mask])
-            cost += float(np.sum(w[mask] * div.between(rows[mask], mu)))
-            centers.append(mu)
-        if cost < best_cost:
-            best_cost, best_centers = cost, centers
-    return CenterSet(np.vstack(best_centers))
-
-
-def _lloyd_kclustering(
+def _kclustering(
     rows: np.ndarray, w: np.ndarray, k: int, div: Divergence, rng: np.random.Generator
-) -> CenterSet:
+) -> np.ndarray:
+    """One label per row of a k-clustering with positive weights: the index of its nearest center.
+
+    The centers are optimal for n <= 8, by scoring every partition, and the
+    cheapest of seeded Lloyd restarts above that.  Rows join their nearest
+    center (the lowest index on ties), so identical rows are never split
+    whatever rounding does to the partition costs.
+    """
     n = rows.shape[0]
-    best_cost, best = math.inf, None
-    for _ in range(_LLOYD_RESTARTS):
-        idx = rng.choice(n, size=k, replace=False)
-        centers = rows[idx].copy()
-        for _ in range(50):
-            assign = _assign(rows, CenterSet(centers), div)
-            new_centers = centers.copy()
-            for part in range(k):
-                mask = assign == part
-                if np.any(mask):
-                    new_centers[part] = _weighted_mean(rows[mask], w[mask])
-            if np.allclose(new_centers, centers):
-                break
-            centers = new_centers
-        cost = float(np.sum(w * div.to_centers(rows, CenterSet(centers))))
-        if cost < best_cost:
-            best_cost, best = cost, centers
-    return CenterSet(best)
-
-
-def default_bregman_solver(points: PointSet, k: int, div: Divergence, seed: int = 0) -> CenterSet:
-    """Optimal centers for n <= 8 (by partition enumeration), seeded Lloyd
-    with restarts above that."""
-    rows = np.asarray(points.rows)
-    w = points.effective_weights()
-    if points.n <= k:
-        return CenterSet(rows.copy())
-    if points.n <= _BRUTE_LEAF:
-        return _brute_kclustering(rows, w, k, div)
-    return _lloyd_kclustering(rows, w, k, div, np.random.default_rng(seed))
-
-
-BregmanSolver = Callable[[PointSet, int, Divergence], CenterSet]
+    if n <= k:
+        centers = rows
+    elif n <= _BRUTE_LEAF:
+        partitions = _restricted_growth_strings(n, k).astype(np.int64)
+        if div.evaluator is None:
+            mapped = div._embed(rows)
+            # the expansion in _partition_costs is accurate only near the origin
+            costs = _partition_costs(mapped - mapped.mean(axis=0), w, partitions, k)
+        else:
+            costs = [
+                sum(_opt1(rows[a == p], w[a == p], div) for p in range(a.max() + 1)) for a in partitions
+            ]
+        best = partitions[int(np.argmin(costs))]
+        centers = np.array([_weighted_mean(rows[best == p], w[best == p]) for p in np.unique(best)])
+    else:
+        trials, costs = [], []
+        for _ in range(_LLOYD_RESTARTS):
+            trial = rows[rng.choice(n, size=k, replace=False)]
+            for _ in range(50):
+                labels, near = div._nearest(rows, trial)
+                moved = trial.copy()
+                for part in np.unique(labels):
+                    mask = labels == part
+                    moved[part] = _weighted_mean(rows[mask], w[mask])
+                if np.allclose(moved, trial):
+                    break
+                trial = moved
+            trials.append(trial)
+            costs.append(np.sum(w * near))
+        centers = trials[int(np.argmin(costs))]
+    return div._nearest(rows, centers)[0]
 
 
 def partition_helper(
-    points: PointSet,
-    k: int,
-    level: int,
-    depth: int,
-    f1: float,
-    solver: BregmanSolver,
-    div: Divergence,
+    points: PointSet, k: int, depth: int, f1: float, div: Divergence
 ) -> list[np.ndarray]:
     """Recursive partition into pseudo-random or depth-bounded leaves.
 
-    Returns index arrays into the input rows; the leaves partition the input
-    exactly.  A leaf is emitted when its 1-clustering cost is within a
-    (1 + f1) factor of the summed 1-clustering costs of its induced k-parts,
-    or at the depth bound.
+    Returns index arrays into the input rows; the leaves partition the rows
+    of positive weight exactly (rows of weight 0 carry no cost and are left
+    out).  A leaf is emitted when its 1-clustering cost is within a (1 + f1)
+    factor of the summed 1-clustering costs of its induced k-parts, or at
+    the depth bound.  Splits are found with seed 0.
     """
-    if level > depth:
-        raise InvalidArgument("recursion level exceeds the declared depth")
+    return _partition(points, k, depth, f1, div, 0)
+
+
+def _partition(
+    points: PointSet, k: int, depth: int, f1: float, div: Divergence, seed: int
+) -> list[np.ndarray]:
+    """:func:`partition_helper` with every split's Lloyd restarts seeded by `seed`."""
     rows = np.asarray(points.rows)
     w = points.effective_weights()
-    idx_all = np.arange(points.n)
+    positive = np.flatnonzero(w > 0)
+    if positive.shape[0] == 0:
+        raise InvalidInput("total weight must be positive")
+    if not np.isfinite(_opt1(rows[positive], w[positive], div)):
+        raise InvalidInput("the 1-clustering cost is not finite: the squared entries overflow float64")
 
     def recurse(indices: np.ndarray, t: int) -> list[np.ndarray]:
-        sub = rows[indices]
-        sw = w[indices]
         if t >= depth or indices.shape[0] <= 1:
             return [indices]
-        centers = solver(PointSet(sub, sw), min(k, indices.shape[0]), div)
-        assign = _assign(sub, centers, div)
-        parts = [indices[assign == p] for p in range(centers.k)]
-        parts = [p for p in parts if p.shape[0] > 0]
+        sub, sw = rows[indices], w[indices]
+        labels = _kclustering(sub, sw, k, div, np.random.default_rng(seed))
+        parts = [indices[labels == p] for p in np.unique(labels)]
         if len(parts) <= 1:
             return [indices]
         split_cost = sum(_opt1(rows[p], w[p], div) for p in parts)
-        whole_cost = _opt1(sub, sw, div)
-        if whole_cost <= (1.0 + f1) * split_cost:
+        if _opt1(sub, sw, div) <= (1.0 + f1) * split_cost:
             return [indices]
-        out: list[np.ndarray] = []
-        for p in parts:
-            out.extend(recurse(p, t + 1))
-        return out
+        return [leaf for p in parts for leaf in recurse(p, t + 1)]
 
-    return recurse(idx_all, level)
+    return recurse(positive, 0)
 
 
 def bregman_coreset(
@@ -277,12 +263,15 @@ def bregman_coreset(
     eps: float,
     div: Divergence,
     seed: int = 0,
-) -> list[ClusteringFeature]:
-    """One clustering feature per leaf of the pseudo-random partition.
+) -> Coreset:
+    """One weighted centroid per leaf of the pseudo-random partition.
 
-    The feature count is at most 2 * k^nu; the recursion depth is capped at
-    12 with a diagnostic because the formula value explodes for small eps.
-    Each split is found by :func:`default_bregman_solver` with `seed`.
+    The coreset's points are the leaf centroids, its weights the leaf
+    weights and its delta the summed internal cost of the leaves, so
+    ``div.cost(coreset, centers)`` is the leaves' summed cost.  There are at
+    most 2 * k^nu leaves; the recursion depth is capped at 12 with a
+    diagnostic because the formula value explodes for small eps.  Each split
+    is seeded by `seed`.
     """
     if not 0 < eps < 1:
         raise InvalidArgument("eps must lie in (0, 1)")
@@ -290,28 +279,17 @@ def bregman_coreset(
         raise InvalidArgument("k must be >= 1")
     rows = np.asarray(points.rows)
     w = points.effective_weights()
-    div.validate(rows[: min(points.n, 64)], np.random.default_rng(seed))
-    if points.n <= k:
-        return [
-            ClusteringFeature(centroid=rows[i], weight=float(w[i]), internal_cost=0.0)
-            for i in range(points.n)
-        ]
     _, nu = niceness_thresholds(eps, div.similarity)
     # the split threshold runs at eps/2, matching the depth bound's evaluation point
     f1 = niceness_thresholds(eps / 2, div.similarity)[0]
     depth = min(nu, MAX_RECURSION_DEPTH)
     if nu > MAX_RECURSION_DEPTH:
         logger.info("recursion depth formula gives %d; capping at %d", nu, MAX_RECURSION_DEPTH)
-    solver = functools.partial(default_bregman_solver, seed=seed)
-    leaves = partition_helper(points, k, 0, depth, f1, solver, div)
-    features = []
-    for leaf in leaves:
-        mu = _weighted_mean(rows[leaf], w[leaf])
-        features.append(
-            ClusteringFeature(
-                centroid=mu,
-                weight=float(w[leaf].sum()),
-                internal_cost=float(np.sum(w[leaf] * div.between(rows[leaf], mu))),
-            )
-        )
-    return features
+    leaves = _partition(points, k, depth, f1, div, seed)
+    # after the partition, which rejects input of zero total weight
+    div.validate(rows[w > 0][:64], np.random.default_rng(seed))
+    return Coreset(
+        points=np.array([_weighted_mean(rows[leaf], w[leaf]) for leaf in leaves]),
+        weights=np.array([w[leaf].sum() for leaf in leaves]),
+        delta=sum(_opt1(rows[leaf], w[leaf], div) for leaf in leaves),
+    )

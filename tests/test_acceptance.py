@@ -25,7 +25,6 @@ from tinycore import (
     approx_solution,
     bregman_coreset,
     brute_force_kmeans,
-    cf_total_cost,
     coreset_cost,
     coreset_size_linear,
     dist2,
@@ -40,7 +39,6 @@ from tinycore import (
     small_kmeans_coreset,
     squared_euclidean,
 )
-from tinycore.bregman import default_bregman_solver
 from tinycore.cli import CoresetFile, main, read_coreset_binary, write_coreset_binary
 
 from conftest import make_blobs, rand_orthonormal, rand_subspace
@@ -305,20 +303,17 @@ def test_criterion_08_bregman():
     locs = np.array([[0.0, 0.0], [12.0, 0.0], [0.0, 12.0]])
     rows = np.repeat(locs, [70, 65, 65], axis=0)
     div = squared_euclidean()
-    cfs = bregman_coreset(PointSet(rows), 3, 0.5, div)
+    cs = bregman_coreset(PointSet(rows), 3, 0.5, div)
     _, nu_half = niceness_thresholds(0.5, 1.0)
-    assert len(cfs) <= 2 * 3**min(nu_half, 40)  # far below the formula bound
+    assert cs.size <= 2 * 3**min(nu_half, 40)  # far below the formula bound
     stack = 12.0 * gen.standard_normal((500, 3, 2))
     true = stacked_center_costs(rows, None, stack)
-    est = np.array([cf_total_cost(cfs, CenterSet(c), div) for c in stack])
+    est = np.array([div.cost(cs, CenterSet(c)) for c in stack])
     assert np.all(np.abs(est - true) <= 0.5 * true + 1e-9)
     # depth bound respected at the boundary: depth 0 means a single leaf
-    leaves = partition_helper(
-        PointSet(rows), 3, 0, 0, 0.01,
-        lambda p, k, d: default_bregman_solver(p, k, d), div,
-    )
+    leaves = partition_helper(PointSet(rows), 3, 0, 0.01, div)
     assert len(leaves) == 1
-    report(8, f"identity residual {worst:.2e}; f1(1)=0.04; {len(cfs)} CFs cover a 500-set grid at eps=0.5")
+    report(8, f"identity residual {worst:.2e}; f1(1)=0.04; {cs.size} centroids cover a 500-set grid at eps=0.5")
 
 
 def test_criterion_09_oracle_agreement():

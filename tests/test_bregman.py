@@ -3,17 +3,19 @@ import pytest
 
 from tinycore import (
     CenterSet,
+    Coreset,
     InvalidArgument,
+    InvalidInput,
     PointSet,
     bregman_coreset,
-    cf_cost,
-    cf_total_cost,
+    coreset_cost,
     mahalanobis,
     niceness_thresholds,
     partition_helper,
     squared_euclidean,
 )
-from tinycore.bregman import ClusteringFeature, Divergence, default_bregman_solver
+from tinycore.bregman import Divergence
+from tinycore.coreset import merge_coresets
 
 
 def scaled_divergence(diag, m):
@@ -72,30 +74,44 @@ class TestDivergence:
 
 
 class TestCfCost:
+    """A one-point coreset is a clustering feature: centroid, weight, and its
+    internal cost as delta."""
+
     def test_center_at_centroid_returns_internal_cost(self, rng):
-        cf = ClusteringFeature(centroid=np.array([1.0, 2.0]), weight=5.0, internal_cost=3.7)
+        cf = Coreset(points=np.array([[1.0, 2.0]]), weights=np.array([5.0]), delta=3.7)
         centers = CenterSet(np.array([[1.0, 2.0]]))
-        assert cf_cost(cf, centers, squared_euclidean()) == pytest.approx(3.7)
+        assert squared_euclidean().cost(cf, centers) == pytest.approx(3.7)
 
     def test_singleton_feature(self, rng):
         p = rng.standard_normal(3)
-        cf = ClusteringFeature(centroid=p, weight=1.0, internal_cost=0.0)
+        cf = Coreset(points=p[None, :], weights=np.array([1.0]), delta=0.0)
         c = rng.standard_normal((2, 3))
         want = min(float(np.sum((p - ci) ** 2)) for ci in c)
-        assert cf_cost(cf, CenterSet(c), squared_euclidean()) == pytest.approx(want)
+        assert squared_euclidean().cost(cf, CenterSet(c)) == pytest.approx(want)
 
     def test_feature_of_explicit_set_matches_direct_sum(self, rng):
         div = squared_euclidean()
         rows = rng.standard_normal((10, 4))
         mu = rows.mean(axis=0)
-        cf = ClusteringFeature(
-            centroid=mu,
-            weight=10.0,
-            internal_cost=float(np.sum(div.between(rows, mu))),
+        cf = Coreset(
+            points=mu[None, :],
+            weights=np.array([10.0]),
+            delta=float(np.sum(div.between(rows, mu))),
         )
         center = CenterSet(rng.standard_normal((1, 4)))
         direct = float(np.sum(div.between(rows, np.asarray(center.centers)[0])))
-        assert cf_cost(cf, center, div) == pytest.approx(direct, rel=1e-9)
+        assert div.cost(cf, center) == pytest.approx(direct, rel=1e-9)
+
+    def test_same_cost_as_coreset_cost_under_squared_euclidean(self, rng):
+        cs = Coreset(points=rng.standard_normal((30, 3)), weights=rng.uniform(0.5, 2.0, 30), delta=1.25)
+        for _ in range(20):
+            centers = CenterSet(rng.standard_normal((3, 3)))
+            assert squared_euclidean().cost(cs, centers) == coreset_cost(cs, centers)
+
+    def test_center_dimension_checked(self, rng):
+        cs = Coreset(points=rng.standard_normal((4, 3)), weights=np.ones(4), delta=0.0)
+        with pytest.raises(InvalidArgument):
+            squared_euclidean().cost(cs, CenterSet(rng.standard_normal((2, 2))))
 
 
 class TestNicenessThresholds:
@@ -125,18 +141,14 @@ class TestNicenessThresholds:
 class TestPartitionHelper:
     def test_tight_blob_single_leaf(self):
         rows = np.tile([[4.0, 4.0]], (20, 1))
-        leaves = partition_helper(
-            PointSet(rows), 3, 0, 5, 0.01, lambda ps, k, d: default_bregman_solver(ps, k, d), squared_euclidean()
-        )
+        leaves = partition_helper(PointSet(rows), 3, 5, 0.01, squared_euclidean())
         assert len(leaves) == 1
         assert leaves[0].shape[0] == 20
 
     def test_separated_exact_blobs_become_leaves(self, rng):
         rows = exact_blobs(rng)
         div = squared_euclidean()
-        leaves = partition_helper(
-            PointSet(rows), 3, 0, 6, 0.01, lambda ps, k, d: default_bregman_solver(ps, k, d), div
-        )
+        leaves = partition_helper(PointSet(rows), 3, 6, 0.01, div)
         assert len(leaves) == 3
         for leaf in leaves:
             sub = rows[leaf]
@@ -146,9 +158,7 @@ class TestPartitionHelper:
 
     def test_leaves_partition_the_input(self, rng):
         rows = rng.standard_normal((40, 2))
-        leaves = partition_helper(
-            PointSet(rows), 2, 0, 3, 0.01, lambda ps, k, d: default_bregman_solver(ps, k, d), squared_euclidean()
-        )
+        leaves = partition_helper(PointSet(rows), 2, 3, 0.01, squared_euclidean())
         joined = np.sort(np.concatenate(leaves))
         np.testing.assert_array_equal(joined, np.arange(40))
         # depth 3 with binary splits: at most 2^3 leaves
@@ -160,9 +170,7 @@ class TestPartitionHelper:
         rows = exact_blobs(rng) + 0.05 * rng.standard_normal((200, 2))
         div = squared_euclidean()
         f1 = 0.01
-        leaves = partition_helper(
-            PointSet(rows), 3, 0, 1, f1, lambda ps, k, d: default_bregman_solver(ps, k, d), div
-        )
+        leaves = partition_helper(PointSet(rows), 3, 1, f1, div)
         assert len(leaves) == 3  # one split at depth bound 1
         parent_cost = float(np.sum(div.between(rows, rows.mean(axis=0))))
         child_cost = sum(
@@ -174,11 +182,11 @@ class TestPartitionHelper:
 class TestBregmanCoreset:
     def test_tiny_input_one_feature_per_point(self, rng):
         rows = rng.standard_normal((3, 2))
-        cfs = bregman_coreset(PointSet(rows), 5, 0.5, squared_euclidean())
-        assert len(cfs) == 3
-        for cf, row in zip(cfs, rows):
-            np.testing.assert_allclose(cf.centroid, row)
-            assert cf.internal_cost == 0.0
+        cs = bregman_coreset(PointSet(rows), 5, 0.5, squared_euclidean())
+        assert cs.size == 3
+        for point, row in zip(cs.points, rows):
+            np.testing.assert_allclose(point, row)
+        assert cs.delta == 0.0
 
     @pytest.mark.parametrize(
         "div",
@@ -187,48 +195,99 @@ class TestBregmanCoreset:
     def test_three_blob_guarantee(self, div, rng):
         rows = exact_blobs(rng)
         ps = PointSet(rows)
-        cfs = bregman_coreset(ps, 3, 0.5, div)
-        assert len(cfs) <= 3
+        cs = bregman_coreset(ps, 3, 0.5, div)
+        assert cs.size <= 3
         _, nu = niceness_thresholds(0.5, div.similarity)
-        assert len(cfs) <= 2 * 3**nu
+        assert cs.size <= 2 * 3**nu
         for _ in range(200):
             centers = CenterSet(10 * rng.standard_normal((3, 2)))
             true = direct_cost(rows, centers, div)
-            est = cf_total_cost(cfs, centers, div)
+            est = div.cost(cs, centers)
             assert abs(est - true) <= 0.5 * true + 1e-9
 
     def test_noisy_blobs_still_accurate(self, rng):
         rows = exact_blobs(rng) + 0.3 * rng.standard_normal((200, 2))
         div = squared_euclidean()
-        cfs = bregman_coreset(PointSet(rows), 3, 0.5, div)
-        assert len(cfs) <= 200
+        cs = bregman_coreset(PointSet(rows), 3, 0.5, div)
+        assert cs.size <= 200
         for _ in range(100):
             centers = CenterSet(10 * rng.standard_normal((3, 2)))
             true = direct_cost(rows, centers, div)
-            est = cf_total_cost(cfs, centers, div)
+            est = div.cost(cs, centers)
             assert abs(est - true) <= 0.5 * true + 1e-9
 
     def test_custom_similar_divergence(self, rng):
         div = scaled_divergence(np.array([0.9, 0.7]), m=0.49)
         rows = exact_blobs(rng)
-        cfs = bregman_coreset(PointSet(rows), 3, 0.5, div, seed=1)
+        cs = bregman_coreset(PointSet(rows), 3, 0.5, div, seed=1)
         for _ in range(100):
             centers = CenterSet(10 * rng.standard_normal((3, 2)))
             true = direct_cost(rows, centers, div)
-            est = cf_total_cost(cfs, centers, div)
+            est = div.cost(cs, centers)
             assert abs(est - true) <= 0.5 * true + 1e-9
 
     def test_weighted_input(self, rng):
         rows = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         w = np.array([70.0, 65.0, 65.0])
         div = squared_euclidean()
-        cfs = bregman_coreset(PointSet(rows, w), 3, 0.5, div)
+        cs = bregman_coreset(PointSet(rows, w), 3, 0.5, div)
         expanded = exact_blobs(rng)
         for _ in range(50):
             centers = CenterSet(10 * rng.standard_normal((3, 2)))
             true = direct_cost(expanded, centers, div)
-            est = cf_total_cost(cfs, centers, div)
+            est = div.cost(cs, centers)
             assert est == pytest.approx(true, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_zero_weight_row_changes_nothing(self, n, rng):
+        rows = rng.standard_normal((n, 2)) + np.repeat([[0.0, 0.0], [6.0, 0.0]], [n // 2, n - n // 2], axis=0)
+        w = rng.uniform(0.5, 2.0, n)
+        w[n // 3] = 0.0
+        div = mahalanobis(np.diag([2.0, 0.5]))
+        with_row = bregman_coreset(PointSet(rows, w), 3, 0.5, div)
+        without = bregman_coreset(PointSet(np.delete(rows, n // 3, axis=0), np.delete(w, n // 3)), 3, 0.5, div)
+        for _ in range(50):
+            centers = CenterSet(5 * rng.standard_normal((3, 2)))
+            assert div.cost(with_row, centers) == div.cost(without, centers)
+
+    def test_zero_total_weight_is_invalid_input(self, rng):
+        ps = PointSet(rng.standard_normal((5, 2)), np.zeros(5))
+        with pytest.raises(InvalidInput, match="total weight must be positive"):
+            bregman_coreset(ps, 3, 0.5, squared_euclidean())
+
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_squares_overflowing_is_invalid_input(self, n, rng):
+        rows = rng.standard_normal((n, 2))
+        rows[0, 0] = 1e160
+        for div in (squared_euclidean(), mahalanobis(np.diag([2.0, 0.5]))):
+            with pytest.raises(InvalidInput, match="overflow"):
+                bregman_coreset(PointSet(rows), 3, 0.5, div)
+
+    def test_matrix_size_must_match_the_rows(self, rng):
+        ps = PointSet(rng.standard_normal((20, 3)))
+        with pytest.raises(InvalidArgument):
+            bregman_coreset(ps, 3, 0.5, mahalanobis(np.eye(2)))
+
+    def test_halves_merge_into_a_coreset_of_the_whole(self, rng):
+        rows = exact_blobs(rng)
+        div = mahalanobis(np.diag([2.0, 0.5]))
+        a = bregman_coreset(PointSet(rows[:100]), 3, 0.5, div)
+        b = bregman_coreset(PointSet(rows[100:]), 3, 0.5, div)
+        merged = Coreset(*merge_coresets([a, b]))
+        for _ in range(200):
+            centers = CenterSet(10 * rng.standard_normal((3, 2)))
+            true = direct_cost(rows, centers, div)
+            assert div.cost(merged, centers) == pytest.approx(true, rel=1e-9)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e6, 1e8])
+    def test_shifted_mahalanobis_matches_the_difference_formula(self, shift, rng):
+        div = mahalanobis(np.array([[1.0, 0.3, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 1.2]]))
+        rows = rng.standard_normal((500, 3)) + shift
+        centers = rng.standard_normal((4, 3)) + shift
+        # per center, ||B(x - c)||^2 from the differences of the shifted coordinates
+        want = float(np.sum(np.min([div.mahalanobis(rows, c) for c in centers], axis=0)))
+        got = float(np.sum(div.to_centers(rows, CenterSet(centers))))
+        assert got == pytest.approx(want, rel=1e-7)
 
     def test_validation(self, rng):
         ps = PointSet(rng.standard_normal((5, 2)))
