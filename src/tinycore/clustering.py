@@ -7,7 +7,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .coreset import Coreset, _centered_fold
+from .coreset import Coreset, _centered_fold, _input_coreset
 from .dimred import lift_coreset, reduce
 from .errors import InvalidArgument, InvalidInput, ResourceLimit
 from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, _weighted_mean, svd
@@ -126,7 +126,12 @@ def _partition_costs(rows: np.ndarray, w: np.ndarray, assignments: np.ndarray, k
 
 
 def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
-    """Exact optimum by enumerating all partitions; guarded to n <= 14."""
+    """Exact optimum by enumerating all partitions; guarded to n <= 14.
+
+    Partitions are scored on the rows of the point set's frame (moved to
+    their mean): the expansion in :func:`_partition_costs` is accurate only
+    near the origin, and a partition's cost does not depend on translation.
+    """
     n = points.n
     if n > BRUTE_FORCE_MAX_POINTS:
         raise ResourceLimit(f"brute force limited to {BRUTE_FORCE_MAX_POINTS} points, got {n}")
@@ -137,11 +142,12 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
     if k >= n:
         return CenterSet(rows.copy())
     assignments = _restricted_growth_strings(n, k)
+    centred = points.frame.rows
     best_cost = math.inf
     best = None
     for start in range(0, assignments.shape[0], _BRUTE_CHUNK):
         chunk = assignments[start : start + _BRUTE_CHUNK].astype(np.int64)
-        costs = _partition_costs(rows, w, chunk, k)
+        costs = _partition_costs(centred, w, chunk, k)
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost = float(costs[i])
@@ -169,9 +175,9 @@ def kmeans_coreset(
 
     Pipeline: bicriteria approximation, sensitivity bounds, VC sample size,
     non-uniform sample.  If the computed sample size reaches the input size
-    the input is returned verbatim (an exact coreset).  `sample_size`
-    overrides the VC formula, which the streaming layer uses to pin the
-    summary size per level.
+    the input is returned verbatim (an exact coreset that shares the input's
+    read-only rows).  `sample_size` overrides the VC formula, which the
+    streaming layer uses to pin the summary size per level.
     """
     if k < 1:
         raise InvalidArgument("k must be >= 1")
@@ -190,7 +196,7 @@ def kmeans_coreset(
             raise InvalidArgument("sample_size must be >= 1")
         profile = None
     if s >= points.n:
-        return Coreset(points=points.rows, weights=points.effective_weights(), delta=0.0)
+        return _input_coreset(points)
     if profile is None:
         profile = _sensitivity_profile(points, k, delta, seed_bic)
     return sensitivity_sample(points, profile, s, seed_sample)

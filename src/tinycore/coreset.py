@@ -63,6 +63,27 @@ class Coreset:
         return self._point_set.frame
 
 
+def _input_coreset(points: PointSet) -> Coreset:
+    """The input itself as an exact coreset with offset 0, built without a copy.
+
+    The coreset holds the input's read-only rows and weights (read-only unit
+    weights for unweighted input) instead of the copies that
+    :class:`PointSet` makes of the arrays it is given; both are checked already.
+    """
+    if points.weights is None:
+        ones = np.ones(points.n)
+        ones.setflags(write=False)
+        weighted = object.__new__(PointSet)
+        object.__setattr__(weighted, "rows", points.rows)
+        object.__setattr__(weighted, "weights", ones)
+        points = weighted
+    core = object.__new__(Coreset)
+    for name, value in (("points", points.rows), ("weights", points.weights), ("delta", 0.0)):
+        object.__setattr__(core, name, value)
+    object.__setattr__(core, "_point_set", points)
+    return core
+
+
 def coreset_cost(coreset: Coreset, shape: QueryShape) -> float:
     """Cost of a query shape against a coreset: ``dist2(S, shape) + delta``.
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coreset import Coreset
+from .coreset import Coreset, _input_coreset
 from .errors import InvalidArgument, InvalidInput
 from .linalg import PointSet, _as_readonly, _nearest
 
@@ -48,10 +48,18 @@ class SensitivityProfile:
 
 @dataclass(frozen=True)
 class BicriteriaSolution:
-    """2k centers with per-cluster assignment, weighted costs and sizes."""
+    """2k centers with per-row assignment and squared distance, and per-cluster
+    weighted costs and sizes.
+
+    `sq_distances` holds each row's squared distance to its assigned center,
+    as the assignment pass measured it (in the frame of the rows), so that
+    :func:`kmeans_sensitivities` needs no distance pass of its own.  It must
+    have one entry per row of `assignment`.
+    """
 
     centers: np.ndarray
     assignment: np.ndarray
+    sq_distances: np.ndarray
     cluster_costs: np.ndarray
     cluster_sizes: np.ndarray
 
@@ -60,6 +68,10 @@ class BicriteriaSolution:
         assignment = np.asarray(self.assignment, dtype=np.int64)
         assignment.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
+        sq = _as_readonly(self.sq_distances)
+        if sq.shape != assignment.shape:
+            raise InvalidInput("squared distances do not match the assignment")
+        object.__setattr__(self, "sq_distances", sq)
         object.__setattr__(self, "cluster_costs", _as_readonly(self.cluster_costs))
         object.__setattr__(self, "cluster_sizes", _as_readonly(self.cluster_sizes))
 
@@ -80,12 +92,13 @@ def d2_seed(
     weighted squared distance from the rows already chosen, for `restarts`
     independent restarts side by side.  Returns restarts x count x d.
 
-    Each draw inverts the cumulative scores at a uniform variate (searching
-    to the right, so a row of score 0 is never drawn).  A restart whose
-    scores sum to 0 repeats its first draw.  Distances expand
-    ||p||^2 - 2 p.c + ||c||^2, so callers pass the rows of a point set's
-    :class:`~tinycore.linalg.Frame` (moved to their mean), and its `norms`,
-    the squared row norms, to keep the expansion accurate.
+    Each draw inverts the cumulative scores at a uniform variate, in blocks
+    of ceil(sqrt(n)) rows (see :func:`_draw`): a row of score 0 is never
+    drawn, and no index reaches n.  A restart whose scores sum to 0 repeats
+    its first draw.  Distances expand ||p||^2 - 2 p.c + ||c||^2, so callers
+    pass the rows of a point set's :class:`~tinycore.linalg.Frame` (moved to
+    their mean), and its `norms`, the squared row norms, to keep the
+    expansion accurate.
     """
     chosen, _ = _d2_pass(rows, weights, count, rng, restarts, norms, cost=False)
     return rows[chosen]
@@ -97,16 +110,20 @@ def _d2_pass(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The draws of :func:`d2_seed` as restarts x count row indices and, with
     `cost`, each restart's seeding cost sum w * min ||p - c||^2 over its own
-    draws (one more distance pass, for the last draw)."""
-    cdf = np.cumsum(weights)
-    if not cdf[-1] > 0:
+    draws (one more distance pass, for the last draw).
+
+    The first draw inverts the weights and every later one w * min ||p - c||^2,
+    both through :func:`_draw`; a restart whose later scores sum to 0 gets
+    its first draw again."""
+    if not np.sum(weights) > 0:
         raise InvalidInput("total weight must be positive")
     if norms is None:
         norms = np.einsum("ij,ij->i", rows, rows)
     chosen = np.empty((restarts, count), dtype=np.intp)
-    chosen[:, 0] = np.searchsorted(cdf, rng.random(restarts) * cdf[-1], side="right")
     best = np.full((restarts, rows.shape[0]), np.inf)
     cand = np.empty_like(best)
+    cand[:] = weights
+    chosen[:, 0] = _draw(cand, rng.random(restarts), 0)
     for i in range(1, count + 1 if cost else count):
         last = chosen[:, i - 1]
         np.matmul(-2.0 * rows[last], rows.T, out=cand)
@@ -117,14 +134,43 @@ def _d2_pass(
         if i == count:
             break
         np.multiply(best, weights, out=cand)
-        np.cumsum(cand, axis=1, out=cand)
-        u = rng.random(restarts) * cand[:, -1]
-        for r in range(restarts):
-            if cand[r, -1] > 0:
-                chosen[r, i] = np.searchsorted(cand[r], u[r], side="right")
-            else:
-                chosen[r, i] = chosen[r, 0]
+        chosen[:, i] = _draw(cand, rng.random(restarts), chosen[:, 0])
     return chosen, best @ weights if cost else None
+
+
+def _draw(scores: np.ndarray, u: np.ndarray, fallback: int | np.ndarray) -> np.ndarray:
+    """Invert each row of the non-negative restarts x n `scores` at its
+    variate: the first index whose cumulative score exceeds u times the
+    row's total, u in [0, 1), so an index of score 0 is never returned.  A
+    row whose scores sum to 0 returns its `fallback` instead.
+
+    The inversion is blocked, over blocks of ceil(sqrt(n)) columns: the
+    block sums (`np.add.reduceat`), a search in their ~sqrt(n) cumulative
+    sums, and one cumulative sum inside the chosen block.  A draw thus reads
+    the scores once but adds only about 2 sqrt(n) of them in sequence, where
+    a full cumulative sum adds all n.  Rounding is guarded at both levels:
+
+    - a variate that rounding puts at or past the grand total is moved just
+      below it, which selects the last block with a positive sum;
+    - a remainder at or past the chosen block's own cumulative sum (the
+      block sum and the in-block sum round differently) is moved just below
+      it, which selects the last positive row of that block.
+    """
+    r, n = scores.shape
+    width = math.isqrt(n - 1) + 1
+    starts = np.arange(0, n, width)
+    cum = np.zeros((r, starts.shape[0] + 1))
+    np.add.accumulate(np.add.reduceat(scores, starts, axis=1), axis=1, out=cum[:, 1:])
+    total = cum[:, -1]
+    u = np.minimum(u * total, np.nextafter(total, 0.0))
+    block = (cum[:, 1:] > u[:, None]).argmax(axis=1)
+    # the last block may be short: its missing columns repeat row n - 1
+    cols = np.minimum(starts[block, None] + np.arange(width), n - 1)
+    restart = np.arange(r)
+    inner = np.add.accumulate(scores[restart[:, None], cols], axis=1)
+    rest = np.minimum(u - cum[restart, block], np.nextafter(inner[:, -1], 0.0))
+    picked = cols[restart, (inner > rest[:, None]).argmax(axis=1)]
+    return np.where(total > 0, picked, fallback)
 
 
 def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> BicriteriaSolution:
@@ -160,7 +206,8 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     costs = np.bincount(idx, weights=w * sq, minlength=centers.shape[0])
     sizes = np.bincount(idx, weights=w, minlength=centers.shape[0])
     return BicriteriaSolution(
-        centers=centers + frame.origin, assignment=idx, cluster_costs=costs, cluster_sizes=sizes
+        centers=centers + frame.origin, assignment=idx, sq_distances=sq, cluster_costs=costs,
+        cluster_sizes=sizes,
     )
 
 
@@ -182,14 +229,13 @@ def kmeans_sensitivities(points: PointSet, bic: BicriteriaSolution) -> Sensitivi
 
     sigma_i = c_s * (w_i / |J_i|_w + w_i * dist2(p_i, C') / cost(A, C')) with
     c_s = DEFAULT_C_S; when the total cost vanishes only the cluster-share
-    term remains.
+    term remains.  dist2(p_i, C') is the solution's own `sq_distances`.
     """
     if bic.assignment.shape[0] != points.n:
         raise InvalidInput("bicriteria assignment does not match the point set")
-    frame = points.frame
     w = points.effective_weights()
     idx = np.asarray(bic.assignment)
-    _, sq = _nearest(frame.rows, bic.centers - frame.origin, frame.norms)
+    sq = np.asarray(bic.sq_distances)
     cluster_w = np.asarray(bic.cluster_sizes)[idx]
     if np.any(cluster_w <= 0):
         raise InvalidInput("bicriteria solution contains an empty assigned cluster")
@@ -311,7 +357,7 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
     n_rest = int(np.sum(rest))
     if n_rest < s:
         # Too few low-sensitivity points to renormalize against: keep everything.
-        return Coreset(points=rows, weights=w, delta=0.0)
+        return _input_coreset(points)
 
     renorm = renormalize_bounds(sigma[rest], total, s)
     drawn = np.random.default_rng(seed).choice(n_rest, size=s, p=renorm / total)

@@ -8,6 +8,7 @@ from tinycore import (
     KMeansProblem,
     PointSet,
     ResourceLimit,
+    SensitivityProfile,
     approx_solution,
     best_affine_subspace,
     brute_force_kmeans,
@@ -16,6 +17,7 @@ from tinycore import (
     exact_tiny_solver,
     kmeans_coreset,
     lloyd_solve,
+    sensitivity_sample,
     small_kmeans_coreset,
 )
 
@@ -111,6 +113,18 @@ class TestBruteForce:
         centers = brute_force_kmeans(PointSet(rows, w), 2)
         assert dist2(PointSet(rows, w), centers) == pytest.approx(best, rel=1e-9)
 
+    @pytest.mark.parametrize("shift", [1e6, 1e8])
+    def test_optimum_survives_a_common_shift(self, shift):
+        # the partitions are scored about the rows' mean; scored on the rows as
+        # they are, a 1e8 shift chose partitions costing 1.5-5x the optimum
+        for seed in range(20):
+            rows = np.random.default_rng(seed).standard_normal((10, 2))
+            opt = dist2(PointSet(rows), brute_force_kmeans(PointSet(rows), 3))
+            moved = PointSet(rows + shift)
+            # rows + shift is rounded to ulp(shift) (1.5e-8 at 1e8), so the
+            # optimum of the shifted rows moves by about that much
+            assert dist2(moved, brute_force_kmeans(moved, 3)) <= opt * (1 + 1e-6)
+
     def test_resource_guard(self, rng):
         with pytest.raises(ResourceLimit):
             brute_force_kmeans(PointSet(rng.standard_normal((15, 2))), 2)
@@ -124,6 +138,29 @@ class TestKmeansCoreset:
         assert core.delta == 0.0
         np.testing.assert_allclose(core.points, rows)
         np.testing.assert_allclose(core.weights, np.ones(20))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_input_returned_without_a_copy(self, rng, weighted):
+        # the exact fallback shares the input's read-only rows, for the VC size
+        # (s >= n) and for sampling that keeps every row (too few low rows)
+        rows = rng.standard_normal((20, 4))
+        ps = PointSet(rows, rng.uniform(0.5, 2.0, 20) if weighted else None)
+        for core in (
+            kmeans_coreset(ps, 2, 0.5, 0.1, seed=0),
+            sensitivity_sample(ps, SensitivityProfile(sigma=np.full(20, 0.05), total=1.0), 25, seed=0),
+        ):
+            assert core.points is ps.rows
+            np.testing.assert_array_equal(core.weights, ps.effective_weights())
+            if weighted:
+                assert core.weights is ps.weights
+            assert core.delta == 0.0
+            assert core.as_point_set().rows is ps.rows
+            # nothing the caller holds writes into the coreset
+            rows[0, 0] = 99.0
+            assert core.points[0, 0] != 99.0
+            for a in (core.points, core.weights, core.as_point_set().weights):
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
 
     def test_sandwich_on_grid_with_sampling(self, rng):
         rows = make_blobs(rng, 400, 10, 4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinycore import (
     CenterSet,
@@ -14,13 +16,14 @@ from tinycore import (
     brute_force_kmeans,
     coreset_cost,
     dist2,
+    kmeans_coreset,
     kmeans_sensitivities,
     lloyd_solve,
     movement_sensitivities,
     sensitivity_sample,
     vc_sample_size,
 )
-from tinycore import sensitivity
+from tinycore import clustering, sensitivity
 from tinycore.sensitivity import DEFAULT_C_S, d2_seed, renormalize_bounds
 
 from conftest import make_blobs
@@ -108,8 +111,31 @@ class TestBicriteria:
             return nearest(*args)
 
         monkeypatch.setattr(sensitivity, "_nearest", counting)
-        bicriteria_kmeans(PointSet(make_blobs(rng, 200, 3, 3)), 3, delta, seed=1)
+        monkeypatch.setattr(clustering, "_nearest", counting)
+        ps = PointSet(make_blobs(rng, 200, 3, 3))
+        bicriteria_kmeans(ps, 3, delta, seed=1)
         assert len(calls) == 2
+        # a whole sampled build: the sensitivities reuse the bicriteria distances
+        calls.clear()
+        core = kmeans_coreset(ps, 3, 0.5, delta, seed=1, sample_size=50)
+        assert core.size < ps.n
+        assert len(calls) == 2
+
+    def test_carried_distances_match_a_fresh_pass(self, rng):
+        # the fresh pass moves the centers back by the frame origin, which rounds
+        # them by about |origin| * 1e-16: keep the origin small for a 1e-12 match
+        ps = PointSet(make_blobs(rng, 300, 4, 3), rng.uniform(0.5, 2.0, 300))
+        bic = bicriteria_kmeans(ps, 3, 0.1, seed=2)
+        frame = ps.frame
+        idx, sq = sensitivity._nearest(frame.rows, bic.centers - frame.origin, frame.norms)
+        np.testing.assert_array_equal(bic.assignment, idx)
+        np.testing.assert_allclose(bic.sq_distances, sq, rtol=1e-12, atol=0)
+        assert not bic.sq_distances.flags.writeable
+        with pytest.raises(InvalidInput, match="squared distances"):
+            sensitivity.BicriteriaSolution(
+                centers=bic.centers, assignment=bic.assignment, sq_distances=bic.sq_distances[1:],
+                cluster_costs=bic.cluster_costs, cluster_sizes=bic.cluster_sizes,
+            )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_seeding_cost_not_finite_is_invalid_input(self, rng):
@@ -174,6 +200,111 @@ class TestD2Seed:
         picks = d2_seed(rows, w, 4, np.random.default_rng(0), restarts=3)
         assert picks.shape == (3, 4, 2)
         np.testing.assert_array_equal(picks, np.broadcast_to([2.0, -1.0], (3, 4, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 50, 100])
+    def test_one_positive_row_at_every_position(self, n):
+        # blocks of ceil(sqrt(n)) rows: 11 and 50 are no multiples of 4 and 8,
+        # 100 is one of 10; every first and last row of a block is covered
+        u = np.array([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0)])
+        rows = np.arange(float(n))[:, None]
+        for pos in range(n):
+            scores = np.zeros((4, n))
+            scores[:, pos] = 0.75
+            np.testing.assert_array_equal(sensitivity._draw(scores, u, -1), np.full(4, pos))
+            for v in u:  # the first draw of d2_seed, which draws from the weights
+                picks = d2_seed(rows, scores[0], 1, self.FixedVariate(v))
+                assert picks[0, 0, 0] == pos
+
+    def test_zero_runs_across_block_edges(self):
+        # blocks of 10: the zero runs 4..40 and 42..96 cover whole blocks and
+        # end inside others; with integer scores every sum is exact, so the
+        # blocked inversion equals the one over the full cumulative sum
+        n = 100
+        scores = np.zeros(n)
+        scores[[3, 41, 97]] = [2.0, 5.0, 1.0]
+        u = np.append(np.linspace(0.0, 1.0, 800, endpoint=False), np.nextafter(1.0, 0.0))
+        got = sensitivity._draw(np.tile(scores, (u.size, 1)), u, -1)
+        want = np.searchsorted(np.cumsum(scores), u * scores.sum(), side="right")
+        np.testing.assert_array_equal(got, want)
+        assert set(got.tolist()) == {3, 41, 97}
+
+    def test_zero_weight_runs_never_drawn_over_several_blocks(self):
+        # 60 rows in blocks of 8; the zero-weight runs lie far away and straddle block edges
+        gen = np.random.default_rng(8)
+        n = 60
+        w = gen.uniform(0.5, 2.0, n)
+        zero = np.r_[0:10, 20:36, 55:60]
+        w[zero] = 0.0
+        rows = gen.standard_normal((n, 2))
+        rows[zero] += 1e3
+        rngs = [np.random.default_rng(seed) for seed in range(50)]
+        rngs += [self.FixedVariate(0.0), self.FixedVariate(np.nextafter(1.0, 0.0))]
+        for rng in rngs:
+            idx = self.drawn(rows, d2_seed(rows, w, 6, rng, restarts=4))
+            assert np.all(w[idx] > 0)
+
+    def test_variate_at_the_top_never_draws_a_zero_score(self):
+        one = np.array([np.nextafter(1.0, 0.0)])
+        # a subnormal total: u * total rounds to the total itself
+        scores = np.zeros(20)
+        scores[12] = 3 * 2.0**-1074
+        assert one[0] * scores.sum() == scores.sum()
+        assert sensitivity._draw(scores[None], one, -1)[0] == 12
+        # blocks of 10; the block sum of the last block rounds above its
+        # in-block cumulative sum, so the remainder passes the in-block total
+        e = 2.0**-53
+        scores = np.zeros(100)
+        scores[91], scores[92:] = 1.0, e
+        assert sensitivity._draw(scores[None], one, -1)[0] == 91
+
+    def test_restart_with_zero_total_gets_its_fallback(self):
+        scores = np.zeros((3, 30))
+        scores[1, 17] = 1.0
+        u = np.array([0.5, 0.5, np.nextafter(1.0, 0.0)])
+        np.testing.assert_array_equal(sensitivity._draw(scores, u, np.array([4, 5, 6])), [4, 17, 6])
+        # 50 coinciding rows in blocks of 8: every later draw repeats the first
+        rows = np.tile([[2.0, -1.0]], (50, 1))
+        picks = d2_seed(rows, np.ones(50), 3, np.random.default_rng(0), restarts=4)
+        np.testing.assert_array_equal(picks, np.broadcast_to([2.0, -1.0], (4, 3, 2)))
+
+    def test_draws_in_proportion_over_several_blocks(self):
+        # 60 rows in blocks of 8 (the last holds 4): chi-square of the counts,
+        # once for the first draw of d2_seed and once for _draw on its own
+        gen = np.random.default_rng(5)
+        n, draws = 60, 20000
+        scores = gen.uniform(0.5, 2.0, n)
+        scores[np.r_[0, 7:10, 30:36, 59]] = 0.0
+        first = d2_seed(np.arange(float(n))[:, None], scores, 1, gen, restarts=draws)[:, 0, 0].astype(int)
+        later = sensitivity._draw(np.tile(scores, (draws, 1)), gen.random(draws), -1)
+        p = scores / scores.sum()
+        pos = p > 0
+        df = int(pos.sum()) - 1
+        for got in (first, later):
+            counts = np.bincount(got, minlength=n)
+            assert counts[~pos].sum() == 0
+            chi2 = float(np.sum((counts[pos] - draws * p[pos]) ** 2 / (draws * p[pos])))
+            assert chi2 < df + 5 * math.sqrt(2 * df)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(1, 12), st.floats(min_value=5e-324, max_value=1e6)), min_size=1, max_size=12
+        ),
+        u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_drawn_index_in_range_with_positive_score(self, runs, u):
+        # alternating zero and positive runs, n from 1 to a few blocks
+        lengths = [length for length, _ in runs]
+        values = [value if i % 2 else 0.0 for i, (_, value) in enumerate(runs)]
+        scores = np.repeat(values, lengths)
+        n = scores.shape[0]
+        variates = np.array([u, 0.0, np.nextafter(1.0, 0.0)])
+        got = sensitivity._draw(np.tile(scores, (3, 1)), variates, -1)
+        if scores.sum() > 0:
+            assert np.all((got >= 0) & (got < n))
+            assert np.all(scores[got] > 0)
+        else:
+            np.testing.assert_array_equal(got, -1)
 
     def test_restarts_are_independent(self, rng):
         rows = rng.standard_normal((50, 2))
