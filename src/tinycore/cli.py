@@ -43,14 +43,9 @@ from .clustering import (
     lloyd_solve,
     small_kmeans_coreset,
 )
-from .coreset import (
-    Coreset,
-    affine_subspace_coreset,
-    coreset_cost,
-    linear_subspace_coreset,
-)
+from .coreset import Coreset, coreset_cost, _subspace_coreset
 from .errors import TinycoreError
-from .linalg import CenterSet, PointSet, Subspace, dist2
+from .linalg import CenterSet, PointSet, Subspace, dist2, _Tsqr
 from .streaming import CoresetStream, StreamConfig
 
 logger = logging.getLogger("tinycore.cli")
@@ -290,27 +285,42 @@ def _check_k(k: int, n: int) -> None:
 # -- commands -----------------------------------------------------------
 
 
+def _subspace_from_csv(args: argparse.Namespace) -> tuple[Coreset, int]:
+    """The subspace coreset of --input and its row count, with the rows fed
+    to one TSQR accumulator block by block as they are parsed."""
+    if args.weighted and not args.affine:
+        raise TinycoreError("linear subspace coreset expects unweighted input; fold weights first")
+    acc = _Tsqr(centred=args.affine)
+    with open(args.input, "rb") as fh:
+        for block in _csv_blocks(fh, args.input, args.header):
+            if acc.n == 0:  # the first block gives d, against which --j is checked
+                if args.weighted and block.shape[1] < 2:
+                    raise TinycoreError(f"{args.input}: weighted rows need >= 2 columns")
+                _check_j(args.j, block.shape[1] - args.weighted)
+            acc.feed(*((block[:, :-1], block[:, -1]) if args.weighted else (block,)))
+    if acc.n == 0:
+        raise TinycoreError(f"{args.input}: empty input")
+    return _subspace_coreset(acc, args.j, args.epsilon), acc.n
+
+
 def cmd_coreset(args: argparse.Namespace) -> int:
-    points = load_points(args.input, args.weighted, args.header)
-    t0 = time.perf_counter()
     if args.problem == "kmeans":
-        _check_k(args.k, points.n)
+        points = load_points(args.input, args.weighted, args.header)
+        n = points.n
+        t0 = time.perf_counter()
+        _check_k(args.k, n)
         builder = small_kmeans_coreset if args.small else kmeans_coreset
         core = builder(points, args.k, args.epsilon, args.delta, args.seed)
         construction = "small-kmeans" if args.small else "kmeans"
         kind = "kmeans"
     else:
-        _check_j(args.j, points.d)
-        if args.affine:
-            core = affine_subspace_coreset(points, args.j, args.epsilon)
-            construction = kind = "affine"
-        else:
-            core = linear_subspace_coreset(points, args.j, args.epsilon)
-            construction = kind = "subspace"
+        t0 = time.perf_counter()  # the rows are factored as they are read
+        core, n = _subspace_from_csv(args)
+        construction = kind = "affine" if args.affine else "subspace"
     elapsed = time.perf_counter() - t0
-    cf = _write_coreset(args, core, points.n, kind, construction)
+    cf = _write_coreset(args, core, n, kind, construction)
     print(
-        f"coreset: {points.n} x {points.d} -> {cf.m} points, "
+        f"coreset: {n} x {cf.d} -> {cf.m} points, "
         f"delta={cf.delta:.6g}, total_weight={np.sum(cf.weights):.6g}, {elapsed:.3f}s"
     )
     return EXIT_OK
@@ -354,6 +364,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
                     )
     if count == 0:
         raise TinycoreError(f"{name}: empty input")
+    if args.kind == "kmeans":
+        _check_k(args.k, count)
     cf = _write_coreset(args, stream.query(), count, args.kind, f"stream-{args.kind}")
     print(
         f"stream: {count} points -> {cf.m} summary points, delta={cf.delta:.6g}, "

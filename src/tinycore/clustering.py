@@ -7,10 +7,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .coreset import Coreset, _centered_fold, _input_coreset
+from .coreset import Coreset, _input_coreset
 from .dimred import lift_coreset, reduce
 from .errors import InvalidArgument, InvalidInput, ResourceLimit
-from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, _weighted_mean, svd
+from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, _Tsqr, _weighted_mean, svd
 from .sensitivity import (
     DEFAULT_C_VC,
     SensitivityProfile,
@@ -245,11 +245,11 @@ def _lift_shape(shape: QueryShape, basis: np.ndarray) -> QueryShape:
 
 def best_affine_subspace(points: PointSet, j: int) -> Subspace:
     """Optimal affine j-subspace of a weighted point set (centered SVD fit)."""
-    centered, mean, _ = _centered_fold(points)
-    if not np.any(centered):
-        return Subspace(basis=np.eye(points.d)[:, :j], offset=mean)
-    factors = svd(PointSet(centered))
-    return Subspace(basis=np.asarray(factors.v[:, :j]), offset=mean)
+    acc = _Tsqr(centred=True).feed(points.rows, points.weights)
+    factors = svd(acc)
+    if acc.energy == 0:  # every row at the mean: any subspace through it is optimal
+        return Subspace(basis=np.eye(points.d)[:, :j], offset=acc.mean)
+    return Subspace(basis=np.asarray(factors.v[:, :j]), offset=acc.mean)
 
 
 def exact_tiny_solver(points: PointSet, problem: Problem) -> QueryShape:

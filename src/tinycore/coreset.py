@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, InvalidInput
-from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _weighted_mean
+from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _Tsqr
 
 
 @dataclass(frozen=True)
@@ -110,33 +110,7 @@ def linear_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
     """
     if points.weights is not None:
         raise InvalidInput("linear subspace coreset expects unweighted input; fold weights first")
-    n, d = points.n, points.d
-    if not 1 <= j <= d - 1:
-        raise InvalidArgument(f"subspace dimension {j} must be in [1, {d - 1}]")
-    m = min(n, d, coreset_size_linear(j, eps))
-    factors = svd(points)
-    s = (factors.v[:, :m] * factors.sigma[:m]).T
-    delta = tail_energy(factors, m)
-    return Coreset(points=s, weights=np.ones(m), delta=delta)
-
-
-def _centered_fold(points: PointSet) -> tuple[np.ndarray, np.ndarray, float]:
-    """The rows minus their (weighted) mean, row i scaled by sqrt(w_i), with the
-    mean and the total weight.
-
-    Unweighted input is centred at its plain mean and not scaled; unit
-    weights give the same bytes.
-    """
-    rows = np.asarray(points.rows)
-    if points.weights is None:
-        mean = rows.mean(axis=0)
-        return rows - mean, mean, float(points.n)
-    w = np.asarray(points.weights)
-    total = float(np.sum(w))
-    if not total > 0:
-        raise InvalidInput("total weight must be positive")
-    mean = _weighted_mean(rows, w)
-    return np.sqrt(w)[:, None] * (rows - mean), mean, total
+    return _subspace_coreset(_Tsqr().feed(points.rows), j, eps)
 
 
 def affine_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
@@ -147,13 +121,30 @@ def affine_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
     W/(2m), W the total weight, whose weighted mean equals the input mean, so
     translations are charged correctly.
     """
-    folded, mean, total = _centered_fold(points)
-    inner = linear_subspace_coreset(PointSet(folded), j, eps)
-    m = inner.size
-    scaled = math.sqrt(m / total) * np.asarray(inner.points)
-    s = mean[None, :] + np.vstack([scaled, -scaled])
-    w = np.full(2 * m, total / (2 * m))
-    return Coreset(points=s, weights=w, delta=inner.delta)
+    return _subspace_coreset(_Tsqr(centred=True).feed(points.rows, points.weights), j, eps)
+
+
+def _subspace_coreset(acc: _Tsqr, j: int, eps: float) -> Coreset:
+    """The linear coreset of the rows fed to `acc`, or for a centred `acc` the
+    affine one, built from one :func:`~tinycore.linalg.svd` of it.
+
+    The affine coreset is the linear one of the centred, folded rows, scaled
+    by sqrt(m / W), mirrored, and moved to the mean.  Above 4096 rows the
+    mean and the centring come from the merges of the accumulator's tree, not
+    from one pass over all rows.
+    """
+    d = acc.d
+    if not 1 <= j <= d - 1:
+        raise InvalidArgument(f"subspace dimension {j} must be in [1, {d - 1}]")
+    m = min(acc.n, d, coreset_size_linear(j, eps))
+    factors = svd(acc)
+    s = (factors.v[:, :m] * factors.sigma[:m]).T
+    delta = tail_energy(factors, m)
+    if not acc.centred:
+        return Coreset(points=s, weights=np.ones(m), delta=delta)
+    scaled = math.sqrt(m / acc.total) * s
+    pts = acc.mean[None, :] + np.vstack([scaled, -scaled])
+    return Coreset(points=pts, weights=np.full(2 * m, acc.total / (2 * m)), delta=delta)
 
 
 def affine_subspace_coreset_weighted(points: PointSet, j: int, eps: float) -> Coreset:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput
-from .linalg import PointSet, QueryShape, dist2, svd, tail_energy, weighted_fold, _as_readonly
+from .linalg import PointSet, QueryShape, dist2, svd, tail_energy, _as_readonly, _Tsqr
 
 REDUCE_MODES = ("general", "coreset-lift", "kmeans")
 
@@ -73,7 +73,7 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
     m = reduction_rank(points.n, points.d, j, eps, mode)
     if m == points.d:
         return ReducedInstance(points=points, basis=np.eye(m), delta=0.0)
-    factors = svd(points if points.weights is None else PointSet(weighted_fold(points)))
+    factors = svd(_Tsqr().feed(points.rows, points.weights))
     basis = np.asarray(factors.v[:, :m])
     reduced = PointSet(np.asarray(points.rows) @ basis, points.weights)
     # tail of the (folded) spectrum = (weighted) projection cost of the rows

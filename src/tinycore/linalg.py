@@ -3,13 +3,15 @@
 Everything downstream (subspace coresets, dimensionality reduction, the
 streaming summaries) is built on sigma and V computed here; no construction
 needs U, and none is formed.  The factorization comes from LAPACK QR and SVD
-through ``numpy.linalg``; every result is checked against the input matrix
-before use.  Distances to centers are taken in the rows' own frame (their
-mean at the origin), cached once per point set.
+through ``numpy.linalg``, over rows fed to one accumulator block by block;
+every result is checked against the Gram matrix of the input before use.
+Distances to centers are taken in the rows' own frame (their mean at the
+origin), cached once per point set.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -180,27 +182,31 @@ class CenterSet:
 QueryShape = Union[CenterSet, Subspace]
 
 
-def svd(points: PointSet) -> SvdFactors:
+def svd(points: Union[PointSet, _Tsqr]) -> SvdFactors:
     """Thin SVD of the point matrix: sigma and V, without U.
 
-    sigma and V come from the SVD of the factor R of a tall-skinny QR (TSQR;
-    Demmel, Grigori, Hoemmen & Langou, 2012): the R of each block of 4096
-    rows, merged pairwise in a fixed tree.  The n x r factor U is never
-    formed.  The tree depends on n alone, not on the BLAS thread count; with
-    OpenBLAS 0.3.31 the bytes were the same at 1, 2 and 4 threads for up to
-    113 columns.  The signs are fixed so that the largest-magnitude entry of
-    each column of V is positive.  Weighted inputs must be folded through
-    :func:`weighted_fold` first; the factorization itself is weight-agnostic.
+    `points` is a :class:`PointSet`, whose rows are factored as they are
+    (weights are ignored), or a private :class:`_Tsqr` accumulator that holds
+    rows fed block by block, which may be weighted or centred.  sigma and V
+    come from the SVD of the factor R of a tall-skinny QR (TSQR; Demmel,
+    Grigori, Hoemmen & Langou, 2012): the R of each block of 4096 rows,
+    merged pairwise in a fixed tree.  The n x r factor U is never formed.
+    The tree depends on n alone, not on the BLAS thread count or on how the
+    rows were cut into blocks; with OpenBLAS 0.3.31 the bytes were the same
+    at 1, 2 and 4 threads for up to 113 columns.  The signs are fixed so that
+    the largest-magnitude entry of each column of V is positive.  The result
+    is checked by :func:`_check_fit` against the Gram matrix of the rows.
     """
-    a = np.asarray(points.rows)
+    acc = points if isinstance(points, _Tsqr) else _Tsqr().feed(points.rows)
+    r = acc.finish()
     try:
-        _, s, vt = np.linalg.svd(_tsqr_r(a), full_matrices=False)
+        _, s, vt = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise InvalidInput(f"SVD failed: {exc}") from exc
     v = vt.T
     v[:, _sign_flips(v)] *= -1.0
     factors = SvdFactors(sigma=s, v=v)
-    _check_fit(a, factors)
+    _check_fit(acc.gram, acc.energy, factors)
     return factors
 
 
@@ -209,33 +215,213 @@ def _sign_flips(v: np.ndarray) -> np.ndarray:
     return v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0
 
 
-def _tsqr_r(a: np.ndarray) -> np.ndarray:
-    """R of A = QR: the R of every _TSQR_BLOCK rows, stacked two by two and factored again."""
-    rs = [np.linalg.qr(a[i : i + _TSQR_BLOCK], mode="r") for i in range(0, a.shape[0], _TSQR_BLOCK)]
-    while len(rs) > 1:
-        pairs = [rs[i : i + 2] for i in range(0, len(rs), 2)]
-        rs = [np.linalg.qr(np.vstack(p), mode="r") if len(p) == 2 else p[0] for p in pairs]
-    return rs[0]
+def _too_large() -> InvalidInput:
+    return InvalidInput("input too large: its squared norm overflows float64")
 
 
-def _check_fit(a: np.ndarray, f: SvdFactors) -> None:
-    """Check sigma and V against A itself, without U.
+def _qr_r(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.qr(m, mode="r")
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInput(f"SVD failed: {exc}") from exc
+
+
+class _Tsqr:
+    """A running TSQR: the R factor of the rows fed so far, block by block,
+    with their Gram matrix and, for centred input, their mean and weight.
+
+    Rows are cut into leaves of _TSQR_BLOCK rows; a leaf may span blocks.
+    Leaf nodes go into a binary counter, slot i holding the node of 2**i
+    leaves, and two nodes merge by the QR of their stacked Rs, the older
+    first.  :meth:`finish` merges what is left the same way, which gives the
+    fixed pairwise tree over the leaves: the bytes of R depend on n alone,
+    not on where the blocks were cut.
+
+    Weighted rows are scaled by sqrt(w_i).  With `centred`, each leaf is
+    moved to its own (weighted) mean first, and a node is (R, mean, weight).
+    Two nodes merge the way of Chan, Golub & LeVeque (1979): the R of
+    [R1; R2; sqrt(W1 W2 / W) (mu2 - mu1)], whose Gram matrix is that of the
+    union moved to its common mean, so no pass over the whole input centres
+    it.  The means are taken from an origin, the mean of the first leaf with
+    positive weight: a merge then subtracts two small means, not two large
+    ones, and a common translation of the rows costs no accuracy.  A single
+    leaf is centred exactly as one pass over all rows would centre it.
+    Beside the tree, G = sum of A_b^T A_b over the leaves A_b (plus each
+    merge's extra row, when centred) is kept for :func:`_check_fit`.
+
+    `feed` keeps its block by reference and folds it in at the next feed or
+    at :meth:`finish`, so a whole array fed at once is factored inside
+    :func:`svd`, leaf view by leaf view, without a copy of its own; the
+    caller must not change a block once fed.  Memory beyond the last block:
+    one leaf of pending rows with its folded and LAPACK copies, and a d x d
+    R per occupied slot.  Finite rows whose leaf centring or Gram matrix
+    overflows float64 raise InvalidInput without a numpy warning.
+    """
+
+    def __init__(self, centred: bool = False):
+        self.centred = centred
+        self.n = 0
+        self.d: Optional[int] = None
+        self.gram: Optional[np.ndarray] = None
+        self.energy = 0.0
+        self.mean: Optional[np.ndarray] = None
+        self.total = 0.0
+        self._held: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None
+        self._pending: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
+        self._pending_rows = 0
+        self._slots: list[Optional[tuple]] = []
+        self._origin: Optional[np.ndarray] = None
+        self._r: Optional[np.ndarray] = None
+
+    def feed(self, rows: np.ndarray, weights: Optional[np.ndarray] = None) -> _Tsqr:
+        """Take an n x d block of finite rows and, if every block has them,
+        its non-negative weights."""
+        if self._r is not None:
+            raise InvalidArgument("the accumulator is finished")
+        rows = np.asarray(rows, dtype=np.float64)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if np.any(weights < 0):
+                raise InvalidInput("weights must be finite and non-negative")
+        if self.d is None:
+            self.d = rows.shape[1]
+        elif rows.shape[1] != self.d:
+            raise InvalidInput(f"row dimension {rows.shape[1]} != {self.d}")
+        if self._held is not None:
+            self._fold(*self._held)
+        self._held = (rows, weights)
+        self.n += rows.shape[0]
+        return self
+
+    def finish(self) -> np.ndarray:
+        """R, after the last leaf and the merges left in the counter; then
+        `mean`, `total` and `energy` (the trace of G) are set."""
+        if self._r is None:
+            if self.n == 0:
+                raise InvalidInput("point set must be a non-empty n x d matrix")
+            if self._held is not None:
+                self._fold(*self._held)
+                self._held = None
+            if self._pending:
+                self._leaf()
+            node = None
+            for slot in self._slots:  # the newest nodes sit in the lowest slots
+                if slot is not None:
+                    node = slot if node is None else self._merge(slot, node)
+            self._slots = []
+            self._r, mean, self.total = node
+            if self.centred:
+                if not self.total > 0:
+                    raise InvalidInput("total weight must be positive")
+                self.mean = self._origin + mean if np.any(mean) else self._origin
+            with np.errstate(over="ignore"):
+                self.energy = float(np.trace(self.gram))
+            if not (np.isfinite(self.energy) and np.all(np.isfinite(self.gram))):
+                raise _too_large()
+        return self._r
+
+    def _fold(self, rows: np.ndarray, weights: Optional[np.ndarray]) -> None:
+        """Cut a block into the pending leaf, factoring each leaf that fills."""
+        start = 0
+        while start < rows.shape[0]:
+            take = min(rows.shape[0] - start, _TSQR_BLOCK - self._pending_rows)
+            piece = None if weights is None else weights[start : start + take]
+            self._pending.append((rows[start : start + take], piece))
+            self._pending_rows += take
+            start += take
+            if self._pending_rows == _TSQR_BLOCK:
+                self._leaf()
+
+    def _leaf(self) -> None:
+        parts, self._pending, self._pending_rows = self._pending, [], 0
+        rows, w = parts[0]
+        if len(parts) > 1:
+            rows = np.concatenate([p[0] for p in parts])
+            w = None if w is None else np.concatenate([p[1] for p in parts])
+        mean, total = None, 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.centred:
+                total = float(rows.shape[0]) if w is None else float(np.sum(w))
+                mean = np.zeros(rows.shape[1])  # from the origin
+                if not total > 0:
+                    a = np.zeros_like(rows)
+                elif self._origin is None:
+                    self._origin = rows.mean(axis=0) if w is None else _weighted_mean(rows, w)
+                    a = rows - self._origin
+                else:
+                    a = rows - self._origin
+                    mean = a.mean(axis=0) if w is None else _weighted_mean(a, w)
+                    a -= mean
+                if w is not None:
+                    a *= np.sqrt(w)[:, None]
+            else:
+                a = rows if w is None else rows * np.sqrt(w)[:, None]
+            g = a.T @ a
+            if not np.all(np.isfinite(g)):
+                raise _too_large()
+            if self.gram is None:
+                self.gram = g
+            else:
+                self.gram += g
+        self._push((_qr_r(a), mean, total))
+
+    def _push(self, node: tuple) -> None:
+        for i, slot in enumerate(self._slots):
+            if slot is None:
+                self._slots[i] = node
+                return
+            self._slots[i] = None
+            node = self._merge(slot, node)
+        self._slots.append(node)
+
+    def _merge(self, old: tuple, new: tuple) -> tuple:
+        (r1, mu1, w1), (r2, mu2, w2) = old, new
+        if not (self.centred and w1 > 0 and w2 > 0):
+            # an empty side adds nothing: its R is 0 and the mean is the other's
+            return _qr_r(np.vstack([r1, r2])), mu2 if self.centred and w1 == 0 else mu1, w1 + w2
+        w = w1 + w2
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = mu2 - mu1
+            c = math.sqrt(w1 / w * w2) * step
+            mean = mu1 + (w2 / w) * step
+            self.gram += np.outer(c, c)
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(mean))):
+            raise _too_large()
+        return _qr_r(np.vstack([r1, r2, c])), mean, w
+
+
+def _check_fit(gram: np.ndarray, energy: float, f: SvdFactors) -> None:
+    """Check sigma and V against the Gram matrix G = A^T A of the input A and
+    its energy ||A||_F^2 = tr(G), without U and without A itself.
 
     The factors are only ever used through subspace costs
-    ||A||_F^2 - ||A X||_F^2, that is through the quadratic form of A^T A,
-    which they replace by V diag(sigma^2) V^T.  The two differ by
-    G = V^T A^T A V - diag(sigma^2) inside span(V) and by the energy
-    ||A||_F^2 - ||A V||_F^2 of A outside span(V).  Besides orthonormal V and
-    sorted sigma, this check bounds both by
-    t (2 + t) max(||A||_F^2, 1), with t = TOL_RECON.
+    ||A||_F^2 - ||A X||_F^2, that is through the quadratic form of G, which
+    they replace by V diag(sigma^2) V^T.  The two differ by
+    D = V^T G V - diag(sigma^2) inside span(V) and by the energy
+    ||A||_F^2 - tr(V^T G V) of A outside span(V).  Besides orthonormal V and
+    sorted sigma, this check bounds both by t (2 + t) max(||A||_F^2, 1),
+    with t = TOL_RECON.
 
     Any thin SVD with orthonormal U and V and with
     e = ||A - U diag(sigma) V^T||_F <= t max(||A||_F, 1) passes.  Put E = A - U
     diag(sigma) V^T.  Then U diag(sigma) = (A - E) V, so
-    G = (AV)^T (EV) + (EV)^T (AV) - (EV)^T (EV) and
-    ||G||_F <= 2 ||A||_F e + e^2 <= t (2 + t) max(||A||_F^2, 1).  And
+    D = (AV)^T (EV) + (EV)^T (AV) - (EV)^T (EV) and
+    ||D||_F <= 2 ||A||_F e + e^2 <= t (2 + t) max(||A||_F^2, 1).  And
     U diag(sigma) V^T vanishes outside span(V), so the energy of A there is
     that of E there, at most e^2 <= t^2 max(||A||_F^2, 1).
+
+    G is summed from the rows themselves, leaf by leaf, never from R, so a
+    wrong R cannot hide in it.  Its own rounding leaves the bound
+    meaningful: each leaf's product A_b^T A_b, a sum of at most 4096 terms
+    per entry, is off by at most gamma |A_b|^T |A_b|, and
+    || |A|^T |A| ||_F <= ||A||_F^2, so with L leaves the computed G is off
+    by at most gamma_(4096 + L) ||A||_F^2 in Frobenius norm, gamma_k = k u /
+    (1 - k u), u = 2^-53 (the extra row of each merge of centred input adds
+    one more term of the same kind).  That is 5e-13 ||A||_F^2 at one leaf and below
+    1.2e-10 ||A||_F^2 for up to 10^6 leaves (4 x 10^9 rows), against a
+    bound of 2e-8 ||A||_F^2: a fit that passes on the exact G passes here
+    with room to spare, and a misfit caught on the exact G is caught here
+    unless it lies within that sliver of the bound.
     """
     r = f.rank_bound
     orth_v = np.max(np.abs(f.v.T @ f.v - np.eye(r)))
@@ -243,14 +429,10 @@ def _check_fit(a: np.ndarray, f: SvdFactors) -> None:
         raise InvalidInput(f"SVD factors lost orthonormality (v={orth_v:.2e})")
     if np.any(np.diff(f.sigma) > 1e-12 * max(f.sigma[0], 1.0)):
         raise InvalidInput("singular values are not sorted non-increasingly")
-    energy = np.linalg.norm(a) ** 2
-    if not np.isfinite(energy):
-        raise InvalidInput("input too large: its squared norm overflows float64")
-    b = a @ f.v
-    gram = b.T @ b
-    outside = energy - np.trace(gram)
-    gram[np.diag_indices(r)] -= f.sigma**2
-    gram_err = np.linalg.norm(gram)
+    inside = f.v.T @ gram @ f.v
+    outside = energy - np.trace(inside)
+    inside[np.diag_indices(r)] -= f.sigma**2
+    gram_err = np.linalg.norm(inside)
     bound = TOL_RECON * (2.0 + TOL_RECON) * max(energy, 1.0)
     if gram_err > bound or abs(outside) > bound:
         raise InvalidInput(

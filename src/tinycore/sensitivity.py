@@ -123,7 +123,8 @@ def _d2_pass(
     best = np.full((restarts, rows.shape[0]), np.inf)
     cand = np.empty_like(best)
     cand[:] = weights
-    chosen[:, 0] = _draw(cand, rng.random(restarts), 0)
+    draw = _BlockedDraw(restarts, rows.shape[0])
+    chosen[:, 0] = draw(cand, rng.random(restarts), 0)
     for i in range(1, count + 1 if cost else count):
         last = chosen[:, i - 1]
         np.matmul(-2.0 * rows[last], rows.T, out=cand)
@@ -134,7 +135,7 @@ def _d2_pass(
         if i == count:
             break
         np.multiply(best, weights, out=cand)
-        chosen[:, i] = _draw(cand, rng.random(restarts), chosen[:, 0])
+        chosen[:, i] = draw(cand, rng.random(restarts), chosen[:, 0])
     return chosen, best @ weights if cost else None
 
 
@@ -142,7 +143,14 @@ def _draw(scores: np.ndarray, u: np.ndarray, fallback: int | np.ndarray) -> np.n
     """Invert each row of the non-negative restarts x n `scores` at its
     variate: the first index whose cumulative score exceeds u times the
     row's total, u in [0, 1), so an index of score 0 is never returned.  A
-    row whose scores sum to 0 returns its `fallback` instead.
+    row whose scores sum to 0 returns its `fallback` instead.  See
+    :class:`_BlockedDraw`, which a pass of many draws builds once."""
+    return _BlockedDraw(*scores.shape)(scores, u, fallback)
+
+
+class _BlockedDraw:
+    """The draws of :func:`_draw` on restarts x n scores, with the block
+    layout, the index tables and the buffers built once.
 
     The inversion is blocked, over blocks of ceil(sqrt(n)) columns: the
     block sums (`np.add.reduceat`), a search in their ~sqrt(n) cumulative
@@ -156,21 +164,29 @@ def _draw(scores: np.ndarray, u: np.ndarray, fallback: int | np.ndarray) -> np.n
       block sum and the in-block sum round differently) is moved just below
       it, which selects the last positive row of that block.
     """
-    r, n = scores.shape
-    width = math.isqrt(n - 1) + 1
-    starts = np.arange(0, n, width)
-    cum = np.zeros((r, starts.shape[0] + 1))
-    np.add.accumulate(np.add.reduceat(scores, starts, axis=1), axis=1, out=cum[:, 1:])
-    total = cum[:, -1]
-    u = np.minimum(u * total, np.nextafter(total, 0.0))
-    block = (cum[:, 1:] > u[:, None]).argmax(axis=1)
-    # the last block may be short: its missing columns repeat row n - 1
-    cols = np.minimum(starts[block, None] + np.arange(width), n - 1)
-    restart = np.arange(r)
-    inner = np.add.accumulate(scores[restart[:, None], cols], axis=1)
-    rest = np.minimum(u - cum[restart, block], np.nextafter(inner[:, -1], 0.0))
-    picked = cols[restart, (inner > rest[:, None]).argmax(axis=1)]
-    return np.where(total > 0, picked, fallback)
+
+    def __init__(self, r: int, n: int):
+        width = math.isqrt(n - 1) + 1
+        self.starts = np.arange(0, n, width)
+        # the columns of each block; the last block may be short, and its
+        # missing columns repeat column n - 1
+        self.cols = np.minimum(self.starts[:, None] + np.arange(width), n - 1)
+        self.restart = np.arange(r)
+        self.rows = self.restart[:, None]
+        # the cumulative block sums, after a column of zeros
+        self.cum = np.zeros((r, self.starts.shape[0] + 1))
+
+    def __call__(self, scores: np.ndarray, u: np.ndarray, fallback: int | np.ndarray) -> np.ndarray:
+        cum, restart = self.cum, self.restart
+        np.add.accumulate(np.add.reduceat(scores, self.starts, axis=1), axis=1, out=cum[:, 1:])
+        total = cum[:, -1]
+        u = np.minimum(u * total, np.nextafter(total, 0.0))
+        block = (cum[:, 1:] > u[:, None]).argmax(axis=1)
+        cols = self.cols[block]
+        inner = np.add.accumulate(scores[self.rows, cols], axis=1)
+        rest = np.minimum(u - cum[restart, block], np.nextafter(inner[:, -1], 0.0))
+        picked = cols[restart, (inner > rest[:, None]).argmax(axis=1)]
+        return np.where(total > 0, picked, fallback)
 
 
 def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> BicriteriaSolution:

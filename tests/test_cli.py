@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -658,8 +659,9 @@ class TestParameterRanges:
             ["coreset", "kmeans"],
             ["coreset", "kmeans", "--small"],
             ["solve", "kmeans"],
+            ["stream", "--kind", "kmeans"],
         ],
-        ids=["coreset-kmeans", "coreset-small-kmeans", "solve-kmeans"],
+        ids=["coreset-kmeans", "coreset-small-kmeans", "solve-kmeans", "stream-kmeans"],
     )
     def test_k_above_n_exits_1(self, tmp_path, rows30, capsys, command):
         out = tmp_path / "o.cs"
@@ -714,6 +716,37 @@ class TestSquareOverflow:
         out = tmp_path / "o.out"
         assert main([*command, "--epsilon", "0.5", str(path), "-o", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.7e308, 0.0], [-1.7e308, 1.0], [1.7e308, 2.0]],  # the centred rows overflow
+            [[1.7e308, 0.0], [1.7e308, 1.0]],  # the column sum overflows
+        ],
+        ids=["centring", "column-sum"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["coreset", "subspace", "--affine", "--j", "1"],
+            ["coreset", "subspace", "--affine", "--weighted", "--j", "1"],
+            ["solve", "affine", "--j", "1", "--seed", "1"],
+        ],
+        ids=["coreset-affine", "coreset-affine-weighted", "solve-affine"],
+    )
+    def test_affine_centring_overflow_is_the_squares_error(self, tmp_path, capsys, rows, command):
+        # finite input: the error names the overflow, and numpy warns nothing
+        rows = np.array(rows)
+        if "--weighted" in command:
+            rows = np.column_stack([rows, np.ones(len(rows))])
+        path = tmp_path / "big.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        out = tmp_path / "o.out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--epsilon", "0.5", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: input too large: its squared norm overflows float64\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -825,6 +858,52 @@ class TestBlockReader:
         np.testing.assert_array_equal(points.rows, rows)
         # the parsed blocks or their concatenation, and the copy PointSet keeps
         assert peak < 2.5 * rows.nbytes
+
+    @pytest.fixture(scope="class")
+    def tall_csv(self, tmp_path_factory):
+        """100000 x 8 rows, the last column positive so that it can serve as weights."""
+        gen = np.random.default_rng(21)
+        rows = gen.standard_normal((100000, 8)) + 3.0
+        rows[:, -1] = gen.uniform(0.5, 2.0, rows.shape[0])
+        path = tmp_path_factory.mktemp("tall") / "tall.csv"
+        path.write_bytes(b"\n".join(_lines(rows)) + b"\n")
+        return path, rows
+
+    @pytest.mark.parametrize("mode", [[], ["--affine"], ["--affine", "--weighted"]], ids=["linear", "affine", "weighted"])
+    def test_subspace_coreset_memory_does_not_grow_with_n(self, tmp_path, tall_csv, mode, capsys):
+        # the rows are fed to the TSQR accumulator block by block: about one
+        # leaf of 4096 rows and one parsed block are held at a time, 0.20-0.23
+        # of the 6.4 MB of rows here (2.0-4.1 when the input was loaded whole)
+        path, rows = tall_csv
+        tracemalloc.start()
+        try:
+            code = main(["coreset", "subspace", "--j", "2", "--epsilon", "0.5", *mode, str(path), "-o", str(tmp_path / "o.cs")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 0.35 * rows.nbytes
+
+    @pytest.mark.parametrize("mode", [[], ["--affine"], ["--affine", "--weighted"]], ids=["linear", "affine", "weighted"])
+    def test_block_fed_subspace_bytes_match_the_library(self, tmp_path, rng, small_blocks, mode):
+        # many small blocks, and 3 leaves of the TSQR tree
+        rows = rng.standard_normal((9000, 4)) + 2.0
+        rows[:, -1] = rng.uniform(0.5, 2.0, rows.shape[0])
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join(_lines(rows)) + b"\n")
+        out = tmp_path / "o.cs"
+        assert main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", *mode, str(path), "-o", str(out)]) == 0
+        if not mode:
+            want = tinycore.linear_subspace_coreset(tinycore.PointSet(rows), 1, 0.5)
+        elif "--weighted" in mode:
+            want = tinycore.affine_subspace_coreset(tinycore.PointSet(rows[:, :-1], rows[:, -1]), 1, 0.5)
+        else:
+            want = tinycore.affine_subspace_coreset(tinycore.PointSet(rows), 1, 0.5)
+        cf = read_coreset_file(str(out))
+        assert cf.n_source == 9000
+        np.testing.assert_array_equal(cf.points, want.points)
+        np.testing.assert_array_equal(cf.weights, want.weights)
+        assert cf.delta == want.delta
 
     def test_bad_line_at_every_position_names_its_line(self, tmp_path, rng, small_blocks, capsys):
         good = _lines(rng.standard_normal((30, 3)))

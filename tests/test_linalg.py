@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tinycore import (
     InvalidArgument,
     InvalidInput,
     PointSet,
+    affine_subspace_coreset,
     Subspace,
     coreset_cost,
     dist2,
@@ -19,7 +21,7 @@ from tinycore import (
     tail_energy,
     weighted_fold,
 )
-from tinycore.linalg import TOL_ORTH, _frame, _nearest, dist2_rows
+from tinycore.linalg import _TSQR_BLOCK, TOL_ORTH, _frame, _nearest, _Tsqr, dist2_rows
 
 from conftest import oracle_cost_centers, oracle_cost_subspace, rand_orthonormal, rand_subspace
 
@@ -182,6 +184,126 @@ class TestRightFactors:
         a = rng.standard_normal((9000, 7))
         f, g = svd(PointSet(a)), svd(PointSet(a))
         assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
+
+
+def pairwise_r(a):
+    """The reference TSQR: the R of every 4096 rows, stacked two by two level by level."""
+    rs = [np.linalg.qr(a[i : i + _TSQR_BLOCK], mode="r") for i in range(0, a.shape[0], _TSQR_BLOCK)]
+    while len(rs) > 1:
+        pairs = [rs[i : i + 2] for i in range(0, len(rs), 2)]
+        rs = [np.linalg.qr(np.vstack(p), mode="r") if len(p) == 2 else p[0] for p in pairs]
+    return rs[0]
+
+
+def fed(a, w=None, cuts=(), centred=False):
+    """An accumulator fed the rows of `a` (and weights `w`) in pieces cut at `cuts`."""
+    acc = _Tsqr(centred=centred)
+    edges = [0, *cuts, a.shape[0]]
+    for lo, hi in zip(edges, edges[1:]):
+        acc.feed(a[lo:hi], None if w is None else w[lo:hi])
+    return acc
+
+
+def random_cuts(gen, n):
+    """Cut points that make pieces of 1, 4095, 4096 and 4097 rows, then random ones."""
+    edges = np.cumsum([1, 4095, 4096, 4097])
+    more = gen.integers(edges[-1], n, gen.integers(0, 12)).tolist() if n > edges[-1] else []
+    return sorted({*edges.tolist(), *more} - {0, n})
+
+
+class TestTsqrAccumulator:
+    """_Tsqr: the R of rows fed block by block is that of the fixed pairwise tree."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8192, 12289, 20497])
+    def test_any_feed_split_gives_the_pairwise_tree_bytes(self, n):
+        gen = np.random.default_rng(n)
+        a = gen.standard_normal((n, 7)) + 2.0
+        want = pairwise_r(a)
+        for _ in range(3):
+            cuts = sorted(set(gen.integers(1, n, gen.integers(0, 9)).tolist())) if n > 1 else []
+            assert np.array_equal(fed(a, cuts=cuts).finish(), want)
+        if n >= 12289:  # room for pieces of 1, 4095, 4096 and 4097 rows
+            assert np.array_equal(fed(a, cuts=random_cuts(gen, n)).finish(), want)
+            assert np.array_equal(fed(a, cuts=range(1, n)[::997]).finish(), want)
+
+    def test_weighted_feed_is_the_folded_tree(self):
+        # the second leaf has weight 0 throughout
+        gen = np.random.default_rng(11)
+        n = 3 * _TSQR_BLOCK + 1234
+        a = gen.standard_normal((n, 5)) * [4.0, 2.0, 1.0, 0.5, 0.25]
+        w = gen.uniform(0.0, 3.0, n)
+        w[_TSQR_BLOCK : 2 * _TSQR_BLOCK] = 0.0
+        want = pairwise_r(a * np.sqrt(w)[:, None])
+        for cuts in ([], random_cuts(gen, n), [_TSQR_BLOCK, 2 * _TSQR_BLOCK]):
+            acc = fed(a, w, cuts)
+            assert np.array_equal(acc.finish(), want)
+            np.testing.assert_allclose(acc.gram, (a.T * w) @ a, rtol=1e-12)
+
+    @pytest.mark.parametrize("zero_leaf", [None, 0, 1, 3])
+    def test_centred_feed_is_split_invariant_and_centred(self, zero_leaf):
+        # Chan merges: R^T R is the weighted scatter about the weighted mean
+        gen = np.random.default_rng(12)
+        n = 3 * _TSQR_BLOCK + 777
+        a = gen.standard_normal((n, 4)) * [3.0, 1.0, 0.5, 0.1] + [1e3, -2.0, 5.0, 0.0]
+        w = gen.uniform(0.5, 2.0, n)
+        if zero_leaf is not None:
+            w[zero_leaf * _TSQR_BLOCK : (zero_leaf + 1) * _TSQR_BLOCK] = 0.0
+        whole = fed(a, w, centred=True)
+        r = whole.finish()
+        mean = (w @ a) / w.sum()
+        scatter = ((a - mean).T * w) @ (a - mean)
+        assert whole.total == pytest.approx(w.sum(), rel=1e-14)
+        np.testing.assert_allclose(whole.mean, mean, rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose(r.T @ r, scatter, rtol=1e-10, atol=1e-10 * np.trace(scatter))
+        np.testing.assert_allclose(whole.gram, scatter, rtol=1e-10, atol=1e-10 * np.trace(scatter))
+        for cuts in (random_cuts(gen, n), [1, 2, 3, n - 1]):
+            split = fed(a, w, cuts, centred=True)
+            assert np.array_equal(split.finish(), r)
+            assert np.array_equal(split.mean, whole.mean) and split.total == whole.total
+
+    def test_one_leaf_is_centred_like_one_pass(self):
+        gen = np.random.default_rng(13)
+        a = gen.standard_normal((_TSQR_BLOCK, 6)) + 1e6
+        acc = fed(a, cuts=[100, 2000], centred=True)
+        assert np.array_equal(acc.finish(), np.linalg.qr(a - a.mean(axis=0), mode="r"))
+        assert np.array_equal(acc.mean, a.mean(axis=0))
+
+    @pytest.mark.parametrize("build", [svd, lambda ps: affine_subspace_coreset(ps, 2, 0.5)], ids=["svd", "affine"])
+    def test_whole_array_is_factored_without_an_n_by_d_copy(self, build):
+        # leaf views: the traced peak is one leaf's copies, 0.10 (svd) and
+        # 0.20 (affine) of these 2.6 MB of rows; it was 1.0 and 3.0 when
+        # A V and the centred rows were formed whole
+        ps = PointSet(np.random.default_rng(14).standard_normal((10 * _TSQR_BLOCK, 8)) + 1e3)
+        tracemalloc.start()
+        try:
+            build(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * ps.rows.nbytes
+
+    def test_feed_after_finish_is_rejected(self):
+        acc = _Tsqr().feed(np.eye(3))
+        svd(acc)
+        with pytest.raises(InvalidArgument, match="finished"):
+            acc.feed(np.eye(3))
+
+    def test_negative_weight_and_width_change_are_invalid_input(self):
+        with pytest.raises(InvalidInput, match="non-negative"):
+            _Tsqr().feed(np.ones((2, 2)), np.array([1.0, -1.0]))
+        acc = _Tsqr().feed(np.ones((2, 2)))
+        with pytest.raises(InvalidInput, match="dimension"):
+            acc.feed(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_wrong_r_is_invalid_input_when_fed_in_blocks(self, rng, monkeypatch, centred):
+        # the Gram check sees the rows, not R: a QR that drops half of every
+        # stack is caught on linear and centred input fed block by block
+        a = rng.standard_normal((10000, 6)) + 5.0
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": qr(m[: (m.shape[0] + 1) // 2], mode=mode))
+        with pytest.raises(InvalidInput, match="do not fit the input"):
+            svd(fed(a, cuts=[300, 5000, 9999], centred=centred))
 
 
 class TestLowRankApprox:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from tinycore import (
     linear_subspace_coreset,
     svd,
 )
+from tinycore.clustering import best_affine_subspace
+from tinycore.linalg import _Tsqr
 
 from conftest import estimate_cost, make_blobs, rand_subspace
 
@@ -168,3 +172,47 @@ class TestAffineWeighted:
         ps = PointSet(rng.standard_normal((3, 4)), np.zeros(3))
         with pytest.raises(InvalidInput):
             affine_subspace_coreset_weighted(ps, 1, 0.5)
+
+
+class TestAffineUnderTranslation:
+    """Dyadic rows shifted by an exact amount: the fit must not see the shift."""
+
+    @pytest.mark.parametrize("shift", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("n", [3000, 3 * 4096 + 1000], ids=["one-leaf", "four-leaves"])
+    def test_spectrum_basis_and_mean_survive_a_shift(self, n, shift):
+        gen = np.random.default_rng(3)
+        base = gen.integers(-512, 512, (n, 5)) / 8.0 * np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+        direction = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+        shifted = base + shift * direction
+        assert np.array_equal(shifted - shift * direction, base)  # the shift is exact
+        f0 = svd(_Tsqr(centred=True).feed(base))
+        f = svd(_Tsqr(centred=True).feed(shifted))
+        # stated tolerances; the leaves' means are taken from the first
+        # leaf's, so the centred leaves were bit for bit the same here
+        np.testing.assert_allclose(f.sigma, f0.sigma, rtol=1e-12)
+        np.testing.assert_allclose(f.v, f0.v, atol=1e-12)
+        core = affine_subspace_coreset(PointSet(shifted), 2, 0.5)
+        assert core.delta == pytest.approx(affine_subspace_coreset(PointSet(base), 2, 0.5).delta, rel=1e-12)
+        w = np.asarray(core.weights)
+        got = (w[:, None] * np.asarray(core.points)).sum(axis=0) / w.sum()
+        assert np.max(np.abs(got - shifted.mean(axis=0))) <= 1e-14 * shift
+
+
+class TestCentringOverflow:
+    """Finite rows whose centring or column sum overflows: one InvalidInput, no numpy warning."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.7e308, 0.0], [-1.7e308, 1.0], [1.7e308, 2.0]], [[1.7e308, 0.0], [1.7e308, 1.0]]],
+        ids=["centring", "column-sum"],
+    )
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_is_the_squares_error(self, rows, weighted):
+        rows = np.array(rows)
+        ps = PointSet(rows, np.ones(len(rows)) if weighted else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="squared norm overflows float64"):
+                affine_subspace_coreset(ps, 1, 0.5)
+            with pytest.raises(InvalidInput, match="squared norm overflows float64"):
+                best_affine_subspace(ps, 1)
