@@ -4,12 +4,12 @@ A divergence sandwiched between m * d_B and d_B for a Mahalanobis distance
 d_B obeys the centroid decomposition identity, so any point set whose best
 k-clustering is not much cheaper than its 1-clustering can be represented
 exactly enough by its centroid, its weight and its internal cost.  The
-construction partitions the input recursively until every leaf is such a
-set or the depth bound is reached, and returns a :class:`Coreset`: one
-centroid per leaf as its points, the leaf weights as its weights, and the
-summed internal cost as its offset delta.  :meth:`Divergence.cost` prices
-centers against it, and coresets of disjoint inputs merge through
-:func:`~tinycore.coreset.merge_coresets` like any other.
+construction splits the input recursively, by k-means of the rows mapped by
+B, until every leaf is such a set or the depth bound is reached.  It returns
+a :class:`Coreset`: one centroid per leaf as its points, the leaf weights as
+its weights, and the summed internal cost as its offset delta.
+:meth:`Divergence.cost` prices centers against it, and coresets of disjoint
+inputs merge through :func:`~tinycore.coreset.merge_coresets` like any other.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .clustering import _partition_costs, _restricted_growth_strings
+from .clustering import brute_force_kmeans, lloyd_solve
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput
 from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
@@ -30,7 +30,6 @@ logger = logging.getLogger("tinycore.bregman")
 
 MAX_RECURSION_DEPTH = 12
 _BRUTE_LEAF = 8
-_LLOYD_RESTARTS = 3
 _VALIDATE_DRAWS = 200
 
 
@@ -54,9 +53,12 @@ class Divergence:
             raise InvalidArgument("similarity must lie in (0, 1]")
         if self.matrix is not None:
             b = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
-            if b.shape[0] != b.shape[1]:
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise InvalidArgument("Mahalanobis matrix must be square")
-            if abs(np.linalg.det(b)) < 1e-12:
+            if not np.all(np.isfinite(b)):
+                raise InvalidArgument("Mahalanobis matrix must have finite entries")
+            # the rank's tolerance is relative to the largest singular value: B's scale is moot
+            if np.linalg.matrix_rank(b) < b.shape[0]:
                 raise InvalidArgument("Mahalanobis matrix must be regular")
             object.__setattr__(self, "matrix", _as_readonly(b))
 
@@ -171,48 +173,24 @@ def _opt1(rows: np.ndarray, w: np.ndarray, div: Divergence) -> float:
     return float(np.sum(w * div._nearest(rows, _weighted_mean(rows, w)[None, :])[1]))
 
 
-def _kclustering(
-    rows: np.ndarray, w: np.ndarray, k: int, div: Divergence, rng: np.random.Generator
-) -> np.ndarray:
+def _kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence, seed: int) -> np.ndarray:
     """One label per row of a k-clustering with positive weights: the index of its nearest center.
 
-    The centers are optimal for n <= 8, by scoring every partition, and the
-    cheapest of seeded Lloyd restarts above that.  Rows join their nearest
-    center (the lowest index on ties), so identical rows are never split
-    whatever rounding does to the partition costs.
+    The split is k-means under d_B, on the rows mapped by B (the identity when
+    no matrix is declared): exact by :func:`~tinycore.brute_force_kmeans` for
+    n <= 8 and :func:`~tinycore.lloyd_solve` seeded by `seed` above that.  Rows
+    join their nearest center in the mapped rows' frame (the lowest index on
+    ties), so identical rows are never split.
     """
-    n = rows.shape[0]
-    if n <= k:
-        centers = rows
-    elif n <= _BRUTE_LEAF:
-        partitions = _restricted_growth_strings(n, k).astype(np.int64)
-        if div.evaluator is None:
-            mapped = div._embed(rows)
-            # the expansion in _partition_costs is accurate only near the origin
-            costs = _partition_costs(mapped - mapped.mean(axis=0), w, partitions, k)
-        else:
-            costs = [
-                sum(_opt1(rows[a == p], w[a == p], div) for p in range(a.max() + 1)) for a in partitions
-            ]
-        best = partitions[int(np.argmin(costs))]
-        centers = np.array([_weighted_mean(rows[best == p], w[best == p]) for p in np.unique(best)])
+    mapped = PointSet(div._embed(rows), w)
+    if mapped.n <= k:
+        centers = mapped.rows
+    elif mapped.n <= _BRUTE_LEAF:
+        centers = brute_force_kmeans(mapped, k).centers
     else:
-        trials, costs = [], []
-        for _ in range(_LLOYD_RESTARTS):
-            trial = rows[rng.choice(n, size=k, replace=False)]
-            for _ in range(50):
-                labels, near = div._nearest(rows, trial)
-                moved = trial.copy()
-                for part in np.unique(labels):
-                    mask = labels == part
-                    moved[part] = _weighted_mean(rows[mask], w[mask])
-                if np.allclose(moved, trial):
-                    break
-                trial = moved
-            trials.append(trial)
-            costs.append(np.sum(w * near))
-        centers = trials[int(np.argmin(costs))]
-    return div._nearest(rows, centers)[0]
+        centers = lloyd_solve(mapped, k, seed).centers
+    frame = mapped.frame
+    return linalg._nearest(frame.rows, centers - frame.origin, frame.norms)[0]
 
 
 def partition_helper(
@@ -222,47 +200,42 @@ def partition_helper(
 
     Returns index arrays into the input rows; the leaves partition the rows
     of positive weight exactly (rows of weight 0 carry no cost and are left
-    out).  A leaf is emitted when its 1-clustering cost is within a (1 + f1)
-    factor of the summed 1-clustering costs of its induced k-parts, or at
-    the depth bound.  Splits are found with seed 0.
+    out).  A split is proposed by k-means under d_B with seed 0 (see
+    :func:`_kclustering`) and kept only when the d_phi 1-clustering cost
+    exceeds (1 + f1) times the summed costs of the parts; a leaf is a set
+    whose split is not kept, or one at the depth bound.
     """
-    return _partition(points, k, depth, f1, div, 0)
+    return [leaf for leaf, _ in _partition(points, k, depth, f1, div, 0)]
 
 
 def _partition(
     points: PointSet, k: int, depth: int, f1: float, div: Divergence, seed: int
-) -> list[np.ndarray]:
-    """:func:`partition_helper` with every split's Lloyd restarts seeded by `seed`."""
+) -> list[tuple[np.ndarray, float]]:
+    """:func:`partition_helper` with each leaf's 1-clustering cost, every split seeded by `seed`."""
     rows = np.asarray(points.rows)
     w = points.effective_weights()
     positive = np.flatnonzero(w > 0)
     if positive.shape[0] == 0:
         raise InvalidInput("total weight must be positive")
-    if not np.isfinite(_opt1(rows[positive], w[positive], div)):
+    total = _opt1(rows[positive], w[positive], div)
+    if not np.isfinite(total):
         raise InvalidInput("the 1-clustering cost is not finite: the squared entries overflow float64")
 
-    def recurse(indices: np.ndarray, t: int) -> list[np.ndarray]:
+    def recurse(indices: np.ndarray, t: int, cost: float) -> list[tuple[np.ndarray, float]]:
         if t >= depth or indices.shape[0] <= 1:
-            return [indices]
-        sub, sw = rows[indices], w[indices]
-        labels = _kclustering(sub, sw, k, div, np.random.default_rng(seed))
+            return [(indices, cost)]
+        labels = _kclustering(rows[indices], w[indices], k, div, seed)
         parts = [indices[labels == p] for p in np.unique(labels)]
-        if len(parts) <= 1:
-            return [indices]
-        split_cost = sum(_opt1(rows[p], w[p], div) for p in parts)
-        if _opt1(sub, sw, div) <= (1.0 + f1) * split_cost:
-            return [indices]
-        return [leaf for p in parts for leaf in recurse(p, t + 1)]
+        costs = [_opt1(rows[p], w[p], div) for p in parts]
+        if len(parts) <= 1 or cost <= (1.0 + f1) * sum(costs):
+            return [(indices, cost)]
+        return [leaf for p, c in zip(parts, costs) for leaf in recurse(p, t + 1, c)]
 
-    return recurse(positive, 0)
+    return recurse(positive, 0, total)
 
 
 def bregman_coreset(
-    points: PointSet,
-    k: int,
-    eps: float,
-    div: Divergence,
-    seed: int = 0,
+    points: PointSet, k: int, eps: float, div: Divergence, seed: int = 0
 ) -> Coreset:
     """One weighted centroid per leaf of the pseudo-random partition.
 
@@ -289,7 +262,7 @@ def bregman_coreset(
     # after the partition, which rejects input of zero total weight
     div.validate(rows[w > 0][:64], np.random.default_rng(seed))
     return Coreset(
-        points=np.array([_weighted_mean(rows[leaf], w[leaf]) for leaf in leaves]),
-        weights=np.array([w[leaf].sum() for leaf in leaves]),
-        delta=sum(_opt1(rows[leaf], w[leaf], div) for leaf in leaves),
+        points=np.array([_weighted_mean(rows[leaf], w[leaf]) for leaf, _ in leaves]),
+        weights=np.array([w[leaf].sum() for leaf, _ in leaves]),
+        delta=sum(cost for _, cost in leaves),
     )

@@ -18,11 +18,16 @@ from tinycore.bregman import Divergence
 from tinycore.coreset import merge_coresets
 
 
-def scaled_divergence(diag, m):
-    """A genuine quadratic Bregman divergence declared m-similar to the identity."""
+def scaled_divergence(diag, m, calls=None):
+    """A genuine quadratic Bregman divergence declared m-similar to the identity.
+
+    `calls`, when given, is a list that gets one entry per evaluator call.
+    """
     b1 = np.diag(diag)
 
     def evaluator(points, q):
+        if calls is not None:
+            calls.append(q)
         diff = np.atleast_2d(points) - q[None, :]
         return np.sum((diff @ b1.T) ** 2, axis=1)
 
@@ -71,6 +76,26 @@ class TestDivergence:
     def test_rejects_singular_matrix(self):
         with pytest.raises(InvalidArgument):
             mahalanobis(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("b", [0.1 * np.eye(13), 1e-6 * np.diag([1.0, 2.0, 3.0]), 1e8 * np.eye(2)])
+    def test_accepts_a_regular_matrix_at_any_scale(self, b, rng):
+        rows, q = rng.standard_normal((5, b.shape[0])), rng.standard_normal(b.shape[0])
+        want = np.sum(((rows - q) @ b.T) ** 2, axis=1)
+        np.testing.assert_allclose(mahalanobis(b).between(rows, q), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e8])
+    def test_rejects_a_singular_matrix_at_any_scale(self, scale):
+        # rank 2: the third row is twice the second less the first
+        b = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        with pytest.raises(InvalidArgument, match="regular"):
+            mahalanobis(scale * b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_matrix(self, bad):
+        b = np.eye(2)
+        b[0, 1] = bad
+        with pytest.raises(InvalidArgument, match="finite"):
+            mahalanobis(b)
 
 
 class TestCfCost:
@@ -178,6 +203,23 @@ class TestPartitionHelper:
         )
         assert parent_cost > (1 + f1) * child_cost
 
+    def test_mahalanobis_partitions_as_squared_euclidean_on_the_mapped_rows(self):
+        locs = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 1.0], [0.0, 8.0, -1.0]])
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            rows = np.repeat(locs, [30, 25, 25], axis=0) + gen.standard_normal((80, 3))
+            b = np.eye(3) + 0.3 * gen.standard_normal((3, 3))
+            for depth in (1, 3):
+                got = partition_helper(PointSet(rows), 3, depth, 0.01, mahalanobis(b))
+                want = partition_helper(PointSet(rows @ b.T), 3, depth, 0.01, squared_euclidean())
+                assert len(got) == len(want)
+                for leaf, other in zip(got, want):
+                    np.testing.assert_array_equal(leaf, other)
+        first, again = (bregman_coreset(PointSet(rows), 3, 0.5, mahalanobis(b), seed=7) for _ in range(2))
+        assert first.points.tobytes() == again.points.tobytes()
+        assert first.weights.tobytes() == again.weights.tobytes()
+        assert first.delta == again.delta
+
 
 class TestBregmanCoreset:
     def test_tiny_input_one_feature_per_point(self, rng):
@@ -225,6 +267,15 @@ class TestBregmanCoreset:
             true = direct_cost(rows, centers, div)
             est = div.cost(cs, centers)
             assert abs(est - true) <= 0.5 * true + 1e-9
+
+    def test_custom_evaluator_calls_are_bounded(self, rng):
+        # splits are k-means under d_B; the evaluator prices only 1-clustering
+        # costs and the validation draws
+        calls = []
+        div = scaled_divergence(np.array([0.9, 0.7]), m=0.49, calls=calls)
+        rows = exact_blobs(rng) + 0.3 * rng.standard_normal((200, 2))
+        bregman_coreset(PointSet(rows), 3, 0.5, div)
+        assert len(calls) <= 2000
 
     def test_weighted_input(self, rng):
         rows = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
