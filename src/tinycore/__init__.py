@@ -14,12 +14,9 @@ from .bregman import (
     squared_euclidean,
 )
 from .clustering import (
-    AffineClusteringProblem,
-    KMeansProblem,
     approx_solution,
     best_affine_subspace,
     brute_force_kmeans,
-    exact_tiny_solver,
     kmeans_coreset,
     lloyd_solve,
     small_kmeans_coreset,
@@ -32,7 +29,7 @@ from .coreset import (
     coreset_size_linear,
     linear_subspace_coreset,
 )
-from .dimred import ReducedInstance, lift_coreset, reduce, reduction_rank, weak_triangle_gap
+from .dimred import ReducedInstance, lift_coreset, reduce, reduction_rank
 from .errors import EmptyState, InvalidArgument, InvalidInput, ResourceLimit, TinycoreError
 from .linalg import (
     CenterSet,
@@ -42,14 +39,12 @@ from .linalg import (
     dist2,
     svd,
     tail_energy,
-    weighted_fold,
 )
 from .sensitivity import (
     BicriteriaSolution,
     SensitivityProfile,
     bicriteria_kmeans,
     kmeans_sensitivities,
-    movement_sensitivities,
     sensitivity_sample,
     vc_sample_size,
 )
@@ -58,7 +53,6 @@ from .streaming import CoresetStream, StreamConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineClusteringProblem",
     "BicriteriaSolution",
     "CenterSet",
     "Coreset",
@@ -67,7 +61,6 @@ __all__ = [
     "EmptyState",
     "InvalidArgument",
     "InvalidInput",
-    "KMeansProblem",
     "PointSet",
     "ReducedInstance",
     "ResourceLimit",
@@ -86,14 +79,12 @@ __all__ = [
     "coreset_cost",
     "coreset_size_linear",
     "dist2",
-    "exact_tiny_solver",
     "kmeans_coreset",
     "kmeans_sensitivities",
     "lift_coreset",
     "linear_subspace_coreset",
     "lloyd_solve",
     "mahalanobis",
-    "movement_sensitivities",
     "niceness_thresholds",
     "partition_helper",
     "reduce",
@@ -104,6 +95,4 @@ __all__ = [
     "svd",
     "tail_energy",
     "vc_sample_size",
-    "weak_triangle_gap",
-    "weighted_fold",
 ]

@@ -52,7 +52,10 @@ class Divergence:
         if not 0 < self.similarity <= 1:
             raise InvalidArgument("similarity must lie in (0, 1]")
         if self.matrix is not None:
-            b = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
+            try:
+                b = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                raise InvalidArgument(f"Mahalanobis matrix must hold numbers: {exc}") from exc
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise InvalidArgument("Mahalanobis matrix must be square")
             if not np.all(np.isfinite(b)):

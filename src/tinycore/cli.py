@@ -4,7 +4,8 @@ Commands
     coreset   batch construction (subspace / affine / k-means / small k-means)
     stream    single-pass construction over stdin or a file
     eval      compare coreset cost against true cost on sampled queries
-    solve     reduce + coreset + solver, writing centers or a subspace
+    solve     k centers by reduce + coreset + solver, or the exact best affine
+              j-subspace, which --epsilon and --seed do not change
 
 CSV input skips blank lines and `#` comments.  A line that does not parse
 (an undecodable byte included), is ragged or holds a non-finite value is an
@@ -35,10 +36,9 @@ import numpy as np
 
 from . import __version__
 from .clustering import (
-    AffineClusteringProblem,
-    KMeansProblem,
     approx_solution,
-    exact_tiny_solver,
+    best_affine_subspace,
+    brute_force_kmeans,
     kmeans_coreset,
     lloyd_solve,
     small_kmeans_coreset,
@@ -378,6 +378,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.count < 1:
         print("error: --count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.query_kind == "centers" and args.k < 1:
+        print("error: --k must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     if not (math.isfinite(args.epsilon) and args.epsilon > 0):
         print("error: --epsilon must be finite and > 0", file=sys.stderr)
         return EXIT_USAGE
@@ -415,18 +418,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     points = load_points(args.input, args.weighted, args.header)
     if args.problem == "kmeans":
         _check_k(args.k, points.n)
-        problem = KMeansProblem(k=args.k)
 
-        def solver(ps, pb):
+        def solver(ps, k):
             if ps.n <= 12:
-                return exact_tiny_solver(ps, pb)
-            return lloyd_solve(ps, min(pb.k, ps.n), args.seed)
+                return brute_force_kmeans(ps, k)
+            return lloyd_solve(ps, min(k, ps.n), args.seed)
 
+        shape = approx_solution(points, args.k, args.epsilon, solver, seed=args.seed)
     else:
         _check_j(args.j, points.d)
-        problem = AffineClusteringProblem(j=args.j)
-        solver = exact_tiny_solver  # the affine 1-clustering fit is exact at any n
-    shape = approx_solution(points, problem, args.epsilon, solver, seed=args.seed)
+        if not 0 < args.epsilon < 1:  # checked as for k-means, though the fit below is exact
+            raise TinycoreError("eps must lie in (0, 1)")
+        shape = best_affine_subspace(points, args.j)
     cost = dist2(points, shape)
     if not math.isfinite(cost):
         raise TinycoreError(f"the solution's cost on the full data is {cost}, not finite")
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--weighted", action="store_true")
     ev.add_argument("--header", action="store_true")
 
-    so = sub.add_parser("solve", help="approximate solution via reduce + coreset + solver")
+    so = sub.add_parser("solve", help="k-means via reduce + coreset + solver, or the exact affine fit")
     so_sub = so.add_subparsers(dest="problem", required=True)
     sk = so_sub.add_parser("kmeans")
     sk.add_argument("--k", type=int, required=True)

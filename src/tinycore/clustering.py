@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .coreset import Coreset, _input_coreset
 from .dimred import lift_coreset, reduce
 from .errors import InvalidArgument, InvalidInput, ResourceLimit
-from .linalg import CenterSet, PointSet, QueryShape, Subspace, _nearest, _Tsqr, _weighted_mean, svd
+from .linalg import CenterSet, PointSet, Subspace, _nearest, _Tsqr, _weighted_mean, svd
 from .sensitivity import (
     DEFAULT_C_VC,
     SensitivityProfile,
@@ -25,35 +24,16 @@ from .sensitivity import (
 
 __all__ = [
     "CenterSet",
-    "KMeansProblem",
-    "AffineClusteringProblem",
     "lloyd_solve",
     "brute_force_kmeans",
     "kmeans_coreset",
     "small_kmeans_coreset",
     "approx_solution",
-    "exact_tiny_solver",
 ]
 
 BRUTE_FORCE_MAX_POINTS = 14
 _BRUTE_CHUNK = 20000
 _LLOYD_MAX_ITERS = 100
-
-
-@dataclass(frozen=True)
-class KMeansProblem:
-    k: int
-
-
-@dataclass(frozen=True)
-class AffineClusteringProblem:
-    """One affine j-subspace."""
-
-    j: int
-
-
-Problem = Union[KMeansProblem, AffineClusteringProblem]
-Solver = Callable[[PointSet, Problem], QueryShape]
 
 
 def lloyd_solve(points: PointSet, k: int, seed: int) -> CenterSet:
@@ -235,14 +215,6 @@ def small_kmeans_coreset(
     return lift_coreset(inner, reduced)
 
 
-def _lift_shape(shape: QueryShape, basis: np.ndarray) -> QueryShape:
-    if isinstance(shape, CenterSet):
-        return CenterSet(np.asarray(shape.centers) @ basis.T)
-    lifted_basis = basis @ np.asarray(shape.basis)
-    offset = None if shape.offset is None else basis @ np.asarray(shape.offset)
-    return Subspace(basis=lifted_basis, offset=offset)
-
-
 def best_affine_subspace(points: PointSet, j: int) -> Subspace:
     """Optimal affine j-subspace of a weighted point set (centered SVD fit)."""
     acc = _Tsqr(centred=True).feed(points.rows, points.weights)
@@ -252,39 +224,25 @@ def best_affine_subspace(points: PointSet, j: int) -> Subspace:
     return Subspace(basis=np.asarray(factors.v[:, :j]), offset=acc.mean)
 
 
-def exact_tiny_solver(points: PointSet, problem: Problem) -> QueryShape:
-    """Exhaustive optimal solver for desk-scale instances (n <= 14)."""
-    if isinstance(problem, KMeansProblem):
-        return brute_force_kmeans(points, problem.k)
-    return best_affine_subspace(points, problem.j)
-
-
 def approx_solution(
     points: PointSet,
-    problem: Problem,
+    k: int,
     eps: float,
-    solver: Solver,
+    solver: Callable[[PointSet, int], CenterSet],
     delta: float = 0.1,
     seed: int = 0,
-) -> QueryShape:
-    """Reduce, build an eps/8 inner coreset, solve in low dimension, lift.
+) -> CenterSet:
+    """k centers by reduce, an eps/8 inner coreset, `solver(coreset, k)`, lift.
 
     With an alpha-approximate `solver` on the weighted reduced instance the
-    returned shape costs at most alpha * (1 + eps) / (1 - eps) times the
+    returned centers cost at most alpha * (1 + eps) / (1 - eps) times the
     optimum on the full input.
     """
     if not 0 < eps < 1:
         raise InvalidArgument("eps must lie in (0, 1)")
-    if isinstance(problem, KMeansProblem):
-        j_eff = problem.k
-    elif isinstance(problem, AffineClusteringProblem):
-        j_eff = problem.j + 1
-    else:
-        raise InvalidArgument(f"unsupported problem {problem!r}")
-    reduced = reduce(points, j=j_eff, eps=eps, mode="coreset-lift")
+    reduced = reduce(points, j=k, eps=eps, mode="coreset-lift")
     low, basis = reduced.points, np.asarray(reduced.basis)
     del reduced
-    if isinstance(problem, KMeansProblem):
-        # with `reduced` gone, rebinding frees the reduced set before the solver runs
-        low = kmeans_coreset(low, problem.k, eps / 8.0, delta, seed=seed).as_point_set()
-    return _lift_shape(solver(low, problem), basis)
+    # with `reduced` gone, rebinding frees the reduced set before the solver runs
+    low = kmeans_coreset(low, k, eps / 8.0, delta, seed=seed).as_point_set()
+    return CenterSet(np.asarray(solver(low, k).centers) @ basis.T)

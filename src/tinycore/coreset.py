@@ -97,8 +97,8 @@ def coreset_size_linear(j: int, eps: float) -> int:
     """Number of rows of the linear j-subspace coreset: j + ceil(j/eps) - 1."""
     if j < 1:
         raise InvalidArgument("subspace dimension must be >= 1")
-    if not eps > 0:
-        raise InvalidArgument("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidArgument("eps must be finite and positive")
     return j + math.ceil(j / eps) - 1
 
 

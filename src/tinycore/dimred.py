@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput
-from .linalg import PointSet, QueryShape, dist2, svd, tail_energy, _as_readonly, _Tsqr
+from .linalg import PointSet, svd, tail_energy, _as_readonly, _Tsqr
 
 REDUCE_MODES = ("general", "coreset-lift", "kmeans")
 
@@ -79,30 +79,6 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
     # tail of the (folded) spectrum = (weighted) projection cost of the rows
     delta = tail_energy(factors, m)
     return ReducedInstance(points=reduced, basis=basis, delta=delta)
-
-
-def weak_triangle_gap(a: PointSet, b: PointSet, shape: QueryShape, eps: float) -> float:
-    """Bound on |dist2(a, shape) - dist2(b, shape)| from the weak triangle inequality.
-
-    Returns eps * dist2(a, shape) + (1 + 1/eps) * ||a - b||_F^2; the library
-    asserts the inequality before returning, making this a reusable test
-    utility.
-    """
-    if not eps > 0:
-        raise InvalidArgument("eps must be positive")
-    if a.rows.shape != b.rows.shape:
-        raise InvalidArgument("point sets must have identical shape")
-    wa = a.effective_weights()
-    wb = b.effective_weights()
-    if not np.allclose(wa, wb):
-        raise InvalidArgument("point sets must carry identical weights")
-    move = float(np.sum(wa * np.sum((np.asarray(a.rows) - np.asarray(b.rows)) ** 2, axis=1)))
-    cost_a = dist2(a, shape)
-    bound = eps * cost_a + (1.0 + 1.0 / eps) * move
-    gap = abs(cost_a - dist2(b, shape))
-    if gap > bound * (1 + 1e-9) + 1e-12:
-        raise InvalidInput(f"weak triangle inequality violated: gap={gap}, bound={bound}")
-    return bound
 
 
 def lift_coreset(low_coreset: Coreset, reduced: ReducedInstance) -> Coreset:

@@ -447,13 +447,6 @@ def tail_energy(factors: SvdFactors, m: int) -> float:
     return float(np.sum(factors.sigma[m:] ** 2))
 
 
-def weighted_fold(points: PointSet) -> np.ndarray:
-    """Scale row i by sqrt(w_i) so unweighted subspace costs match the weighted ones."""
-    if points.weights is None:
-        raise InvalidInput("weighted_fold requires explicit weights")
-    return np.asarray(points.rows) * np.sqrt(points.effective_weights())[:, None]
-
-
 def _weighted_mean(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The mean of the rows under weights w, whose sum the caller keeps positive."""
     return (w[:, None] * rows).sum(axis=0) / w.sum()

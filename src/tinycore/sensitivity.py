@@ -264,36 +264,6 @@ def kmeans_sensitivities(points: PointSet, bic: BicriteriaSolution) -> Sensitivi
     return SensitivityProfile(sigma=sigma, total=float(np.sum(sigma)))
 
 
-def movement_sensitivities(
-    points_a: PointSet,
-    points_b: PointSet,
-    profile_b: SensitivityProfile,
-    opt_cost: float,
-    alpha: float,
-) -> SensitivityProfile:
-    """Transfer sensitivity bounds from a moved copy of the input.
-
-    Valid when the weighted movement sum is at most alpha times the optimal
-    cost; each bound becomes (4 + 4*alpha) * (sigma_b + w * move / opt_cost).
-    """
-    if not opt_cost > 0:
-        raise InvalidInput("optimal cost must be positive")
-    if points_a.rows.shape != points_b.rows.shape:
-        raise InvalidArgument("point sets must have identical shape")
-    if profile_b.n != points_a.n:
-        raise InvalidArgument("profile length does not match the point sets")
-    w = points_a.effective_weights()
-    move = np.sum((np.asarray(points_a.rows) - np.asarray(points_b.rows)) ** 2, axis=1)
-    budget = float(np.sum(w * move))
-    if budget > alpha * opt_cost * (1 + 1e-9):
-        raise InvalidInput(
-            f"movement {budget:.3e} exceeds the allowed alpha * opt = {alpha * opt_cost:.3e}"
-        )
-    factor = 4.0 + 4.0 * alpha
-    sigma = factor * (np.asarray(profile_b.sigma) + w * move / opt_cost)
-    return SensitivityProfile(sigma=sigma, total=float(np.sum(sigma)))
-
-
 def vc_sample_size(
     total_sensitivity: float,
     dim_bound: int,

@@ -181,7 +181,10 @@ class CoresetStream:
         if not np.isfinite(block).all():
             raise InvalidInput("stream point contains non-finite entries")
         if self._d is None:
-            self._d = block.shape[1]
+            j, d = self.config.j, block.shape[1]
+            if self.config.kind != "kmeans" and j > d - 1:  # else the first reduce would fail
+                raise InvalidArgument(f"subspace dimension {j} must be in [1, {d - 1}]")
+            self._d = d
         elif block.shape[1] != self._d:
             raise InvalidInput(f"point dimension {block.shape[1]} != stream dimension {self._d}")
         n, start = block.shape[0], 0

@@ -28,9 +28,7 @@ from tinycore import (
     coreset_cost,
     coreset_size_linear,
     dist2,
-    exact_tiny_solver,
     kmeans_coreset,
-    KMeansProblem,
     linear_subspace_coreset,
     mahalanobis,
     niceness_thresholds,
@@ -328,7 +326,7 @@ def test_criterion_09_oracle_agreement():
         rows = make_blobs(gen, n, d, k, spread=4.0)
         ps = PointSet(rows)
         opt = dist2(ps, brute_force_kmeans(ps, k))
-        shape = approx_solution(ps, KMeansProblem(k), eps, exact_tiny_solver)
+        shape = approx_solution(ps, k, eps, brute_force_kmeans)
         got = dist2(ps, shape)
         if got <= bound * opt + 1e-9:
             hits += 1

@@ -97,6 +97,11 @@ class TestDivergence:
         with pytest.raises(InvalidArgument, match="finite"):
             mahalanobis(b)
 
+    @pytest.mark.parametrize("b", [[["a"]], [[1.0, "x"], [0.0, 1.0]], object()])
+    def test_rejects_a_matrix_that_is_not_numbers(self, b):
+        with pytest.raises(InvalidArgument, match="numbers"):
+            mahalanobis(b)
+
 
 class TestCfCost:
     """A one-point coreset is a clustering feature: centroid, weight, and its

@@ -225,6 +225,15 @@ class TestCoresetCommand:
         assert err.startswith("error:") and "did not converge" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("affine", [False, True], ids=["subspace", "affine"])
+    def test_subspace_infinite_epsilon_exits_1(self, tmp_path, data_csv, capsys, affine):
+        path, _ = data_csv
+        out = tmp_path / "o.cs"
+        argv = ["coreset", "subspace", "--j", "1", "--epsilon", "inf", path, "-o", str(out)]
+        assert main(argv + ["--affine"] * affine) == 1
+        assert capsys.readouterr().err == "error: eps must be finite and positive\n"
+        assert not out.exists()
+
 
 class TestEvalCommand:
     def test_identity_coreset_all_ratios_one(self, tmp_path, data_csv, capsys):
@@ -315,6 +324,16 @@ class TestEvalCommand:
         ])
         assert code == 2
         assert capsys.readouterr().err == "error: --epsilon must be finite and > 0\n"
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exits_2_before_reading(self, tmp_path, capsys, k):
+        missing = str(tmp_path / "missing")
+        code = main([
+            "eval", missing + ".cs", missing + ".csv", "--query-kind", "centers",
+            "--k", k, "--epsilon", "0.5", "--seed", "1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --k must be >= 1\n"
 
     def test_dimension_mismatch_exits_1(self, tmp_path, data_csv, rng):
         path, _ = data_csv
@@ -454,6 +473,32 @@ class TestSolveCommand:
         assert main(["solve", "kmeans", "--k", "3", "--epsilon", "0.5", "--seed", "1", path, "-o", out]) == 0
         opt = dist2(PointSet(rows), brute_force_kmeans(PointSet(rows), 3))
         assert self._solve_cost(out) <= 1.01 * opt
+
+    def test_affine_writes_the_exact_fit(self, tmp_path, rng):
+        # n < d: a reduction to rank m < d would move the fit in its last bits
+        from tinycore import best_affine_subspace
+
+        path = str(tmp_path / "wide.csv")
+        np.savetxt(path, rng.standard_normal((12, 42)) + 5.0, delimiter=",", fmt="%.17g")
+        out = tmp_path / "sol.csv"
+        argv = ["solve", "affine", "--j", "2", "--epsilon", "0.5", "--seed", "1", path, "-o", str(out)]
+        assert main(argv) == 0
+        written = {"offset": [], "basis": []}
+        for line in out.read_text().splitlines()[1:]:
+            label, *values = line.split(",")
+            written[label].append([float(v) for v in values])
+        fit = best_affine_subspace(load_points(path, False, False), 2)
+        assert np.array_equal(np.array(written["offset"][0]), fit.offset)
+        assert np.array_equal(np.array(written["basis"]).T, fit.basis)
+
+    @pytest.mark.parametrize("eps", ["0", "1", "nan", "inf"])
+    def test_affine_epsilon_outside_0_1_exits_1(self, tmp_path, data_csv, capsys, eps):
+        path, _ = data_csv
+        out = tmp_path / "sol.csv"
+        argv = ["solve", "affine", "--j", "1", "--epsilon=" + eps, "--seed", "1", path, "-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: eps must lie in (0, 1)\n"
+        assert not out.exists()
 
     def test_kmeans_cost_ignores_a_common_shift(self, tmp_path, capsys):
         # multiples of 1/64 below 2^6, so adding 1e7 and writing with repr are exact

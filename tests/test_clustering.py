@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from tinycore import (
-    AffineClusteringProblem,
     InvalidArgument,
     InvalidInput,
-    KMeansProblem,
     PointSet,
     ResourceLimit,
     SensitivityProfile,
@@ -14,7 +12,6 @@ from tinycore import (
     brute_force_kmeans,
     coreset_cost,
     dist2,
-    exact_tiny_solver,
     kmeans_coreset,
     lloyd_solve,
     sensitivity_sample,
@@ -253,13 +250,13 @@ class TestSmallKmeansCoreset:
 class TestApproxSolution:
     def test_single_point_k1(self):
         rows = np.array([[3.0, -2.0, 1.0]])
-        shape = approx_solution(PointSet(rows), KMeansProblem(1), 0.5, exact_tiny_solver)
+        shape = approx_solution(PointSet(rows), 1, 0.5, brute_force_kmeans)
         assert dist2(PointSet(rows), shape) == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(np.asarray(shape.centers)[0], rows[0], atol=1e-9)
 
     def test_k_equals_n_zero_cost(self, rng):
         rows = rng.standard_normal((5, 8))
-        shape = approx_solution(PointSet(rows), KMeansProblem(5), 0.5, exact_tiny_solver)
+        shape = approx_solution(PointSet(rows), 5, 0.5, brute_force_kmeans)
         assert dist2(PointSet(rows), shape) == pytest.approx(0.0, abs=1e-9)
 
     def test_recovers_separated_clusters(self, rng):
@@ -267,15 +264,8 @@ class TestApproxSolution:
         rows = np.repeat(base, 4, axis=0) + 0.2 * rng.standard_normal((12, 10))
         ps = PointSet(rows)
         opt = dist2(ps, brute_force_kmeans(ps, 3))
-        shape = approx_solution(ps, KMeansProblem(3), 0.5, exact_tiny_solver)
+        shape = approx_solution(ps, 3, 0.5, brute_force_kmeans)
         assert dist2(ps, shape) <= 1.01 * opt
-
-    def test_affine_problem(self, rng):
-        rows = rng.standard_normal((10, 5)) + 3.0
-        ps = PointSet(rows)
-        shape = approx_solution(ps, AffineClusteringProblem(j=1), 0.5, exact_tiny_solver)
-        opt = dist2(ps, best_affine_subspace(ps, 1))
-        assert dist2(ps, shape) <= (1 + 0.5) / (1 - 0.5) * opt + 1e-9
 
 
 class TestBestAffineSubspace:

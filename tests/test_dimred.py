@@ -14,10 +14,9 @@ from tinycore import (
     lift_coreset,
     reduce,
     reduction_rank,
-    weak_triangle_gap,
 )
 
-from conftest import estimate_cost, make_blobs, rand_orthonormal, rand_subspace
+from conftest import estimate_cost, make_blobs, rand_orthonormal
 
 
 def shapes_in_subspace(rng, d, j, count):
@@ -155,40 +154,6 @@ class TestKmeansReductionGuarantee:
             approx_input = PointSet(red.ambient_points())
             centers = brute_force_kmeans(approx_input, k)
             assert dist2(ps, centers) <= (1 + eps) * opt + 1e-9
-
-
-class TestWeakTriangle:
-    def test_equal_inputs_zero_gap(self, rng):
-        a = PointSet(rng.standard_normal((10, 4)))
-        shape = rand_subspace(rng, 4, 2)
-        bound = weak_triangle_gap(a, a, shape, 0.3)
-        assert bound == pytest.approx(0.3 * dist2(a, shape), rel=1e-12)
-
-    def test_translated_copy(self, rng):
-        rows = rng.standard_normal((15, 4))
-        t = rng.standard_normal(4)
-        a, b = PointSet(rows), PointSet(rows + t)
-        shape = CenterSet(rng.standard_normal((3, 4)) + 20.0)
-        bound = weak_triangle_gap(a, b, shape, 0.5)
-        assert abs(dist2(a, shape) - dist2(b, shape)) <= bound
-
-    def test_random_draws_never_violate(self, rng):
-        for _ in range(100):
-            n, d = int(rng.integers(2, 20)), int(rng.integers(2, 8))
-            rows = rng.standard_normal((n, d))
-            other = rows + 0.5 * rng.standard_normal((n, d))
-            eps = float(rng.uniform(0.05, 1.0))
-            if rng.random() < 0.5:
-                shape = CenterSet(rng.standard_normal((int(rng.integers(1, 4)), d)))
-            else:
-                shape = rand_subspace(rng, d, int(rng.integers(1, d)), affine=bool(rng.random() < 0.5))
-            weak_triangle_gap(PointSet(rows), PointSet(other), shape, eps)
-
-    def test_shape_mismatch(self, rng):
-        a = PointSet(rng.standard_normal((4, 3)))
-        b = PointSet(rng.standard_normal((5, 3)))
-        with pytest.raises(InvalidArgument):
-            weak_triangle_gap(a, b, CenterSet(np.zeros((1, 3))), 0.5)
 
 
 class TestLiftCoreset:

@@ -19,7 +19,6 @@ from tinycore import (
     linear_subspace_coreset,
     svd,
     tail_energy,
-    weighted_fold,
 )
 from tinycore.linalg import _TSQR_BLOCK, TOL_ORTH, _frame, _nearest, _Tsqr, dist2_rows
 
@@ -493,31 +492,6 @@ class TestFrame:
     def test_coreset_requires_weights(self, rng):
         with pytest.raises(InvalidInput):
             Coreset(rng.standard_normal((4, 2)), None, 0.0)
-
-
-class TestWeightedFold:
-    def test_unit_weights_unchanged(self, rng):
-        rows = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(weighted_fold(PointSet(rows, np.ones(4))), rows)
-
-    def test_weight_four_doubles_row(self):
-        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
-        folded = weighted_fold(PointSet(rows, np.array([4.0, 1.0])))
-        np.testing.assert_allclose(folded[0], [2.0, 4.0])
-        np.testing.assert_allclose(folded[1], [3.0, 4.0])
-
-    def test_folded_cost_equals_weighted_cost(self, rng):
-        rows = rng.standard_normal((9, 5))
-        w = rng.uniform(0.1, 4.0, 9)
-        shape = rand_subspace(rng, 5, 2)
-        folded = weighted_fold(PointSet(rows, w))
-        assert dist2(PointSet(folded), shape) == pytest.approx(
-            oracle_cost_subspace(rows, w, shape), rel=1e-9
-        )
-
-    def test_requires_weights(self, rng):
-        with pytest.raises(InvalidInput):
-            weighted_fold(PointSet(rng.standard_normal((3, 2))))
 
 
 class TestMatrixInvariants:

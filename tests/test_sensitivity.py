@@ -19,7 +19,6 @@ from tinycore import (
     kmeans_coreset,
     kmeans_sensitivities,
     lloyd_solve,
-    movement_sensitivities,
     sensitivity_sample,
     vc_sample_size,
 )
@@ -350,47 +349,6 @@ class TestKmeansSensitivities:
         bic = bicriteria_kmeans(PointSet(rows), 1, 0.1, seed=0)
         prof = kmeans_sensitivities(PointSet(rows), bic)
         np.testing.assert_allclose(prof.sigma, np.full(4, DEFAULT_C_S / 4.0))
-
-
-class TestMovementSensitivities:
-    def test_zero_movement_scales_by_factor(self, rng):
-        rows = rng.standard_normal((10, 3))
-        prof = SensitivityProfile(sigma=np.full(10, 0.2), total=2.0)
-        ps = PointSet(rows)
-        out = movement_sensitivities(ps, ps, prof, opt_cost=5.0, alpha=0.7)
-        np.testing.assert_allclose(out.sigma, (4 + 4 * 0.7) * 0.2)
-
-    def test_alpha_zero_forces_equal_inputs(self, rng):
-        rows = rng.standard_normal((6, 2))
-        prof = SensitivityProfile(sigma=np.full(6, 0.5), total=3.0)
-        out = movement_sensitivities(PointSet(rows), PointSet(rows), prof, 1.0, 0.0)
-        np.testing.assert_allclose(out.sigma, 4.0 * 0.5)
-        moved = PointSet(rows + 1.0)
-        with pytest.raises(InvalidInput):
-            movement_sensitivities(moved, PointSet(rows), prof, 1.0, 0.0)
-
-    def test_perturbed_bounds_dominate_grid(self, rng):
-        from tinycore import lloyd_solve
-
-        rows = rng.uniform(-1, 1, (20, 2))
-        ps = PointSet(rows)
-        bic = bicriteria_kmeans(ps, 2, 0.1, seed=1)
-        prof_b = kmeans_sensitivities(ps, bic)
-        opt = dist2(ps, lloyd_solve(ps, 2, seed=0))
-        pert = rows + 0.05 * rng.standard_normal((20, 2))
-        move = float(np.sum((rows - pert) ** 2))
-        alpha = 1.2 * move / opt
-        out = movement_sensitivities(PointSet(pert), ps, prof_b, opt, alpha)
-        grid = [rng.uniform(-2, 2, (2, 2)) for _ in range(400)]
-        grid += [50 * rng.standard_normal((2, 2)) for _ in range(50)]
-        true = grid_sensitivity(pert, np.ones(20), grid)
-        assert np.all(out.sigma >= true)
-
-    def test_rejects_non_positive_opt(self, rng):
-        rows = rng.standard_normal((4, 2))
-        prof = SensitivityProfile(sigma=np.full(4, 0.25), total=1.0)
-        with pytest.raises(InvalidInput):
-            movement_sensitivities(PointSet(rows), PointSet(rows), prof, 0.0, 1.0)
 
 
 class TestVcSampleSize:

@@ -311,3 +311,16 @@ class TestBlockFeed:
         with pytest.raises(InvalidInput):
             stream.extend(rng.standard_normal((10, 4)))
         assert _state(stream) == before
+
+    @pytest.mark.parametrize("kind", ["subspace", "affine"])
+    def test_j_above_d_minus_1_is_rejected_at_the_first_block(self, rng, kind):
+        stream = CoresetStream(StreamConfig(kind=kind, eps=0.5, j=5))
+        before = _state(stream)
+        with pytest.raises(InvalidArgument, match=r"subspace dimension 5 must be in \[1, 2\]"):
+            stream.extend(rng.standard_normal((5000, 3)))
+        with pytest.raises(InvalidArgument):
+            stream.insert(rng.standard_normal(5))
+        assert _state(stream) == before
+        # the rejected blocks fixed no dimension: a wide enough one is taken
+        stream.extend(rng.standard_normal((10, 6)))
+        assert stream.points_seen == 10 and stream.query().d == 6

@@ -35,6 +35,16 @@ class TestCoresetSizeLinear:
         with pytest.raises(InvalidArgument):
             coreset_size_linear(2, 0.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_eps_that_is_not_finite(self, rng, eps):
+        # at eps = inf the formula gives j - 1 rows, too few for a j-subspace
+        with pytest.raises(InvalidArgument, match="finite"):
+            coreset_size_linear(2, eps)
+        ps = PointSet(rng.standard_normal((20, 4)))
+        for build in (linear_subspace_coreset, affine_subspace_coreset):
+            with pytest.raises(InvalidArgument, match="finite"):
+                build(ps, 2, eps)
+
 
 class TestLinearSubspaceCoreset:
     def test_identity_input(self):
