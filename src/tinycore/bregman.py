@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .clustering import brute_force_kmeans, lloyd_solve
 from .coreset import Coreset
-from .errors import InvalidArgument, InvalidInput
+from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed
 from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
 
 logger = logging.getLogger("tinycore.bregman")
@@ -49,13 +49,9 @@ class Divergence:
     name: str = "squared-euclidean"
 
     def __post_init__(self):
-        if not 0 < self.similarity <= 1:
-            raise InvalidArgument("similarity must lie in (0, 1]")
+        check_real("similarity", self.similarity, hi=1, closed=True)
         if self.matrix is not None:
-            try:
-                b = np.atleast_2d(np.asarray(self.matrix, dtype=np.float64))
-            except (TypeError, ValueError) as exc:
-                raise InvalidArgument(f"Mahalanobis matrix must hold numbers: {exc}") from exc
+            b = np.atleast_2d(as_floats(self.matrix, InvalidArgument, "Mahalanobis matrix"))
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise InvalidArgument("Mahalanobis matrix must be square")
             if not np.all(np.isfinite(b)):
@@ -160,10 +156,7 @@ def niceness_thresholds(eps: float, m: float) -> tuple[float, int]:
     f1(eps) = 1 / (1 + 4/(m*eps))^2; the depth bound is evaluated at eps/2
     with f3 = f1, i.e. nu = ceil(log(1/f1(eps/2)) / log(1 + f1(eps/2))).
     """
-    if not 0 < eps <= 1:
-        raise InvalidArgument("eps must lie in (0, 1]")
-    if not 0 < m <= 1:
-        raise InvalidArgument("similarity must lie in (0, 1]")
+    eps, m = check_real("eps", eps, hi=1, closed=True), check_real("similarity", m, hi=1, closed=True)
     f1 = 1.0 / (1.0 + 4.0 / (m * eps)) ** 2
     f1_half = 1.0 / (1.0 + 4.0 / (m * eps / 2.0)) ** 2
     nu = math.ceil(math.log(1.0 / f1_half) / math.log(1.0 + f1_half))
@@ -206,8 +199,9 @@ def partition_helper(
     out).  A split is proposed by k-means under d_B with seed 0 (see
     :func:`_kclustering`) and kept only when the d_phi 1-clustering cost
     exceeds (1 + f1) times the summed costs of the parts; a leaf is a set
-    whose split is not kept, or one at the depth bound.
+    whose split is not kept, or one at the depth bound.  k >= 1, depth >= 0 and f1 > 0.
     """
+    k, depth, f1 = check_int("k", k), check_int("depth", depth, 0), check_real("f1", f1)
     return [leaf for leaf, _ in _partition(points, k, depth, f1, div, 0)]
 
 
@@ -249,10 +243,7 @@ def bregman_coreset(
     diagnostic because the formula value explodes for small eps.  Each split
     is seeded by `seed`.
     """
-    if not 0 < eps < 1:
-        raise InvalidArgument("eps must lie in (0, 1)")
-    if k < 1:
-        raise InvalidArgument("k must be >= 1")
+    eps, k, seed = check_real("eps", eps, hi=1), check_int("k", k), check_seed(seed)
     rows = np.asarray(points.rows)
     w = points.effective_weights()
     _, nu = niceness_thresholds(eps, div.similarity)

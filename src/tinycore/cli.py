@@ -44,7 +44,7 @@ from .clustering import (
     small_kmeans_coreset,
 )
 from .coreset import Coreset, coreset_cost, _subspace_coreset
-from .errors import TinycoreError
+from .errors import TinycoreError, check_real
 from .linalg import CenterSet, PointSet, Subspace, dist2, _Tsqr
 from .streaming import CoresetStream, StreamConfig
 
@@ -57,6 +57,10 @@ _HEADER = struct.Struct("<4sIQQQddq16s32s")
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
+
+
+class _UsageError(Exception):
+    """A bad flag, found before any file is opened: `main` prints it and exits 2."""
 
 
 @dataclass
@@ -328,14 +332,11 @@ def cmd_coreset(args: argparse.Namespace) -> int:
 
 def cmd_stream(args: argparse.Namespace) -> int:
     if args.checkpoint < 0:
-        print("error: --checkpoint must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--checkpoint must be >= 0")
     if args.kind in ("subspace", "affine") and args.j is None:
-        print("error: --kind subspace/affine requires --j", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--kind subspace/affine requires --j")
     if args.kind == "kmeans" and args.k is None:
-        print("error: --kind kmeans requires --k", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--kind kmeans requires --k")
     if args.input == "-":
         name, source = "<stdin>", contextlib.nullcontext(sys.stdin.buffer)
     else:
@@ -376,14 +377,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--count must be >= 1")
     if args.query_kind == "centers" and args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--k must be >= 1")
     if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-        print("error: --epsilon must be finite and > 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--epsilon must be finite and > 0")
     cf = read_coreset_file(args.coreset)
     points = load_points(args.data, args.weighted, args.header)
     if cf.d != points.d:
@@ -427,8 +425,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         shape = approx_solution(points, args.k, args.epsilon, solver, seed=args.seed)
     else:
         _check_j(args.j, points.d)
-        if not 0 < args.epsilon < 1:  # checked as for k-means, though the fit below is exact
-            raise TinycoreError("eps must lie in (0, 1)")
+        check_real("eps", args.epsilon, hi=1)  # as for k-means, though the fit below is exact
         shape = best_affine_subspace(points, args.j)
     cost = dist2(points, shape)
     if not math.isfinite(cost):
@@ -545,9 +542,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 <= args.seed < 2**63:  # the TCS1 header stores it as a signed 64-bit integer
-        print("error: --seed must be in [0, 2**63)", file=sys.stderr)
-        return EXIT_USAGE
     handlers = {
         "coreset": cmd_coreset,
         "stream": cmd_stream,
@@ -555,7 +549,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         "solve": cmd_solve,
     }
     try:
+        if not 0 <= args.seed < 2**63:  # the TCS1 header stores it as a signed 64-bit integer
+            raise _UsageError("--seed must be in [0, 2**63)")
         return handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (TinycoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -8,7 +8,7 @@ import numpy as np
 
 from .coreset import Coreset, _input_coreset
 from .dimred import lift_coreset, reduce
-from .errors import InvalidArgument, InvalidInput, ResourceLimit
+from .errors import InvalidInput, ResourceLimit, check_int, check_real, check_seed
 from .linalg import CenterSet, PointSet, Subspace, _nearest, _Tsqr, _weighted_mean, svd
 from .sensitivity import (
     DEFAULT_C_VC,
@@ -22,15 +22,6 @@ from .sensitivity import (
     vc_sample_size,
 )
 
-__all__ = [
-    "CenterSet",
-    "lloyd_solve",
-    "brute_force_kmeans",
-    "kmeans_coreset",
-    "small_kmeans_coreset",
-    "approx_solution",
-]
-
 BRUTE_FORCE_MAX_POINTS = 14
 _BRUTE_CHUNK = 20000
 _LLOYD_MAX_ITERS = 100
@@ -42,10 +33,7 @@ def lloyd_solve(points: PointSet, k: int, seed: int) -> CenterSet:
     Clusters that empty out are reseeded at the point with the largest
     weighted distance to its current center.
     """
-    if points.n < 1:
-        raise InvalidInput("empty input")
-    if not 1 <= k <= points.n:
-        raise InvalidArgument(f"k={k} must be in [1, {points.n}]")
+    k, seed = check_int("k", k, 1, points.n), check_seed(seed)
     frame = points.frame
     rows, norms = frame.rows, frame.norms
     w = points.effective_weights()
@@ -112,11 +100,9 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
     their mean): the expansion in :func:`_partition_costs` is accurate only
     near the origin, and a partition's cost does not depend on translation.
     """
-    n = points.n
+    n, k = points.n, check_int("k", k)
     if n > BRUTE_FORCE_MAX_POINTS:
         raise ResourceLimit(f"brute force limited to {BRUTE_FORCE_MAX_POINTS} points, got {n}")
-    if k < 1:
-        raise InvalidArgument("k must be >= 1")
     rows = np.asarray(points.rows)
     w = points.effective_weights()
     if k >= n:
@@ -156,14 +142,14 @@ def kmeans_coreset(
     Pipeline: bicriteria approximation, sensitivity bounds, VC sample size,
     non-uniform sample.  If the computed sample size reaches the input size
     the input is returned verbatim (an exact coreset that shares the input's
-    read-only rows).  `sample_size` overrides the VC formula, which the
-    streaming layer uses to pin the summary size per level.
+    read-only rows).  `sample_size`, a positive integer, overrides the VC
+    formula (the streaming layer uses it to pin the summary size per level);
+    a float is rejected, not truncated.  k may exceed n; eps and delta lie in
+    (0, 1) and c_vc is positive, whether or not the formula is used.
     """
-    if k < 1:
-        raise InvalidArgument("k must be >= 1")
-    if not 0 < eps < 1 or not 0 < delta < 1:
-        raise InvalidArgument("eps and delta must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
+    k, eps, delta = check_int("k", k), check_real("eps", eps, hi=1), check_real("delta", delta, hi=1)
+    c_vc = check_real("c_vc", c_vc)
+    rng = np.random.default_rng(check_seed(seed))
     seed_bic = int(rng.integers(2**62))
     seed_sample = int(rng.integers(2**62))
     if sample_size is None:
@@ -171,10 +157,7 @@ def kmeans_coreset(
         dim_bound = center_query_dimension(points.d, k)
         s = vc_sample_size(profile.total, dim_bound, eps, delta, c_vc=c_vc)
     else:
-        s = int(sample_size)
-        if s < 1:
-            raise InvalidArgument("sample_size must be >= 1")
-        profile = None
+        s, profile = check_int("sample size", sample_size), None
     if s >= points.n:
         return _input_coreset(points)
     if profile is None:
@@ -216,7 +199,8 @@ def small_kmeans_coreset(
 
 
 def best_affine_subspace(points: PointSet, j: int) -> Subspace:
-    """Optimal affine j-subspace of a weighted point set (centered SVD fit)."""
+    """Optimal affine j-subspace of a weighted point set (centered SVD fit), 1 <= j <= d - 1."""
+    j = check_int("subspace dimension", j, 1, points.d - 1)
     acc = _Tsqr(centred=True).feed(points.rows, points.weights)
     factors = svd(acc)
     if acc.energy == 0:  # every row at the mean: any subspace through it is optimal
@@ -238,9 +222,7 @@ def approx_solution(
     returned centers cost at most alpha * (1 + eps) / (1 - eps) times the
     optimum on the full input.
     """
-    if not 0 < eps < 1:
-        raise InvalidArgument("eps must lie in (0, 1)")
-    reduced = reduce(points, j=k, eps=eps, mode="coreset-lift")
+    reduced = reduce(points, j=k, eps=check_real("eps", eps, hi=1), mode="coreset-lift")
     low, basis = reduced.points, np.asarray(reduced.basis)
     del reduced
     # with `reduced` gone, rebinding frees the reduced set before the solver runs

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidInput
+from .errors import InvalidInput, as_floats, check_int, check_real
 from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _Tsqr
 
 
@@ -23,7 +23,8 @@ class Coreset:
 
     The points and weights are those of one weighted :class:`PointSet`,
     which checks them, holds them read-only and caches their frame; the
-    coreset itself checks only that weights are given and that delta >= 0.
+    coreset itself checks only that weights are given and that delta is a
+    finite number >= 0.
     """
 
     points: np.ndarray
@@ -35,12 +36,13 @@ class Coreset:
         if self.weights is None:
             raise InvalidInput("coreset weights must be given")
         ps = PointSet(self.points, self.weights)
-        if not self.delta >= 0:
-            raise InvalidInput("coreset offset must be non-negative")
+        delta = as_floats(self.delta, InvalidInput, "coreset offset")
+        if delta.shape != () or not (np.isfinite(delta) and delta >= 0):
+            raise InvalidInput("coreset offset must be a finite non-negative number")
         object.__setattr__(self, "_point_set", ps)
         object.__setattr__(self, "points", ps.rows)
         object.__setattr__(self, "weights", ps.weights)
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", float(delta))
 
     @property
     def size(self) -> int:
@@ -95,11 +97,8 @@ def coreset_cost(coreset: Coreset, shape: QueryShape) -> float:
 
 def coreset_size_linear(j: int, eps: float) -> int:
     """Number of rows of the linear j-subspace coreset: j + ceil(j/eps) - 1."""
-    if j < 1:
-        raise InvalidArgument("subspace dimension must be >= 1")
-    if not (math.isfinite(eps) and eps > 0):
-        raise InvalidArgument("eps must be finite and positive")
-    return j + math.ceil(j / eps) - 1
+    j = check_int("subspace dimension", j)
+    return j + math.ceil(j / check_real("eps", eps)) - 1
 
 
 def linear_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
@@ -134,8 +133,7 @@ def _subspace_coreset(acc: _Tsqr, j: int, eps: float) -> Coreset:
     from one pass over all rows.
     """
     d = acc.d
-    if not 1 <= j <= d - 1:
-        raise InvalidArgument(f"subspace dimension {j} must be in [1, {d - 1}]")
+    j = check_int("subspace dimension", j, 1, d - 1)
     m = min(acc.n, d, coreset_size_linear(j, eps))
     factors = svd(acc)
     s = (factors.v[:, :m] * factors.sigma[:m]).T

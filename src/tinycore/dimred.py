@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import Coreset
-from .errors import InvalidArgument, InvalidInput
+from .errors import InvalidArgument, InvalidInput, check_int, check_real
 from .linalg import PointSet, svd, tail_energy, _as_readonly, _Tsqr
 
-REDUCE_MODES = ("general", "coreset-lift", "kmeans")
+REDUCE_MODES = ("general", "coreset-lift")
 
 
 @dataclass(frozen=True)
@@ -46,30 +46,30 @@ class ReducedInstance:
 
 
 def reduction_rank(n: int, d: int, j: int, eps: float, mode: str) -> int:
-    """The number of retained singular directions for each reduction mode."""
+    """The number of retained singular directions for each reduction mode.
+
+    n and d are positive integers; so is j, and eps lies in (0, 1].
+    """
+    n, d = check_int("n", n), check_int("d", d)
+    j = check_int("query dimension", j)
+    eps = check_real("eps", eps, hi=1, closed=True)
+    if not isinstance(mode, str) or mode not in REDUCE_MODES:
+        raise InvalidArgument(f"unknown reduction mode {mode!r}; expected one of {REDUCE_MODES}")
     if mode == "general":
         formula = math.ceil(8 * j / eps**2) - 1
-    elif mode == "coreset-lift":
-        formula = j + math.ceil(32 * j / eps**2) - 1
-    elif mode == "kmeans":
-        formula = j + math.ceil(72 * j / eps**2) - 1
     else:
-        raise InvalidArgument(f"unknown reduction mode {mode!r}; expected one of {REDUCE_MODES}")
+        formula = j + math.ceil(32 * j / eps**2) - 1
     return max(1, min(n, d, formula))
 
 
 def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> ReducedInstance:
     """Project onto the top-m right-singular directions, keeping the lost energy.
 
-    For k-means modes pass j := k.  The rank m is capped at min(n, d).  When
+    For k-means pass j := k.  The rank m is capped at min(n, d).  When
     m = d every direction is kept, the reduction is exact with delta = 0, and
     the input itself is returned, with the identity as the basis, without
-    computing an SVD.
+    computing an SVD.  j and eps are checked by :func:`reduction_rank`.
     """
-    if j < 1:
-        raise InvalidArgument("query dimension must be >= 1")
-    if not 0 < eps <= 1:
-        raise InvalidArgument("eps must lie in (0, 1]")
     m = reduction_rank(points.n, points.d, j, eps, mode)
     if m == points.d:
         return ReducedInstance(points=points, basis=np.eye(m), delta=0.0)

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidInput
+from .errors import InvalidArgument, InvalidInput, as_floats, check_int
 
 TOL_ORTH = 1e-8
 TOL_RECON = 1e-8
@@ -40,14 +40,14 @@ class PointSet:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        rows = np.atleast_2d(np.asarray(self.rows, dtype=np.float64))
+        rows = np.atleast_2d(as_floats(self.rows, InvalidInput, "point set"))
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise InvalidInput("point set must be a non-empty n x d matrix")
         if not np.all(np.isfinite(rows)):
             raise InvalidInput("point set contains non-finite entries")
         object.__setattr__(self, "rows", _as_readonly(rows))
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+            w = as_floats(self.weights, InvalidInput, "weights").reshape(-1)
             if w.shape[0] != rows.shape[0]:
                 raise InvalidInput("weight vector length does not match row count")
             if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -135,20 +135,20 @@ class Subspace:
     offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        basis = np.atleast_2d(np.asarray(self.basis, dtype=np.float64))
-        if basis.ndim != 2 or basis.shape[1] < 1:
+        basis = np.atleast_2d(as_floats(self.basis, InvalidArgument, "subspace basis"))
+        if basis.ndim != 2:
             raise InvalidArgument("subspace basis must be a d x j matrix")
         d, j = basis.shape
-        if not 1 <= j <= d - 1:
-            raise InvalidArgument(f"subspace dimension {j} out of range for ambient {d}")
-        gram_err = np.max(np.abs(basis.T @ basis - np.eye(j)))
-        if gram_err > TOL_ORTH:
+        check_int("subspace dimension", j, 1, d - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # large or NaN entries fail below
+            gram_err = np.max(np.abs(basis.T @ basis - np.eye(j)))
+        if not gram_err <= TOL_ORTH:
             raise InvalidArgument(f"basis columns are not orthonormal (err={gram_err:.2e})")
         object.__setattr__(self, "basis", _as_readonly(basis))
         if self.offset is not None:
-            off = np.asarray(self.offset, dtype=np.float64).reshape(-1)
-            if off.shape[0] != d:
-                raise InvalidArgument("offset dimension does not match basis")
+            off = as_floats(self.offset, InvalidArgument, "subspace offset").reshape(-1)
+            if off.shape[0] != d or not np.all(np.isfinite(off)):
+                raise InvalidArgument("offset must be a finite vector of the basis dimension")
             object.__setattr__(self, "offset", _as_readonly(off))
 
     @property
@@ -163,7 +163,7 @@ class CenterSet:
     centers: np.ndarray
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=np.float64))
+        centers = np.atleast_2d(as_floats(self.centers, InvalidArgument, "center set"))
         if centers.ndim != 2 or centers.shape[0] < 1:
             raise InvalidArgument("center set must contain at least one center")
         if not np.all(np.isfinite(centers)):
@@ -442,8 +442,7 @@ def _check_fit(gram: np.ndarray, energy: float, f: SvdFactors) -> None:
 
 def tail_energy(factors: SvdFactors, m: int) -> float:
     """Sum of squared singular values past index m, i.e. ||A - A^(m)||_F^2."""
-    if not 0 <= m <= factors.rank_bound:
-        raise InvalidArgument(f"rank {m} out of range [0, {factors.rank_bound}]")
+    m = check_int("rank out of range:", m, 0, factors.rank_bound)
     return float(np.sum(factors.sigma[m:] ** 2))
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .coreset import Coreset, _input_coreset
-from .errors import InvalidArgument, InvalidInput
+from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed
 from .linalg import PointSet, _as_readonly, _nearest
 
 DEFAULT_C_S = 8.0
@@ -32,11 +32,11 @@ class SensitivityProfile:
     total: float
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.float64).reshape(-1)
+        sigma = as_floats(self.sigma, InvalidInput, "sensitivity bounds").reshape(-1)
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise InvalidInput("sensitivity bounds must be positive and finite")
         total = float(np.sum(sigma))
-        if abs(total - self.total) > 1e-9 * max(total, 1.0):
+        if not abs(total - check_real("profile total", self.total)) <= 1e-9 * max(total, 1.0):
             raise InvalidInput("profile total does not match the sum of bounds")
         object.__setattr__(self, "sigma", _as_readonly(sigma))
         object.__setattr__(self, "total", total)
@@ -200,12 +200,7 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     only lower its cost.  A seeding cost that is not finite (squares that
     overflow float64) raises InvalidInput.
     """
-    if k < 1:
-        raise InvalidArgument("k must be >= 1")
-    if k > points.n:
-        raise InvalidArgument(f"k={k} exceeds the number of points {points.n}")
-    if not 0 < delta < 1:
-        raise InvalidArgument("delta must lie in (0, 1)")
+    k, delta, seed = check_int("k", k, 1, points.n), check_real("delta", delta, hi=1), check_seed(seed)
     frame = points.frame
     rows, norms = frame.rows, frame.norms
     w = points.effective_weights()
@@ -272,11 +267,10 @@ def vc_sample_size(
     c_vc: float = DEFAULT_C_VC,
 ) -> int:
     """Sample size ceil(c_vc * S/eps^2 * (dim * log2(max(S, 2)) + log2(1/delta)))."""
-    if total_sensitivity <= 0 or dim_bound <= 0:
-        raise InvalidArgument("total sensitivity and dimension bound must be positive")
-    if not 0 < eps < 1 or not 0 < delta < 1:
-        raise InvalidArgument("eps and delta must lie in (0, 1)")
-    s = total_sensitivity
+    s = check_real("total sensitivity", total_sensitivity)
+    dim_bound = check_int("dimension bound", dim_bound)
+    eps, delta = check_real("eps", eps, hi=1), check_real("delta", delta, hi=1)
+    c_vc = check_real("c_vc", c_vc)
     raw = c_vc * s / eps**2 * (dim_bound * math.log2(max(s, 2.0)) + math.log2(1.0 / delta))
     return max(1, math.ceil(raw))
 
@@ -327,8 +321,7 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
     Every output weight is at least the corresponding input weight, and the
     sample is an unbiased estimator of the weighted cost of any fixed shape.
     """
-    if s < 1:
-        raise InvalidArgument("sample size must be >= 1")
+    s, seed = check_int("sample size", s), check_seed(seed)
     if profile.n != points.n:
         raise InvalidArgument("profile length does not match the point set")
     if not profile.total > 0:

@@ -25,7 +25,7 @@ from .coreset import (
     merge_coresets,
 )
 from .clustering import kmeans_coreset
-from .errors import EmptyState, InvalidArgument, InvalidInput
+from .errors import EmptyState, InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed
 from .linalg import PointSet
 
 STREAM_KINDS = ("subspace", "affine", "kmeans")
@@ -46,20 +46,16 @@ class StreamConfig:
     c_stream: float = DEFAULT_C_STREAM
 
     def __post_init__(self):
-        if self.kind not in STREAM_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in STREAM_KINDS:
             raise InvalidArgument(f"kind must be one of {STREAM_KINDS}")
-        if not 0 < self.eps <= 1:
-            raise InvalidArgument("eps must lie in (0, 1]")
-        if self.seed < 0:
-            raise InvalidArgument("seed must be >= 0")
+        check_real("eps", self.eps, hi=1, closed=True)
+        check_seed(self.seed)
         if self.kind in ("subspace", "affine"):
-            if self.j is None or self.j < 1:
-                raise InvalidArgument("subspace streams need j >= 1")
+            check_int("j", self.j)
         else:
-            if self.k is None or self.k < 1:
-                raise InvalidArgument("k-means streams need k >= 1")
-            if not 0 < self.delta < 1:
-                raise InvalidArgument("delta must lie in (0, 1)")
+            check_int("k", self.k)
+            check_real("delta", self.delta, hi=1)
+            check_real("c_stream", self.c_stream)
 
 
 class CoresetStream:
@@ -181,10 +177,9 @@ class CoresetStream:
         if not np.isfinite(block).all():
             raise InvalidInput("stream point contains non-finite entries")
         if self._d is None:
-            j, d = self.config.j, block.shape[1]
-            if self.config.kind != "kmeans" and j > d - 1:  # else the first reduce would fail
-                raise InvalidArgument(f"subspace dimension {j} must be in [1, {d - 1}]")
-            self._d = d
+            if self.config.kind != "kmeans":  # else the first reduce would fail
+                check_int("subspace dimension", self.config.j, 1, block.shape[1] - 1)
+            self._d = block.shape[1]
         elif block.shape[1] != self._d:
             raise InvalidInput(f"point dimension {block.shape[1]} != stream dimension {self._d}")
         n, start = block.shape[0], 0
@@ -211,10 +206,10 @@ class CoresetStream:
     # -- public API -----------------------------------------------------
 
     def insert(self, point: np.ndarray) -> None:
-        self._feed(np.array(point, dtype=np.float64).reshape(1, -1))
+        self._feed(np.array(as_floats(point, InvalidInput, "stream point")).reshape(1, -1))
 
     def extend(self, points: np.ndarray) -> None:
-        block = np.atleast_2d(np.array(points, dtype=np.float64))
+        block = np.atleast_2d(np.array(as_floats(points, InvalidInput, "stream points")))
         if block.ndim != 2:
             raise InvalidInput("stream blocks must be n x d arrays")
         self._feed(block)

