@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .clustering import brute_force_kmeans, lloyd_solve
 from .coreset import Coreset
-from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed
+from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
 from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
 
 logger = logging.getLogger("tinycore.bregman")
@@ -157,9 +157,10 @@ def niceness_thresholds(eps: float, m: float) -> tuple[float, int]:
     with f3 = f1, i.e. nu = ceil(log(1/f1(eps/2)) / log(1 + f1(eps/2))).
     """
     eps, m = check_real("eps", eps, hi=1, closed=True), check_real("similarity", m, hi=1, closed=True)
-    f1 = 1.0 / (1.0 + 4.0 / (m * eps)) ** 2
-    f1_half = 1.0 / (1.0 + 4.0 / (m * eps / 2.0)) ** 2
-    nu = math.ceil(math.log(1.0 / f1_half) / math.log(1.0 + f1_half))
+    with size_limit("recursion depth bound"):
+        f1 = 1.0 / (1.0 + 4.0 / (m * eps)) ** 2
+        f1_half = 1.0 / (1.0 + 4.0 / (m * eps / 2.0)) ** 2
+        nu = math.ceil(math.log(1.0 / f1_half) / math.log(1.0 + f1_half))
     return f1, nu
 
 

@@ -46,7 +46,7 @@ from .clustering import (
 from .coreset import Coreset, coreset_cost, _subspace_coreset
 from .errors import TinycoreError, check_real
 from .linalg import CenterSet, PointSet, Subspace, dist2, _Tsqr
-from .streaming import CoresetStream, StreamConfig
+from .streaming import STREAM_KINDS, CoresetStream, StreamConfig
 
 logger = logging.getLogger("tinycore.cli")
 
@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_io(ss)
 
     st = sub.add_parser("stream", help="single-pass streaming coreset")
-    st.add_argument("--kind", choices=["subspace", "affine", "kmeans"], required=True)
+    st.add_argument("--kind", choices=STREAM_KINDS, required=True)
     st.add_argument("--j", type=int, default=None)
     st.add_argument("--k", type=int, default=None)
     st.add_argument("--epsilon", type=float, required=True)
@@ -498,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--skip-malformed", action="store_true")
     st.add_argument("input", help="input CSV file or - for stdin")
     st.add_argument("-o", "--output", default="out.cs")
-    st.add_argument("--format", choices=["binary", "csv"], default="binary")
     st.add_argument("--header", action="store_true", help="skip the first line")
 
     ev = sub.add_parser("eval", help="evaluate a coreset file against its source data")
@@ -526,13 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
     sa.add_argument("--epsilon", type=float, required=True)
     sa.add_argument("--seed", type=int, required=True)
     _common_io(sa)
+    for p in (km, ss, st):  # solutions are always CSV
+        p.add_argument("--format", choices=["binary", "csv"], default="binary")
     return parser
 
 
 def _common_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="input CSV file")
     p.add_argument("-o", "--output", default="out.cs")
-    p.add_argument("--format", choices=["binary", "csv"], default="binary")
     p.add_argument("--weighted", action="store_true", help="last CSV column is a weight")
     p.add_argument("--header", action="store_true", help="skip the first line")
 

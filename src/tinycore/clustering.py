@@ -6,13 +6,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coreset import Coreset, _input_coreset
+from .coreset import Coreset
 from .dimred import lift_coreset, reduce
 from .errors import InvalidInput, ResourceLimit, check_int, check_real, check_seed
 from .linalg import CenterSet, PointSet, Subspace, _nearest, _Tsqr, _weighted_mean, svd
 from .sensitivity import (
     DEFAULT_C_VC,
-    SensitivityProfile,
     _mean_update,
     bicriteria_kmeans,
     center_query_dimension,
@@ -141,11 +140,13 @@ def kmeans_coreset(
 
     Pipeline: bicriteria approximation, sensitivity bounds, VC sample size,
     non-uniform sample.  If the computed sample size reaches the input size
-    the input is returned verbatim (an exact coreset that shares the input's
-    read-only rows).  `sample_size`, a positive integer, overrides the VC
-    formula (the streaming layer uses it to pin the summary size per level);
-    a float is rejected, not truncated.  k may exceed n; eps and delta lie in
-    (0, 1) and c_vc is positive, whether or not the formula is used.
+    the input itself is returned, ``Coreset(points.rows,
+    points.effective_weights(), 0.0)``, which shares its read-only rows.
+    `sample_size`, a positive integer, overrides the VC formula (the
+    streaming layer uses it to pin the summary size per level); a float is
+    rejected, not truncated.  k may exceed n; eps and delta lie in (0, 1) and
+    c_vc is positive, whether or not the formula is used.  Nothing is cached
+    on `points`.
     """
     k, eps, delta = check_int("k", k), check_real("eps", eps, hi=1), check_real("delta", delta, hi=1)
     c_vc = check_real("c_vc", c_vc)
@@ -153,30 +154,16 @@ def kmeans_coreset(
     seed_bic = int(rng.integers(2**62))
     seed_sample = int(rng.integers(2**62))
     if sample_size is None:
-        profile = _sensitivity_profile(points, k, delta, seed_bic)
+        profile = kmeans_sensitivities(points, bicriteria_kmeans(points, min(k, points.n), delta, seed_bic))
         dim_bound = center_query_dimension(points.d, k)
         s = vc_sample_size(profile.total, dim_bound, eps, delta, c_vc=c_vc)
     else:
         s, profile = check_int("sample size", sample_size), None
     if s >= points.n:
-        return _input_coreset(points)
+        return Coreset(points.rows, points.effective_weights(), 0.0)
     if profile is None:
-        profile = _sensitivity_profile(points, k, delta, seed_bic)
+        profile = kmeans_sensitivities(points, bicriteria_kmeans(points, min(k, points.n), delta, seed_bic))
     return sensitivity_sample(points, profile, s, seed_sample)
-
-
-def _sensitivity_profile(points: PointSet, k: int, delta: float, seed: int) -> SensitivityProfile:
-    """Bicriteria solution, then sensitivity bounds, both in the frame of `points`.
-
-    A frame built here is dropped again before the caller samples: sampling
-    reads the rows themselves, and the frame is one more copy of them.
-    """
-    built = "frame" not in vars(points)
-    bic = bicriteria_kmeans(points, min(k, points.n), delta, seed)
-    profile = kmeans_sensitivities(points, bic)
-    if built:
-        object.__delattr__(points, "frame")
-    return profile
 
 
 def small_kmeans_coreset(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, as_floats, check_int, check_real
+from .errors import InvalidInput, as_floats, check_int, check_real, size_limit
 from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _Tsqr
 
 
@@ -22,9 +22,9 @@ class Coreset:
     """Weighted summary (points, weights, delta) of a larger point set.
 
     The points and weights are those of one weighted :class:`PointSet`,
-    which checks them, holds them read-only and caches their frame; the
-    coreset itself checks only that weights are given and that delta is a
-    finite number >= 0.
+    which checks them, holds them read-only (sharing arrays that already
+    are, copying others) and caches their frame; the coreset itself checks
+    only that weights are given and that delta is a finite number >= 0.
     """
 
     points: np.ndarray
@@ -65,27 +65,6 @@ class Coreset:
         return self._point_set.frame
 
 
-def _input_coreset(points: PointSet) -> Coreset:
-    """The input itself as an exact coreset with offset 0, built without a copy.
-
-    The coreset holds the input's read-only rows and weights (read-only unit
-    weights for unweighted input) instead of the copies that
-    :class:`PointSet` makes of the arrays it is given; both are checked already.
-    """
-    if points.weights is None:
-        ones = np.ones(points.n)
-        ones.setflags(write=False)
-        weighted = object.__new__(PointSet)
-        object.__setattr__(weighted, "rows", points.rows)
-        object.__setattr__(weighted, "weights", ones)
-        points = weighted
-    core = object.__new__(Coreset)
-    for name, value in (("points", points.rows), ("weights", points.weights), ("delta", 0.0)):
-        object.__setattr__(core, name, value)
-    object.__setattr__(core, "_point_set", points)
-    return core
-
-
 def coreset_cost(coreset: Coreset, shape: QueryShape) -> float:
     """Cost of a query shape against a coreset: ``dist2(S, shape) + delta``.
 
@@ -97,8 +76,9 @@ def coreset_cost(coreset: Coreset, shape: QueryShape) -> float:
 
 def coreset_size_linear(j: int, eps: float) -> int:
     """Number of rows of the linear j-subspace coreset: j + ceil(j/eps) - 1."""
-    j = check_int("subspace dimension", j)
-    return j + math.ceil(j / check_real("eps", eps)) - 1
+    j, eps = check_int("subspace dimension", j), check_real("eps", eps)
+    with size_limit("coreset size"):
+        return j + math.ceil(j / eps) - 1
 
 
 def linear_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
@@ -151,11 +131,11 @@ def affine_subspace_coreset_weighted(points: PointSet, j: int, eps: float) -> Co
     return affine_subspace_coreset(points, j, eps)
 
 
-def merge_coresets(parts: list[Coreset]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Union of coresets: stack points and weights, add the offsets."""
+def merge_coresets(parts: list[Coreset]) -> Coreset:
+    """The union of coresets as one coreset: points and weights stacked,
+    offsets added.  It is a coreset of the union of their inputs."""
     if not parts:
         raise InvalidInput("nothing to merge")
-    pts = np.vstack([np.asarray(c.points) for c in parts])
-    w = np.concatenate([np.asarray(c.weights) for c in parts])
-    delta = float(sum(c.delta for c in parts))
-    return pts, w, delta
+    pts = np.vstack([c.points for c in parts])
+    w = np.concatenate([c.weights for c in parts])
+    return Coreset(points=pts, weights=w, delta=float(sum(c.delta for c in parts)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import Coreset
-from .errors import InvalidArgument, InvalidInput, check_int, check_real
+from .errors import InvalidArgument, InvalidInput, check_int, check_real, size_limit
 from .linalg import PointSet, svd, tail_energy, _as_readonly, _Tsqr
 
 REDUCE_MODES = ("general", "coreset-lift")
@@ -55,10 +55,11 @@ def reduction_rank(n: int, d: int, j: int, eps: float, mode: str) -> int:
     eps = check_real("eps", eps, hi=1, closed=True)
     if not isinstance(mode, str) or mode not in REDUCE_MODES:
         raise InvalidArgument(f"unknown reduction mode {mode!r}; expected one of {REDUCE_MODES}")
-    if mode == "general":
-        formula = math.ceil(8 * j / eps**2) - 1
-    else:
-        formula = j + math.ceil(32 * j / eps**2) - 1
+    with size_limit("reduction rank"):
+        if mode == "general":
+            formula = math.ceil(8 * j / eps**2) - 1
+        else:
+            formula = j + math.ceil(32 * j / eps**2) - 1
     return max(1, min(n, d, formula))
 
 

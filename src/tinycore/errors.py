@@ -1,4 +1,5 @@
 """Exception types, and the argument checks that raise them at the public entry points."""
+import contextlib
 import math
 import numbers
 
@@ -33,6 +34,16 @@ def check_int(name: str, v, lo: int = 1, hi: float = math.inf) -> int:
     if not lo <= v <= hi:
         raise InvalidArgument(f"{name} {v} must be in [{lo}, {hi}]")
     return int(v)
+
+
+@contextlib.contextmanager
+def size_limit(name: str):
+    """Run a size formula; a divisor that rounds to 0 (ZeroDivisionError) or a value
+    past float64 (OverflowError, `math.ceil(inf)` included) raises ResourceLimit."""
+    try:
+        yield
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ResourceLimit(f"the {name} does not fit in float64 at these arguments") from exc
 
 
 def check_seed(v) -> int:

@@ -27,6 +27,13 @@ _TSQR_BLOCK = 4096
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
+    """`a` itself if it is a plain C-contiguous float64 ndarray, read-only (numpy's
+    flag) with every array it views down to their owner; else a read-only copy."""
+    base = a
+    while type(base) is np.ndarray and not base.flags.writeable:
+        base = base.base
+    if base is None and type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous:
+        return a
     out = np.array(a, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
@@ -34,7 +41,9 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointSet:
-    """n x d matrix of row points with optional non-negative multiplicities."""
+    """n x d matrix of row points with optional non-negative multiplicities,
+    held read-only: a C-contiguous float64 array that is read-only down to its
+    owner is kept as it is, anything else is copied."""
 
     rows: np.ndarray
     weights: Optional[np.ndarray] = None
@@ -47,7 +56,8 @@ class PointSet:
             raise InvalidInput("point set contains non-finite entries")
         object.__setattr__(self, "rows", _as_readonly(rows))
         if self.weights is not None:
-            w = as_floats(self.weights, InvalidInput, "weights").reshape(-1)
+            w = as_floats(self.weights, InvalidInput, "weights")
+            w = w if w.ndim == 1 else w.reshape(-1)  # a 1-D vector is kept, not re-viewed
             if w.shape[0] != rows.shape[0]:
                 raise InvalidInput("weight vector length does not match row count")
             if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -75,8 +85,9 @@ class PointSet:
     def frame(self) -> Frame:
         """The rows in their own frame: built on first use, then kept.
 
-        It is one more copy of the rows; :func:`~tinycore.kmeans_coreset`
-        drops a frame it built itself before it samples.
+        It is one more copy of the rows.  Center queries and
+        :func:`~tinycore.lloyd_solve` cache it here;
+        :func:`~tinycore.bicriteria_kmeans` builds its own and keeps none.
         """
         return _frame(self.rows)
 

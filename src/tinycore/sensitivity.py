@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coreset import Coreset, _input_coreset
-from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed
-from .linalg import PointSet, _as_readonly, _nearest
+from .coreset import Coreset
+from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
+from .linalg import PointSet, _as_readonly, _frame, _nearest
 
 DEFAULT_C_S = 8.0
 DEFAULT_C_VC = 1.0
@@ -201,11 +201,12 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     overflow float64) raises InvalidInput.
     """
     k, delta, seed = check_int("k", k, 1, points.n), check_real("delta", delta, hi=1), check_seed(seed)
-    frame = points.frame
+    frame = _frame(points.rows)  # one more copy of the rows, kept only for this call
     rows, norms = frame.rows, frame.norms
     w = points.effective_weights()
     count = min(points.n, _BETA * k)
-    restarts = max(1, math.ceil(math.log2(1.0 / delta)))
+    with size_limit("restart count"):
+        restarts = max(1, math.ceil(math.log2(1.0 / delta)))
     rng = np.random.default_rng(seed)
     chosen, seed_costs = _d2_pass(rows, w, count, rng, restarts, norms, cost=True)
     if not np.all(np.isfinite(seed_costs)):
@@ -271,8 +272,9 @@ def vc_sample_size(
     dim_bound = check_int("dimension bound", dim_bound)
     eps, delta = check_real("eps", eps, hi=1), check_real("delta", delta, hi=1)
     c_vc = check_real("c_vc", c_vc)
-    raw = c_vc * s / eps**2 * (dim_bound * math.log2(max(s, 2.0)) + math.log2(1.0 / delta))
-    return max(1, math.ceil(raw))
+    with size_limit("sample size"):
+        raw = c_vc * s / eps**2 * (dim_bound * math.log2(max(s, 2.0)) + math.log2(1.0 / delta))
+        return max(1, math.ceil(raw))
 
 
 def center_query_dimension(d: int, k: int) -> int:
@@ -336,7 +338,7 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
     n_rest = int(np.sum(rest))
     if n_rest < s:
         # Too few low-sensitivity points to renormalize against: keep everything.
-        return _input_coreset(points)
+        return Coreset(points.rows, points.effective_weights(), 0.0)
 
     renorm = renormalize_bounds(sigma[rest], total, s)
     drawn = np.random.default_rng(seed).choice(n_rest, size=s, p=renorm / total)

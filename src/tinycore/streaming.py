@@ -25,7 +25,9 @@ from .coreset import (
     merge_coresets,
 )
 from .clustering import kmeans_coreset
-from .errors import EmptyState, InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed
+from .errors import (
+    EmptyState, InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit,
+)
 from .linalg import PointSet
 
 STREAM_KINDS = ("subspace", "affine", "kmeans")
@@ -102,7 +104,8 @@ class CoresetStream:
             return coreset_size_linear(cfg.j, gamma)
         if cfg.kind == "affine":
             return 2 * coreset_size_linear(cfg.j, gamma)
-        return max(2 * cfg.k + 2, math.ceil(cfg.c_stream * cfg.k / gamma))
+        with size_limit("level size"):
+            return max(2 * cfg.k + 2, math.ceil(cfg.c_stream * cfg.k / gamma))
 
     def live_points(self) -> int:
         return self._live
@@ -119,23 +122,23 @@ class CoresetStream:
 
     def _compress(self, parts: list[Coreset], eps: float, seed: int) -> Coreset:
         """One coreset of the union of the parts at precision eps, offsets added."""
-        pts, wts, delta = merge_coresets(parts)
+        merged = merge_coresets(parts)
         cfg = self.config
         if cfg.kind == "subspace":
             # level inputs carry unit weights throughout the linear stream
-            out = linear_subspace_coreset(PointSet(pts), cfg.j, eps)
+            out = linear_subspace_coreset(PointSet(merged.points), cfg.j, eps)
         elif cfg.kind == "affine":
-            out = affine_subspace_coreset_weighted(PointSet(pts, wts), cfg.j, eps)
+            out = affine_subspace_coreset_weighted(merged.as_point_set(), cfg.j, eps)
         else:
             out = kmeans_coreset(
-                PointSet(pts, wts),
+                merged.as_point_set(),
                 cfg.k,
                 min(eps, 0.999),  # the config admits eps = 1, the sampler does not
                 cfg.delta / self._constructions**2,
                 seed,
                 sample_size=self.level_size(),
             )
-        return Coreset(points=out.points, weights=out.weights, delta=out.delta + delta)
+        return Coreset(points=out.points, weights=out.weights, delta=out.delta + merged.delta)
 
     def _reduce(self, parts: list[Coreset]) -> Coreset:
         """Replace live parts by their compression at the current level precision."""

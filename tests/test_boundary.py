@@ -19,6 +19,7 @@ from tinycore import (
     InvalidArgument,
     InvalidInput,
     PointSet,
+    ResourceLimit,
     SensitivityProfile,
     StreamConfig,
     Subspace,
@@ -118,6 +119,17 @@ TABLE = {
         lambda: kmeans_coreset(PS, 2, 0.5, 0.1, 0, sample_size=2.5), InvalidArgument
     ),
     "kmeans_coreset-negative-c_vc": (lambda: kmeans_coreset(PS, 2, 0.5, 0.1, 0, c_vc=-1.0), InvalidArgument),
+    # size formulas whose divisor rounds to 0 or whose value passes float64
+    "niceness_thresholds-tiny-eps": (lambda: niceness_thresholds(1e-9, 1.0), ResourceLimit),
+    "reduction_rank-tiny-eps": (lambda: reduction_rank(10, 5, 1, 1e-200, "general"), ResourceLimit),
+    "coreset_size_linear-tiny-eps": (lambda: coreset_size_linear(1, 1e-320), ResourceLimit),
+    "vc_sample_size-huge-c_vc": (lambda: vc_sample_size(5.0, 3, 0.5, 0.1, c_vc=1e308), ResourceLimit),
+    "bicriteria_kmeans-tiny-delta": (lambda: bicriteria_kmeans(PointSet(np.eye(4)), 2, 5e-324, 0), ResourceLimit),
+    "linear_subspace_coreset-tiny-eps": (
+        lambda: linear_subspace_coreset(PointSet(np.eye(4)), 1, 1e-320), ResourceLimit
+    ),
+    "stream-subspace-tiny-eps": (lambda: _stream(np.eye(4), kind="subspace", eps=1e-320, j=1), ResourceLimit),
+    "stream-kmeans-tiny-eps": (lambda: _stream(np.eye(4), kind="kmeans", eps=1e-320, k=2), ResourceLimit),
 }
 
 
@@ -201,13 +213,11 @@ ENTRY_POINTS = {
 }
 KEPT = (PointSet, SensitivityProfile, SvdFactors, Divergence, Coreset)
 
-# Finite floats are drawn to three decimals: the size formulas overflow
-# float64 at extreme but valid values (eps below about 1e-8 for Bregman
-# thresholds, or c_vc near 1e300), which is not a malformed argument.
 SCALARS = st.one_of(
     st.integers(-(2**64), 0),  # negative, and zero
     st.integers(2**63, 2**64),  # past a signed 64-bit seed
     st.floats(-1e6, 1e6).map(lambda x: round(x, 3)),  # floats where integers are wanted
+    st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([NAN, INF, -INF, np.float64(2.0), np.float32(NAN), np.int64(-1)]),
     st.booleans(),
     st.sampled_from(["", "a", "2", "0.5", b"1"]),

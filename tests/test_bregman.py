@@ -329,7 +329,7 @@ class TestBregmanCoreset:
         div = mahalanobis(np.diag([2.0, 0.5]))
         a = bregman_coreset(PointSet(rows[:100]), 3, 0.5, div)
         b = bregman_coreset(PointSet(rows[100:]), 3, 0.5, div)
-        merged = Coreset(*merge_coresets([a, b]))
+        merged = merge_coresets([a, b])
         for _ in range(200):
             centers = CenterSet(10 * rng.standard_normal((3, 2)))
             true = direct_cost(rows, centers, div)

@@ -625,6 +625,87 @@ class TestMalformedInput:
         assert err.startswith("error: coreset offset must be a finite non-negative number"), err
 
 
+class TestRejections:
+    """Clean exits on bad files and flag combinations, with their messages."""
+
+    @staticmethod
+    def _header(version=1, m=1, d=4):
+        return cli._HEADER.pack(cli.MAGIC, version, 300, m, d, 0.0, 0.5, 1, b"kmeans", b"kmeans")
+
+    BAD_CORESETS = {
+        "truncated": (lambda h: b"TCS1", "truncated coreset file"),
+        "version-2": (lambda h: h(version=2) + bytes(40), "unsupported format version 2"),
+        "huge-m": (lambda h: h(m=2**62) + bytes(40), "coreset body size does not match its header"),
+        "empty": (lambda h: b"", "empty coreset file"),
+        "csv-comment-only": (lambda h: b"# tinycore coreset v1\n", "empty coreset file"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CORESETS))
+    def test_eval_on_a_bad_coreset_file_exits_1(self, tmp_path, data_csv, capsys, case):
+        content, message = self.BAD_CORESETS[case]
+        cpath = tmp_path / "bad.cs"
+        cpath.write_bytes(content(self._header))
+        code = main([
+            "eval", str(cpath), data_csv[0], "--query-kind", "centers", "--k", "1",
+            "--count", "3", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error: ") and message in err, err
+
+    def test_binary_reader_rejects_a_foreign_file(self, tmp_path):
+        path = tmp_path / "x.cs"
+        path.write_bytes(b"TCS2" + self._header()[4:])
+        with pytest.raises(tinycore.TinycoreError, match="bad magic"):
+            read_coreset_binary(str(path))
+
+    @pytest.mark.parametrize("problem", ["kmeans", "affine"])
+    def test_solve_takes_no_format(self, tmp_path, data_csv, capsys, problem):
+        # a solution is always CSV text, so a --format flag is a usage error
+        out = tmp_path / "sol.bin"
+        arg = ["--k", "2"] if problem == "kmeans" else ["--j", "1"]
+        argv = ["solve", problem, *arg, "--epsilon", "0.5", "--seed", "1", "--format", "binary"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, data_csv[0], "-o", str(out)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    REJECTED = {
+        "stream-kmeans-without-k": (
+            ["stream", "--kind", "kmeans", "--epsilon", "0.5", "--seed", "1"], "1,2\n", 2,
+            "--kind kmeans requires --k",
+        ),
+        "linear-weighted": (
+            ["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "--weighted"], "1,2,3\n4,5,6\n", 1,
+            "linear subspace coreset expects unweighted input",
+        ),
+        "kmeans-weighted-one-column": (
+            ["coreset", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1", "--weighted"], "1\n2\n", 1,
+            "weighted rows need >= 2 columns",
+        ),
+        "coreset-kmeans-comments-only": (
+            ["coreset", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1"], "# a\n\n  \n# b\n", 1,
+            "empty input",
+        ),
+        "solve-kmeans-comments-only": (
+            ["solve", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1"], "# a\n\n  \n# b\n", 1,
+            "empty input",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected_command_leaves_no_output(self, tmp_path, capsys, case):
+        argv, text, expected, message = self.REJECTED[case]
+        path, out = tmp_path / "in.csv", tmp_path / "out.cs"
+        path.write_text(text)
+        code = main([*argv, str(path), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == expected, err
+        assert err.startswith("error: ") and message in err, err
+        assert not out.exists()
+
+
 class TestSeedRange:
     COMMANDS = {
         "coreset-kmeans": ["coreset", "kmeans", "--k", "2", "--epsilon", "0.5"],

@@ -45,6 +45,39 @@ class TestPointSet:
         with pytest.raises(ValueError):
             ps.rows[0, 0] = 5.0
 
+    @staticmethod
+    def _read_only(a):
+        a.setflags(write=False)
+        return a
+
+    def test_read_only_owner_is_shared(self):
+        a = self._read_only(np.arange(6.0).reshape(3, 2).copy())
+        w = self._read_only(np.ones(3))
+        ps = PointSet(a, w)
+        assert ps.rows is a and ps.weights is w
+        core = Coreset(ps.rows, ps.weights, 1.0)
+        assert core.points is ps.rows and core.weights is ps.weights
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.arange(6.0).reshape(3, 2),
+            # the reshape is a view of the writable arange
+            lambda: TestPointSet._read_only(np.arange(6.0).reshape(3, 2)),
+            lambda: TestPointSet._read_only(np.arange(12.0).reshape(3, 4).copy())[:, ::2],
+            lambda: TestPointSet._read_only(np.ones((3, 2), dtype=np.float32)),
+            # read-only, but its base is a bytes object
+            lambda: np.frombuffer(np.arange(6.0).tobytes()).reshape(3, 2),
+        ],
+        ids=["writable", "view-of-writable", "strided", "float32", "frombuffer"],
+    )
+    def test_anything_else_is_copied_read_only(self, make):
+        a = make()
+        ps = PointSet(a)
+        assert not np.shares_memory(ps.rows, a)
+        assert not ps.rows.flags.writeable
+        np.testing.assert_array_equal(ps.rows, a)
+
 
 class TestSvd:
     def test_identity_has_unit_singular_values(self):

@@ -3,7 +3,6 @@ import pytest
 
 from tinycore import (
     CenterSet,
-    Coreset,
     CoresetStream,
     EmptyState,
     InvalidArgument,
@@ -33,9 +32,8 @@ class TestDeltaAdditivity:
         a2 = rng.standard_normal((40, 6)) + 1.0
         c1 = linear_subspace_coreset(PointSet(a1), 1, 0.3)
         c2 = linear_subspace_coreset(PointSet(a2), 1, 0.3)
-        pts, w, delta = merge_coresets([c1, c2])
-        merged = Coreset(points=pts, weights=w, delta=delta)
-        assert delta == c1.delta + c2.delta
+        merged = merge_coresets([c1, c2])
+        assert merged.delta == c1.delta + c2.delta
         union = PointSet(np.vstack([a1, a2]))
         for _ in range(100):
             shape = rand_subspace(rng, 6, 1)
