@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .clustering import brute_force_kmeans, lloyd_solve
-from .coreset import Coreset
+from .coreset import Coreset, coreset_cost
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
 from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
 
@@ -98,9 +98,16 @@ class Divergence:
         return self._nearest(points, np.asarray(centers.centers))[1]
 
     def cost(self, coreset: Coreset, centers: CenterSet) -> float:
-        """sum_i w_i * min_c d_phi(s_i, c) + delta: the cost of the centers on a coreset."""
+        """sum_i w_i * min_c d_phi(s_i, c) + delta: the cost of the centers on a coreset.
+
+        Plain squared Euclidean distance (neither a matrix nor an evaluator)
+        is :func:`~tinycore.coreset_cost`, measured in the coreset's cached
+        frame; a Mahalanobis matrix or a custom evaluator prices the rows here.
+        """
         if centers.d != coreset.d:
             raise InvalidArgument("center dimension does not match the coreset")
+        if self.matrix is None and self.evaluator is None:
+            return coreset_cost(coreset, centers)
         near = self.to_centers(coreset.points, centers)
         return float(np.sum(coreset.weights * near)) + coreset.delta
 

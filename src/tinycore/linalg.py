@@ -6,14 +6,16 @@ needs U, and none is formed.  The factorization comes from LAPACK QR and SVD
 through ``numpy.linalg``, over rows fed to one accumulator block by block;
 every result is checked against the Gram matrix of the input before use.
 Distances to centers are taken in the rows' own frame (their mean at the
-origin), cached once per point set.
+origin), cached once per point set.  :func:`dist2` runs one kernel per shape
+kind straight on a point set's own read-only arrays (rows, cached frame,
+weights); :func:`dist2_rows` runs the same kernels on bare rows.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -26,15 +28,15 @@ TOL_RECON = 1e-8
 _TSQR_BLOCK = 4096
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    """`a` itself if it is a plain C-contiguous float64 ndarray, read-only (numpy's
+def _as_readonly(a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    """`a` itself if it is a plain C-contiguous ndarray of `dtype`, read-only (numpy's
     flag) with every array it views down to their owner; else a read-only copy."""
     base = a
     while type(base) is np.ndarray and not base.flags.writeable:
         base = base.base
-    if base is None and type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous:
+    if base is None and type(a) is np.ndarray and a.dtype == dtype and a.flags.c_contiguous:
         return a
-    out = np.array(a, dtype=np.float64, copy=True)
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -505,11 +507,32 @@ def _frame_dist2(frame: Frame, centers: np.ndarray) -> np.ndarray:
 
 
 def _dist2_subspace(rows: np.ndarray, shape: Subspace) -> np.ndarray:
-    pts = rows if shape.offset is None else rows - shape.offset[None, :]
+    pts = rows if shape.offset is None else rows - shape.offset
     # Pythagoras: ||p||^2 - ||p X||^2, never materializing the complement.
+    # np.add.reduce is what np.sum calls, without its Python wrapper.
     proj = pts @ shape.basis
-    out = np.sum(pts * pts, axis=1) - np.sum(proj * proj, axis=1)
-    return np.maximum(out, 0.0)
+    proj *= proj
+    out = np.add.reduce(pts * pts, axis=1)
+    out -= np.add.reduce(proj, axis=1)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _per_row(rows: np.ndarray, shape: QueryShape, frame: Callable[[], Frame]) -> np.ndarray:
+    """Per-row squared distance from `rows` to `shape`, in an array of its own.
+
+    The one dispatch on the shape's kind and the one dimension check behind
+    :func:`dist2` and :func:`dist2_rows`.  `frame()` gives the frame of
+    `rows`; only center sets call it, so a subspace query builds none.
+    """
+    if isinstance(shape, CenterSet):
+        if shape.d != rows.shape[1]:
+            raise InvalidArgument("center set dimension does not match points")
+        return _frame_dist2(frame(), shape.centers)
+    if isinstance(shape, Subspace):
+        if shape.basis.shape[0] != rows.shape[1]:
+            raise InvalidArgument("subspace dimension does not match points")
+        return _dist2_subspace(rows, shape)
+    raise InvalidArgument(f"unsupported query shape {type(shape).__name__}")
 
 
 def dist2_rows(rows: np.ndarray, shape: QueryShape, frame: Optional[Frame] = None) -> np.ndarray:
@@ -519,24 +542,22 @@ def dist2_rows(rows: np.ndarray, shape: QueryShape, frame: Optional[Frame] = Non
     rows and centers changes nothing but rounding.  `frame`, when given, is
     ``_frame(rows)`` cached by the caller; without it the frame is built
     here, with the same bytes.  Subspaces are measured on the rows as they
-    are: a linear subspace is not translation invariant.
+    are, clamped at 0 per row: a linear subspace is not translation
+    invariant.  The kernels are those of :func:`dist2`.
     """
     rows = np.atleast_2d(rows)
-    if isinstance(shape, CenterSet):
-        if shape.d != rows.shape[1]:
-            raise InvalidArgument("center set dimension does not match points")
-        return _frame_dist2(_frame(rows) if frame is None else frame, np.asarray(shape.centers))
-    if isinstance(shape, Subspace):
-        if shape.basis.shape[0] != rows.shape[1]:
-            raise InvalidArgument("subspace dimension does not match points")
-        return _dist2_subspace(rows, shape)
-    raise InvalidArgument(f"unsupported query shape {type(shape).__name__}")
+    return _per_row(rows, shape, lambda: _frame(rows) if frame is None else frame)
 
 
 def dist2(points: PointSet, shape: QueryShape) -> float:
-    """Weighted sum of squared distances from the points to the shape."""
-    frame = points.frame if isinstance(shape, CenterSet) else None
-    per_row = dist2_rows(np.asarray(points.rows), shape, frame)
-    if points.weights is None:
-        return float(np.sum(per_row))
-    return float(np.sum(points.effective_weights() * per_row))
+    """Weighted sum of squared distances from the points to the shape.
+
+    One kernel per shape kind runs on the point set's own read-only arrays:
+    its rows for subspaces, its cached :attr:`PointSet.frame` for center
+    sets.  The weights multiply the kernel's fresh per-row array in place,
+    and the sum is ``np.sum(w * dist2_rows(rows, shape))`` bit for bit.
+    """
+    per_row = _per_row(points.rows, shape, lambda: points.frame)
+    if points.weights is not None:
+        per_row *= points.weights
+    return float(np.add.reduce(per_row))

@@ -65,8 +65,7 @@ class BicriteriaSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "centers", _as_readonly(self.centers))
-        assignment = np.asarray(self.assignment, dtype=np.int64)
-        assignment.setflags(write=False)
+        assignment = _as_readonly(self.assignment, np.int64)
         object.__setattr__(self, "assignment", assignment)
         sq = _as_readonly(self.sq_distances)
         if sq.shape != assignment.shape:

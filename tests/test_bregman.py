@@ -138,6 +138,13 @@ class TestCfCost:
             centers = CenterSet(rng.standard_normal((3, 3)))
             assert squared_euclidean().cost(cs, centers) == coreset_cost(cs, centers)
 
+    def test_squared_euclidean_cost_is_coreset_cost_in_the_cached_frame(self, rng):
+        cs = Coreset(points=rng.standard_normal((40, 3)) + 1e6, weights=rng.random(40), delta=0.5)
+        centers = CenterSet(rng.standard_normal((3, 3)) + 1e6)
+        cost = squared_euclidean().cost(cs, centers)
+        assert "frame" in vars(cs.as_point_set())
+        assert cost.hex() == coreset_cost(cs, centers).hex()
+
     def test_center_dimension_checked(self, rng):
         cs = Coreset(points=rng.standard_normal((4, 3)), weights=np.ones(4), delta=0.0)
         with pytest.raises(InvalidArgument):

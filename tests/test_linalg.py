@@ -472,17 +472,45 @@ class TestFrame:
         assert sq.tobytes() == dist2_rows(rows, CenterSet(centers)).tobytes()
 
     def test_raw_rows_and_cached_frame_give_the_same_bytes(self, rng):
-        ps = PointSet(rng.standard_normal((300, 4)) - 50.0, rng.random(300))
+        rows = rng.standard_normal((300, 4)) - 50.0
         centers = CenterSet(rng.standard_normal((3, 4)))
+        linear = Subspace(basis=rand_orthonormal(rng, 4, 2))
         affine = Subspace(basis=rand_orthonormal(rng, 4, 2), offset=rng.standard_normal(4) - 50.0)
-        # a weighted coreset is measured by the same kernel, plus its offset
-        core = Coreset(ps.rows, ps.weights, 2.5)
-        for shape in (centers, affine):
-            raw = dist2_rows(np.asarray(ps.rows), shape)
-            assert raw.tobytes() == dist2_rows(np.asarray(ps.rows), shape, ps.frame).tobytes()
-            assert dist2(ps, shape) == float(np.sum(ps.effective_weights() * raw))
-            assert coreset_cost(core, shape) == dist2(core.as_point_set(), shape) + core.delta
-            assert coreset_cost(core, shape) == float(np.sum(ps.effective_weights() * raw) + 2.5)
+        for ps in (PointSet(rows, rng.random(300)), PointSet(rows)):
+            # a weighted coreset is measured by the same kernel, plus its offset
+            core = Coreset(ps.rows, ps.effective_weights(), 2.5)
+            for shape in (centers, linear, affine):
+                raw = dist2_rows(np.asarray(ps.rows), shape)
+                assert raw.tobytes() == dist2_rows(np.asarray(ps.rows), shape, ps.frame).tobytes()
+                assert dist2(ps, shape) == float(np.sum(ps.effective_weights() * raw))
+                assert coreset_cost(core, shape) == dist2(core.as_point_set(), shape) + core.delta
+                assert coreset_cost(core, shape) == float(np.sum(ps.effective_weights() * raw) + 2.5)
+
+    def test_queries_leave_the_point_set_and_its_frame_unchanged(self, rng):
+        rows = rng.standard_normal((60, 3)) + 1e6
+        core = Coreset(rows, rng.random(60), 1.5)
+        ps = core.as_point_set()
+        shapes = (
+            CenterSet(rng.standard_normal((4, 3)) + 1e6),
+            Subspace(basis=rand_orthonormal(rng, 3, 2)),
+            Subspace(basis=rand_orthonormal(rng, 3, 1), offset=np.full(3, 1e6)),
+        )
+        frame = ps.frame
+        before = [a.tobytes() for a in (ps.rows, ps.weights, frame.rows, frame.norms)]
+        for shape in shapes:
+            assert dist2(ps, shape).hex() == dist2(ps, shape).hex()
+            assert coreset_cost(core, shape).hex() == coreset_cost(core, shape).hex()
+        assert ps.frame is frame
+        assert [a.tobytes() for a in (ps.rows, ps.weights, frame.rows, frame.norms)] == before
+
+    @pytest.mark.parametrize("shape, message", [
+        (CenterSet(np.zeros((2, 4))), "center set dimension does not match points"),
+        (Subspace(basis=np.eye(4)[:, :2]), "subspace dimension does not match points"),
+        (np.zeros((2, 3)), "unsupported query shape ndarray"),
+    ], ids=["centers", "subspace", "ndarray"])
+    def test_dist2_rejects_a_shape_it_cannot_measure(self, rng, shape, message):
+        with pytest.raises(InvalidArgument, match=message):
+            dist2(PointSet(rng.standard_normal((5, 3))), shape)
 
     @pytest.mark.parametrize("make", [
         lambda rows: PointSet(rows),

@@ -136,6 +136,21 @@ class TestBicriteria:
                 cluster_costs=bic.cluster_costs, cluster_sizes=bic.cluster_sizes,
             )
 
+    def test_assignment_is_shared_only_when_read_only(self):
+        def solution(assignment):
+            return sensitivity.BicriteriaSolution(
+                centers=np.zeros((1, 2)), assignment=assignment, sq_distances=np.zeros(3),
+                cluster_costs=np.zeros(1), cluster_sizes=np.full(1, 3.0),
+            )
+
+        mine = np.zeros(3, dtype=np.int64)
+        held = solution(mine).assignment
+        assert mine.flags.writeable
+        assert held is not mine and not held.flags.writeable
+        owner = np.zeros(3, dtype=np.int64)
+        owner.setflags(write=False)
+        assert solution(owner).assignment is owner
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_seeding_cost_not_finite_is_invalid_input(self, rng):
         rows = rng.standard_normal((50, 3))
