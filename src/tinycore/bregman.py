@@ -21,10 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .clustering import brute_force_kmeans, lloyd_solve
+from .clustering import _LLOYD_MAX_ITERS, brute_force_kmeans
 from .coreset import Coreset, coreset_cost
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
 from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
+from .sensitivity import _lloyd
 
 logger = logging.getLogger("tinycore.bregman")
 
@@ -95,7 +96,7 @@ class Divergence:
 
     def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
         """d_phi from each row to its nearest center."""
-        return self._nearest(points, np.asarray(centers.centers))[1]
+        return self._nearest(points, centers.centers)[1]
 
     def cost(self, coreset: Coreset, centers: CenterSet) -> float:
         """sum_i w_i * min_c d_phi(s_i, c) + delta: the cost of the centers on a coreset.
@@ -182,18 +183,19 @@ def _kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence, seed:
 
     The split is k-means under d_B, on the rows mapped by B (the identity when
     no matrix is declared): exact by :func:`~tinycore.brute_force_kmeans` for
-    n <= 8 and :func:`~tinycore.lloyd_solve` seeded by `seed` above that.  Rows
+    n <= 8, whose centers the rows then join, and above that the assignment
+    of the seeded Lloyd iteration behind :func:`~tinycore.lloyd_solve`.  Rows
     join their nearest center in the mapped rows' frame (the lowest index on
     ties), so identical rows are never split.
     """
     mapped = PointSet(div._embed(rows), w)
+    frame = mapped.frame
     if mapped.n <= k:
         centers = mapped.rows
     elif mapped.n <= _BRUTE_LEAF:
         centers = brute_force_kmeans(mapped, k).centers
     else:
-        centers = lloyd_solve(mapped, k, seed).centers
-    frame = mapped.frame
+        return _lloyd(frame, w, k, seed, 1, _LLOYD_MAX_ITERS)[1]
     return linalg._nearest(frame.rows, centers - frame.origin, frame.norms)[0]
 
 
@@ -217,8 +219,7 @@ def _partition(
     points: PointSet, k: int, depth: int, f1: float, div: Divergence, seed: int
 ) -> list[tuple[np.ndarray, float]]:
     """:func:`partition_helper` with each leaf's 1-clustering cost, every split seeded by `seed`."""
-    rows = np.asarray(points.rows)
-    w = points.effective_weights()
+    rows, w = points.rows, points.effective_weights()
     positive = np.flatnonzero(w > 0)
     if positive.shape[0] == 0:
         raise InvalidInput("total weight must be positive")
@@ -252,8 +253,7 @@ def bregman_coreset(
     is seeded by `seed`.
     """
     eps, k, seed = check_real("eps", eps, hi=1), check_int("k", k), check_seed(seed)
-    rows = np.asarray(points.rows)
-    w = points.effective_weights()
+    rows, w = points.rows, points.effective_weights()
     _, nu = niceness_thresholds(eps, div.similarity)
     # the split threshold runs at eps/2, matching the depth bound's evaluation point
     f1 = niceness_thresholds(eps / 2, div.similarity)[0]

@@ -9,13 +9,12 @@ import numpy as np
 from .coreset import Coreset
 from .dimred import lift_coreset, reduce
 from .errors import InvalidInput, ResourceLimit, check_int, check_real, check_seed
-from .linalg import CenterSet, PointSet, Subspace, _nearest, _Tsqr, _weighted_mean, svd
+from .linalg import CenterSet, PointSet, Subspace, _Tsqr, _weighted_mean, svd
 from .sensitivity import (
     DEFAULT_C_VC,
-    _mean_update,
+    _lloyd,
     bicriteria_kmeans,
     center_query_dimension,
-    d2_seed,
     kmeans_sensitivities,
     sensitivity_sample,
     vc_sample_size,
@@ -30,27 +29,13 @@ def lloyd_solve(points: PointSet, k: int, seed: int) -> CenterSet:
     """Seeded Lloyd iteration on weighted points; cost never increases per step.
 
     Clusters that empty out are reseeded at the point with the largest
-    weighted distance to its current center.
+    weighted distance to its current center (see
+    :func:`~tinycore.sensitivity._lloyd`).  Squares that overflow float64
+    raise InvalidInput.
     """
     k, seed = check_int("k", k, 1, points.n), check_seed(seed)
     frame = points.frame
-    rows, norms = frame.rows, frame.norms
-    w = points.effective_weights()
-    rng = np.random.default_rng(seed)
-    centers = d2_seed(rows, w, k, rng, norms=norms)[0]
-    prev_idx = None
-    for _ in range(_LLOYD_MAX_ITERS):
-        idx, sq = _nearest(rows, centers, norms)
-        occupied = np.bincount(idx, minlength=k) > 0
-        if not np.all(occupied):
-            for dead in np.where(~occupied)[0]:
-                far = int(np.argmax(w * sq))
-                centers[dead] = rows[far]
-                idx, sq = _nearest(rows, centers, norms)
-        if prev_idx is not None and np.array_equal(idx, prev_idx):
-            break
-        centers = _mean_update(rows, w, idx, centers)
-        prev_idx = idx
+    centers = _lloyd(frame, points.effective_weights(), k, seed, 1, _LLOYD_MAX_ITERS)[0]
     return CenterSet(centers + frame.origin)
 
 
@@ -102,8 +87,7 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
     n, k = points.n, check_int("k", k)
     if n > BRUTE_FORCE_MAX_POINTS:
         raise ResourceLimit(f"brute force limited to {BRUTE_FORCE_MAX_POINTS} points, got {n}")
-    rows = np.asarray(points.rows)
-    w = points.effective_weights()
+    rows, w = points.rows, points.effective_weights()
     if k >= n:
         return CenterSet(rows.copy())
     assignments = _restricted_growth_strings(n, k)
@@ -153,16 +137,13 @@ def kmeans_coreset(
     rng = np.random.default_rng(check_seed(seed))
     seed_bic = int(rng.integers(2**62))
     seed_sample = int(rng.integers(2**62))
-    if sample_size is None:
+    s = None if sample_size is None else check_int("sample size", sample_size)
+    if s is None or s < points.n:
         profile = kmeans_sensitivities(points, bicriteria_kmeans(points, min(k, points.n), delta, seed_bic))
-        dim_bound = center_query_dimension(points.d, k)
-        s = vc_sample_size(profile.total, dim_bound, eps, delta, c_vc=c_vc)
-    else:
-        s, profile = check_int("sample size", sample_size), None
+        if s is None:
+            s = vc_sample_size(profile.total, center_query_dimension(points.d, k), eps, delta, c_vc=c_vc)
     if s >= points.n:
         return Coreset(points.rows, points.effective_weights(), 0.0)
-    if profile is None:
-        profile = kmeans_sensitivities(points, bicriteria_kmeans(points, min(k, points.n), delta, seed_bic))
     return sensitivity_sample(points, profile, s, seed_sample)
 
 
@@ -192,7 +173,7 @@ def best_affine_subspace(points: PointSet, j: int) -> Subspace:
     factors = svd(acc)
     if acc.energy == 0:  # every row at the mean: any subspace through it is optimal
         return Subspace(basis=np.eye(points.d)[:, :j], offset=acc.mean)
-    return Subspace(basis=np.asarray(factors.v[:, :j]), offset=acc.mean)
+    return Subspace(basis=factors.v[:, :j], offset=acc.mean)
 
 
 def approx_solution(
@@ -210,7 +191,7 @@ def approx_solution(
     optimum on the full input.
     """
     reduced = reduce(points, j=k, eps=check_real("eps", eps, hi=1), mode="coreset-lift")
-    low, basis = reduced.points, np.asarray(reduced.basis)
+    low, basis = reduced.points, reduced.basis
     del reduced
     # with `reduced` gone, rebinding frees the reduced set before the solver runs
     low = kmeans_coreset(low, k, eps / 8.0, delta, seed=seed).as_point_set()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
-from .linalg import PointSet, _as_readonly, _frame, _nearest
+from .linalg import Frame, PointSet, _as_readonly, _frame, _nearest
 
 DEFAULT_C_S = 8.0
 DEFAULT_C_VC = 1.0
@@ -99,17 +99,16 @@ def d2_seed(
     their mean), and its `norms`, the squared row norms, to keep the
     expansion accurate.
     """
-    chosen, _ = _d2_pass(rows, weights, count, rng, restarts, norms, cost=False)
-    return rows[chosen]
+    return rows[_d2_pass(rows, weights, count, rng, restarts, norms)[0]]
 
 
 def _d2_pass(
     rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator,
-    restarts: int, norms: Optional[np.ndarray], cost: bool,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The draws of :func:`d2_seed` as restarts x count row indices and, with
-    `cost`, each restart's seeding cost sum w * min ||p - c||^2 over its own
-    draws (one more distance pass, for the last draw).
+    restarts: int, norms: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of :func:`d2_seed` as restarts x count row indices, and each
+    restart's seeding cost sum w * min ||p - c||^2 over its own draws (one
+    more distance pass, for the last draw).
 
     The first draw inverts the weights and every later one w * min ||p - c||^2,
     both through :func:`_draw`; a restart whose later scores sum to 0 gets
@@ -124,7 +123,7 @@ def _d2_pass(
     cand[:] = weights
     draw = _BlockedDraw(restarts, rows.shape[0])
     chosen[:, 0] = draw(cand, rng.random(restarts), 0)
-    for i in range(1, count + 1 if cost else count):
+    for i in range(1, count + 1):
         last = chosen[:, i - 1]
         np.matmul(-2.0 * rows[last], rows.T, out=cand)
         cand += norms
@@ -135,7 +134,7 @@ def _d2_pass(
             break
         np.multiply(best, weights, out=cand)
         chosen[:, i] = draw(cand, rng.random(restarts), chosen[:, 0])
-    return chosen, best @ weights if cost else None
+    return chosen, best @ weights
 
 
 def _draw(scores: np.ndarray, u: np.ndarray, fallback: int | np.ndarray) -> np.ndarray:
@@ -193,33 +192,51 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
 
     Seeds ceil(log2(1/delta)) independent restarts in one pass, keeps the one
     whose seeds cost least (the first on ties) and refines it with one
-    weighted mean update.  Each restart's seeds cost at most c * OPT with
-    constant probability (Aggarwal, Deshpande & Kannan 2009; Wei 2016), so
-    with probability >= 1 - delta the cheapest does, and the refinement can
-    only lower its cost.  A seeding cost that is not finite (squares that
-    overflow float64) raises InvalidInput.
+    Lloyd step (see :func:`_lloyd`).  Each restart's seeds cost at most
+    c * OPT with constant probability (Aggarwal, Deshpande & Kannan 2009;
+    Wei 2016), so with probability >= 1 - delta the cheapest does, and the
+    refinement can only lower its cost.  A seeding cost that is not finite
+    (squares that overflow float64) raises InvalidInput.
     """
     k, delta, seed = check_int("k", k, 1, points.n), check_real("delta", delta, hi=1), check_seed(seed)
     frame = _frame(points.rows)  # one more copy of the rows, kept only for this call
-    rows, norms = frame.rows, frame.norms
     w = points.effective_weights()
-    count = min(points.n, _BETA * k)
     with size_limit("restart count"):
         restarts = max(1, math.ceil(math.log2(1.0 / delta)))
-    rng = np.random.default_rng(seed)
-    chosen, seed_costs = _d2_pass(rows, w, count, rng, restarts, norms, cost=True)
+    centers, idx, sq = _lloyd(frame, w, min(points.n, _BETA * k), seed, restarts, 1)
+    return BicriteriaSolution(
+        centers=centers + frame.origin, assignment=idx, sq_distances=sq,
+        cluster_costs=np.bincount(idx, weights=w * sq, minlength=centers.shape[0]),
+        cluster_sizes=np.bincount(idx, weights=w, minlength=centers.shape[0]),
+    )
+
+
+def _lloyd(
+    frame: Frame, weights: np.ndarray, count: int, seed: int, restarts: int, steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`count` centers on a frame's rows, each row's nearest center and its squared
+    distance, in frame coordinates: the first cheapest of `restarts` D² seedings
+    (a cost that is not finite raises InvalidInput), then up to `steps` Lloyd
+    steps, each reseeding empty clusters at the row of largest weighted
+    distance, stopping once the assignment repeats, and moving the centers to
+    their weighted means.  The assignment is taken again after every move."""
+    rows, norms = frame.rows, frame.norms
+    chosen, seed_costs = _d2_pass(rows, weights, count, np.random.default_rng(seed), restarts, norms)
     if not np.all(np.isfinite(seed_costs)):
         raise InvalidInput("seeding cost is not finite: the squared entries overflow float64")
     centers = rows[chosen[np.argmin(seed_costs)]]
-    idx, _ = _nearest(rows, centers, norms)
-    centers = _mean_update(rows, w, idx, centers)
     idx, sq = _nearest(rows, centers, norms)
-    costs = np.bincount(idx, weights=w * sq, minlength=centers.shape[0])
-    sizes = np.bincount(idx, weights=w, minlength=centers.shape[0])
-    return BicriteriaSolution(
-        centers=centers + frame.origin, assignment=idx, sq_distances=sq, cluster_costs=costs,
-        cluster_sizes=sizes,
-    )
+    prev_idx = None
+    for _ in range(steps):
+        for dead in np.flatnonzero(np.bincount(idx, minlength=count) == 0):
+            centers[dead] = rows[np.argmax(weights * sq)]
+            idx, sq = _nearest(rows, centers, norms)
+        if prev_idx is not None and np.array_equal(idx, prev_idx):
+            break
+        centers = _mean_update(rows, weights, idx, centers)
+        prev_idx = idx
+        idx, sq = _nearest(rows, centers, norms)
+    return centers, idx, sq
 
 
 def _mean_update(
@@ -228,9 +245,9 @@ def _mean_update(
     out = centers.copy()
     k = centers.shape[0]
     sizes = np.bincount(idx, weights=weights, minlength=k)
+    occupied = sizes > 0
     for col in range(rows.shape[1]):
         sums = np.bincount(idx, weights=weights * rows[:, col], minlength=k)
-        occupied = sizes > 0
         out[occupied, col] = sums[occupied] / sizes[occupied]
     return out
 
@@ -245,9 +262,8 @@ def kmeans_sensitivities(points: PointSet, bic: BicriteriaSolution) -> Sensitivi
     if bic.assignment.shape[0] != points.n:
         raise InvalidInput("bicriteria assignment does not match the point set")
     w = points.effective_weights()
-    idx = np.asarray(bic.assignment)
-    sq = np.asarray(bic.sq_distances)
-    cluster_w = np.asarray(bic.cluster_sizes)[idx]
+    idx, sq = bic.assignment, bic.sq_distances
+    cluster_w = bic.cluster_sizes[idx]
     if np.any(cluster_w <= 0):
         raise InvalidInput("bicriteria solution contains an empty assigned cluster")
     total_cost = bic.total_cost
@@ -327,17 +343,15 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
         raise InvalidArgument("profile length does not match the point set")
     if not profile.total > 0:
         raise InvalidInput("degenerate sensitivity profile")
-    sigma = np.asarray(profile.sigma)
-    total = profile.total
-    rows = np.asarray(points.rows)
-    w = points.effective_weights()
+    sigma, total = profile.sigma, profile.total
+    rows, w = points.rows, points.effective_weights()
 
     high = sigma / total > 1.0 / s
     rest = ~high
     n_rest = int(np.sum(rest))
     if n_rest < s:
         # Too few low-sensitivity points to renormalize against: keep everything.
-        return Coreset(points.rows, points.effective_weights(), 0.0)
+        return Coreset(rows, w, 0.0)
 
     renorm = renormalize_bounds(sigma[rest], total, s)
     drawn = np.random.default_rng(seed).choice(n_rest, size=s, p=renorm / total)
@@ -346,6 +360,9 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
     # the cap renorm <= total/s makes each factor >= 1; guard the last ulp
     sampled_w = np.maximum(w[sampled_idx] * total / (s * renorm[drawn]), w[sampled_idx])
 
-    pts = np.vstack([rows[high], rows[sampled_idx]]) if np.any(high) else rows[sampled_idx]
-    wts = np.concatenate([w[high], sampled_w]) if np.any(high) else sampled_w
-    return Coreset(points=pts, weights=wts, delta=0.0)
+    high_idx = np.flatnonzero(high)
+    return Coreset(
+        points=rows[np.concatenate([high_idx, sampled_idx])],
+        weights=np.concatenate([w[high_idx], sampled_w]),
+        delta=0.0,
+    )

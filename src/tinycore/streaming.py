@@ -76,7 +76,6 @@ class CoresetStream:
         self._summaries: list[Coreset] = []
         self._epoch = 1
         self._epoch_seen = 0
-        self._constructions = 2  # failure budget schedule starts at delta/4
         self._points_seen = 0
         self._live = 0
         self.reduce_count = 0
@@ -117,7 +116,7 @@ class CoresetStream:
     # -- reduction ------------------------------------------------------
 
     def _next_seed(self) -> int:
-        mix = np.random.SeedSequence([self.config.seed, self._constructions])
+        mix = np.random.SeedSequence([self.config.seed, self.reduce_count + 2])
         return int(mix.generate_state(1)[0])
 
     def _compress(self, parts: list[Coreset], eps: float, seed: int) -> Coreset:
@@ -134,7 +133,8 @@ class CoresetStream:
                 merged.as_point_set(),
                 cfg.k,
                 min(eps, 0.999),  # the config admits eps = 1, the sampler does not
-                cfg.delta / self._constructions**2,
+                # the j-th construction, j = reduce_count + 2, spends delta / j^2 (delta/4 first)
+                cfg.delta / (self.reduce_count + 2) ** 2,
                 seed,
                 sample_size=self.level_size(),
             )
@@ -143,7 +143,6 @@ class CoresetStream:
     def _reduce(self, parts: list[Coreset]) -> Coreset:
         """Replace live parts by their compression at the current level precision."""
         out = self._compress(parts, self.gamma(), self._next_seed())
-        self._constructions += 1
         self.reduce_count += 1
         self._live += out.size - sum(p.size for p in parts)
         return out
@@ -224,7 +223,7 @@ class CoresetStream:
         parts = self._summaries + [b for b in self._buckets if b is not None]
         if self._buffer:
             parts.append(self._buffer_coreset())
-        mix = np.random.SeedSequence([self.config.seed, self._constructions, self._points_seen])
+        mix = np.random.SeedSequence([self.config.seed, self.reduce_count + 2, self._points_seen])
         return self._compress(parts, self.config.eps, int(mix.generate_state(1)[0]))
 
     def occupied_levels(self) -> list[int]:

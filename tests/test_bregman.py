@@ -215,6 +215,26 @@ class TestPartitionHelper:
         )
         assert parent_cost > (1 + f1) * child_cost
 
+    def test_lloyd_split_labels_rows_without_a_pass_of_its_own(self, rng, monkeypatch):
+        # above the brute-force leaf the labels are the Lloyd iteration's own assignment
+        from tinycore import bregman, linalg
+
+        calls = []
+        nearest = linalg._nearest
+
+        def counting(*args):
+            calls.append(1)
+            return nearest(*args)
+
+        monkeypatch.setattr(linalg, "_nearest", counting)
+        rows = exact_blobs(rng, (7, 7, 6)) + 0.1 * rng.standard_normal((20, 2))
+        labels = bregman._kclustering(rows, np.ones(20), 3, squared_euclidean(), 0)
+        assert calls == []
+        blob = np.repeat([0, 1, 2], [7, 7, 6])
+        assert len(np.unique(labels)) == 3
+        for b in range(3):  # each blob is one part
+            assert len(np.unique(labels[blob == b])) == 1
+
     def test_mahalanobis_partitions_as_squared_euclidean_on_the_mapped_rows(self):
         locs = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 1.0], [0.0, 8.0, -1.0]])
         for seed in range(20):

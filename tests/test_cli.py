@@ -138,13 +138,19 @@ class TestCoresetCommand:
         assert "usage:" in proc.stderr
 
     def test_byte_identical_reruns(self, tmp_path, data_csv):
+        # at default constants `coreset kmeans` returns its input; the stream's
+        # reduces sample, and `solve kmeans` runs the Lloyd solver
         path, _ = data_csv
         a, b = str(tmp_path / "a.cs"), str(tmp_path / "b.cs")
-        argv = ["coreset", "kmeans", "--k", "3", "--epsilon", "0.5", "--delta", "0.1", "--seed", "7", path]
-        assert main(argv + ["-o", a]) == 0
-        assert main(argv + ["-o", b]) == 0
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            assert fa.read() == fb.read()
+        for argv in (
+            ["coreset", "kmeans", "--k", "3", "--epsilon", "0.5", "--delta", "0.1", "--seed", "7", path],
+            ["stream", "--kind", "kmeans", "--k", "3", "--epsilon", "0.5", "--seed", "7", path],
+            ["solve", "kmeans", "--k", "3", "--epsilon", "0.5", "--seed", "7", path],
+        ):
+            assert main(argv + ["-o", a]) == 0
+            assert main(argv + ["-o", b]) == 0
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read()
 
 
     @pytest.mark.parametrize("affine", [False, True])

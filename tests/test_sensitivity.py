@@ -22,7 +22,7 @@ from tinycore import (
     sensitivity_sample,
     vc_sample_size,
 )
-from tinycore import clustering, sensitivity
+from tinycore import sensitivity
 from tinycore.sensitivity import DEFAULT_C_S, d2_seed, renormalize_bounds
 
 from conftest import make_blobs
@@ -110,7 +110,6 @@ class TestBicriteria:
             return nearest(*args)
 
         monkeypatch.setattr(sensitivity, "_nearest", counting)
-        monkeypatch.setattr(clustering, "_nearest", counting)
         ps = PointSet(make_blobs(rng, 200, 3, 3))
         bicriteria_kmeans(ps, 3, delta, seed=1)
         assert len(calls) == 2
@@ -157,6 +156,9 @@ class TestBicriteria:
         rows[1, 1] = 1e160  # finite, but its square overflows float64
         with pytest.raises(InvalidInput, match="overflow"):
             bicriteria_kmeans(PointSet(rows), 2, 0.1, seed=0)
+        # the same seeding starts every Lloyd solve
+        with pytest.raises(InvalidInput, match="overflow"):
+            lloyd_solve(PointSet(rows), 2, seed=0)
 
 
 class TestD2Seed:
