@@ -21,11 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .clustering import _LLOYD_MAX_ITERS, brute_force_kmeans
+from .clustering import brute_force_kmeans
 from .coreset import Coreset, coreset_cost
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
 from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
-from .sensitivity import _lloyd
+from .sensitivity import _LLOYD_MAX_ITERS, _lloyd
 
 logger = logging.getLogger("tinycore.bregman")
 

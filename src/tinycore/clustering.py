@@ -12,6 +12,7 @@ from .errors import InvalidInput, ResourceLimit, check_int, check_real, check_se
 from .linalg import CenterSet, PointSet, Subspace, _Tsqr, _weighted_mean, svd
 from .sensitivity import (
     DEFAULT_C_VC,
+    _LLOYD_MAX_ITERS,
     _lloyd,
     bicriteria_kmeans,
     center_query_dimension,
@@ -22,16 +23,14 @@ from .sensitivity import (
 
 BRUTE_FORCE_MAX_POINTS = 14
 _BRUTE_CHUNK = 20000
-_LLOYD_MAX_ITERS = 100
 
 
 def lloyd_solve(points: PointSet, k: int, seed: int) -> CenterSet:
     """Seeded Lloyd iteration on weighted points; cost never increases per step.
 
     Clusters that empty out are reseeded at the point with the largest
-    weighted distance to its current center (see
-    :func:`~tinycore.sensitivity._lloyd`).  Squares that overflow float64
-    raise InvalidInput.
+    weighted distance to its current center (see :func:`~tinycore.sensitivity._lloyd`).
+    Squares that overflow float64 raise InvalidInput.
     """
     k, seed = check_int("k", k, 1, points.n), check_seed(seed)
     frame = points.frame

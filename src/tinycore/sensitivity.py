@@ -22,6 +22,7 @@ from .linalg import Frame, PointSet, _as_readonly, _frame, _nearest
 DEFAULT_C_S = 8.0
 DEFAULT_C_VC = 1.0
 _BETA = 2  # a bicriteria solution holds _BETA * k centers
+_LLOYD_MAX_ITERS = 100  # the step limit of a full Lloyd solve
 
 
 @dataclass(frozen=True)
@@ -192,18 +193,18 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
 
     Seeds ceil(log2(1/delta)) independent restarts in one pass, keeps the one
     whose seeds cost least (the first on ties) and refines it with one
-    Lloyd step (see :func:`_lloyd`).  Each restart's seeds cost at most
-    c * OPT with constant probability (Aggarwal, Deshpande & Kannan 2009;
-    Wei 2016), so with probability >= 1 - delta the cheapest does, and the
-    refinement can only lower its cost.  A seeding cost that is not finite
-    (squares that overflow float64) raises InvalidInput.
+    Lloyd step that reseeds no empty cluster (see :func:`_lloyd`).  Each
+    restart's seeds cost at most c * OPT with constant probability (Aggarwal,
+    Deshpande & Kannan 2009; Wei 2016), so with probability >= 1 - delta the
+    cheapest does, and the refinement can only lower its cost.  A seeding cost
+    that is not finite (squares that overflow float64) raises InvalidInput.
     """
     k, delta, seed = check_int("k", k, 1, points.n), check_real("delta", delta, hi=1), check_seed(seed)
     frame = _frame(points.rows)  # one more copy of the rows, kept only for this call
     w = points.effective_weights()
     with size_limit("restart count"):
         restarts = max(1, math.ceil(math.log2(1.0 / delta)))
-    centers, idx, sq = _lloyd(frame, w, min(points.n, _BETA * k), seed, restarts, 1)
+    centers, idx, sq = _lloyd(frame, w, min(points.n, _BETA * k), seed, restarts, 1, reseed=False)
     return BicriteriaSolution(
         centers=centers + frame.origin, assignment=idx, sq_distances=sq,
         cluster_costs=np.bincount(idx, weights=w * sq, minlength=centers.shape[0]),
@@ -212,14 +213,17 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
 
 
 def _lloyd(
-    frame: Frame, weights: np.ndarray, count: int, seed: int, restarts: int, steps: int
+    frame: Frame, weights: np.ndarray, count: int, seed: int, restarts: int, steps: int,
+    reseed: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`count` centers on a frame's rows, each row's nearest center and its squared
-    distance, in frame coordinates: the first cheapest of `restarts` D² seedings
-    (a cost that is not finite raises InvalidInput), then up to `steps` Lloyd
-    steps, each reseeding empty clusters at the row of largest weighted
-    distance, stopping once the assignment repeats, and moving the centers to
-    their weighted means.  The assignment is taken again after every move."""
+    """`count` centers on a frame's rows, each row's nearest center and its
+    squared distance, in frame coordinates: the first cheapest of `restarts`
+    D² seedings (a cost that is not finite raises InvalidInput), then up to
+    `steps` Lloyd steps.  A step reseeds each empty cluster at the row of
+    largest weighted distance (if `reseed`: a bicriteria solution turns it off,
+    as a reseed onto a row of weight 0 can leave an assigned cluster of weight 0),
+    stops once the assignment repeats, moves the centers to their weighted
+    means and assigns again."""
     rows, norms = frame.rows, frame.norms
     chosen, seed_costs = _d2_pass(rows, weights, count, np.random.default_rng(seed), restarts, norms)
     if not np.all(np.isfinite(seed_costs)):
@@ -228,8 +232,9 @@ def _lloyd(
     idx, sq = _nearest(rows, centers, norms)
     prev_idx = None
     for _ in range(steps):
-        for dead in np.flatnonzero(np.bincount(idx, minlength=count) == 0):
-            centers[dead] = rows[np.argmax(weights * sq)]
+        dead = np.flatnonzero(np.bincount(idx, minlength=count) == 0) if reseed else ()
+        for c in dead:
+            centers[c] = rows[np.argmax(weights * sq)]
             idx, sq = _nearest(rows, centers, norms)
         if prev_idx is not None and np.array_equal(idx, prev_idx):
             break

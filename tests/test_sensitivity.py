@@ -119,6 +119,32 @@ class TestBicriteria:
         assert core.size < ps.n
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("rows, w", [
+        (np.tile([[1.0, 1.0]], (8, 1)), None),
+        # a row of weight 0 away from the others
+        (np.array([[100.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+         np.array([0.0, 1.0, 1.0, 1.0, 1.0])),
+        # duplicates far from the origin, whose distances round to 2e-16 rather than 0
+        (1e6 + np.repeat([[-1.0, 3.0, 3.0], [-1.0, -3.0, 1.0], [1.0, 2.0, 1.0]], 3, axis=0), None),
+    ])
+    def test_fewer_distinct_rows_than_centers(self, monkeypatch, rows, w):
+        # D² seeding runs out of positive scores and repeats its first draw; the
+        # repeated centers stay empty, and no empty cluster is reseeded
+        calls = []
+        nearest = sensitivity._nearest
+
+        def counting(*args):
+            calls.append(1)
+            return nearest(*args)
+
+        monkeypatch.setattr(sensitivity, "_nearest", counting)
+        ps = PointSet(rows, w)
+        bic = bicriteria_kmeans(ps, 3, 0.1, seed=0)
+        assert len(calls) == 2
+        assert np.all(bic.cluster_sizes[bic.assignment] > 0)
+        core = kmeans_coreset(ps, 3, 0.5, 0.1, seed=0, sample_size=3)
+        assert core.size == 3 and np.all(core.weights > 0)
+
     def test_carried_distances_match_a_fresh_pass(self, rng):
         # the fresh pass moves the centers back by the frame origin, which rounds
         # them by about |origin| * 1e-16: keep the origin small for a 1e-12 match
