@@ -92,7 +92,7 @@ class Divergence:
             each = np.array([self.between(rows, c) for c in centers])
             return np.argmin(each, axis=0), each.min(axis=0)
         frame = linalg._frame(self._embed(rows))
-        return linalg._nearest(frame.rows, self._embed(centers) - frame.origin, frame.norms)
+        return linalg._nearest(frame, self._embed(centers) - frame.origin)
 
     def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
         """d_phi from each row to its nearest center."""
@@ -174,8 +174,10 @@ def niceness_thresholds(eps: float, m: float) -> tuple[float, int]:
 
 def _opt1(rows: np.ndarray, w: np.ndarray, div: Divergence) -> float:
     """Weighted cost of the rows at their weighted mean, the optimal 1-center of every
-    Bregman divergence."""
-    return float(np.sum(w * div._nearest(rows, _weighted_mean(rows, w)[None, :])[1]))
+    Bregman divergence, priced by differences from that mean (no frame).  Squares
+    that overflow give a cost that is not finite, which :func:`_partition` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(w * div.between(rows, _weighted_mean(rows, w))))
 
 
 def _kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence, seed: int) -> np.ndarray:
@@ -196,7 +198,7 @@ def _kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence, seed:
         centers = brute_force_kmeans(mapped, k).centers
     else:
         return _lloyd(frame, w, k, seed, 1, _LLOYD_MAX_ITERS)[1]
-    return linalg._nearest(frame.rows, centers - frame.origin, frame.norms)[0]
+    return linalg._nearest(frame, centers - frame.origin)[0]
 
 
 def partition_helper(

@@ -6,9 +6,10 @@ needs U, and none is formed.  The factorization comes from LAPACK QR and SVD
 through ``numpy.linalg``, over rows fed to one accumulator block by block;
 every result is checked against the Gram matrix of the input before use.
 Distances to centers are taken in the rows' own frame (their mean at the
-origin), cached once per point set.  :func:`dist2` runs one kernel per shape
-kind straight on a point set's own read-only arrays (rows, cached frame,
-weights); :func:`dist2_rows` runs the same kernels on bare rows.
+origin), cached once per point set, whose lifted rows make every
+center-distance pass one matrix product.  :func:`dist2` runs one kernel per
+shape kind straight on a point set's own read-only arrays (rows, cached
+frame, weights); :func:`dist2_rows` runs the same kernels on bare rows.
 """
 from __future__ import annotations
 
@@ -87,8 +88,8 @@ class PointSet:
     def frame(self) -> Frame:
         """The rows in their own frame: built on first use, then kept.
 
-        It is one more copy of the rows.  Center queries and
-        :func:`~tinycore.lloyd_solve` cache it here;
+        It is one more copy of the rows, with two more columns.  Center
+        queries and :func:`~tinycore.lloyd_solve` cache it here;
         :func:`~tinycore.bicriteria_kmeans` builds its own and keeps none.
         """
         return _frame(self.rows)
@@ -96,29 +97,49 @@ class PointSet:
 
 @dataclass(frozen=True)
 class Frame:
-    """Rows moved to their plain (unweighted) mean, with their squared norms.
+    """Rows moved by -origin (by default their plain, unweighted mean) and lifted.
 
-    Squared distances to centers are translation invariant, and the expansion
-    ||p||^2 - 2 p.c + ||c||^2 is accurate only near the origin, so centers
-    are measured here after moving them by -origin.  All three arrays are
-    read-only.
+    `lifted` is the column-major n x (d + 2) array [p - o | ||p - o||^2 | 1]:
+    the moved rows, their squared norms and a column of ones.  :attr:`rows`
+    and :attr:`norms` are views of it, so a frame is one copy of the rows with
+    two more columns.  Squared distances to centers are translation
+    invariant, and the expansion ||p||^2 - 2 p.c + ||c||^2 is accurate only
+    near the origin, so centers are measured here after moving them by
+    -origin, all three terms in one matrix product (see :func:`_sq_dists`).
+    Every array is read-only.
     """
 
     origin: np.ndarray
-    rows: np.ndarray
-    norms: np.ndarray
+    lifted: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The n x d moved rows, a column-major view of `lifted`."""
+        return self.lifted[:, :-2]
+
+    @property
+    def norms(self) -> np.ndarray:
+        """The squared norms of the moved rows, a view of `lifted`."""
+        return self.lifted[:, -2]
 
 
-def _frame(rows: np.ndarray) -> Frame:
-    """The frame of an n x d matrix: its mean, the centred rows and their squared norms."""
+def _frame(
+    rows: np.ndarray, origin: Optional[np.ndarray] = None, norms: Optional[np.ndarray] = None
+) -> Frame:
+    """The frame of an n x d matrix: the rows moved by -`origin` (their mean
+    when not given), lifted with their squared norms (`norms`, when the caller
+    holds them) and a column of ones."""
     rows = np.asarray(rows, dtype=np.float64)
-    origin = rows.mean(axis=0)
-    # column-major, so the k x n products read rows.T contiguously
-    centred = np.subtract(rows, origin, order="F")
-    norms = np.einsum("ij,ij->i", centred, centred)
-    for a in (origin, centred, norms):
+    n, d = rows.shape
+    origin = rows.mean(axis=0) if origin is None else np.array(origin, dtype=np.float64)
+    # column-major, so the k x n products read lifted.T contiguously
+    lifted = np.empty((n, d + 2), order="F")
+    centred = np.subtract(rows, origin, out=lifted[:, :d])
+    lifted[:, d] = np.einsum("ij,ij->i", centred, centred) if norms is None else norms
+    lifted[:, d + 1] = 1.0
+    for a in (origin, lifted):
         a.setflags(write=False)
-    return Frame(origin=origin, rows=centred, norms=norms)
+    return Frame(origin=origin, lifted=lifted)
 
 
 @dataclass(frozen=True)
@@ -464,45 +485,43 @@ def _weighted_mean(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w[:, None] * rows).sum(axis=0) / w.sum()
 
 
-def _scores(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The k x n matrix ||c||^2 - 2 c.p: squared distances less the row norms."""
-    # scaling the k x d centers by -2 is exact, and cheaper than scaling k x n
-    scores = (-2.0 * centers) @ rows.T
-    scores += np.einsum("ij,ij->i", centers, centers)[:, None]
-    return scores
+def _sq_dists(frame: Frame, centers: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The k x n squared distances from k centers, given in frame coordinates
+    (moved by -origin), to the frame's rows, not clamped at 0.
 
-
-def _nearest(
-    rows: np.ndarray, centers: np.ndarray, norms: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest listed center per row (lowest index wins ties) and its squared distance.
-
-    `norms`, when given, holds the squared row norms.  Pass rows near the
-    origin, such as a :class:`Frame`'s, with centers moved the same way.
-    The score matrix of :func:`_scores` is reduced along its contiguous row
-    axis, a running minimum over the centers that moves the index only on a
-    strict decrease; the row norms are added after the reduction.  Rounding
-    is monotone, so the squared distances are bit for bit those of
-    :func:`_frame_dist2`, which takes the minimum alone.
+    The one center-distance kernel: the centers are lifted to
+    [-2c | 1 | ||c||^2], and one matrix product with the frame's lifted rows
+    [p | ||p||^2 | 1] sums the three terms of ||p||^2 - 2 p.c + ||c||^2.
     """
-    if norms is None:
-        norms = np.einsum("ij,ij->i", rows, rows)
-    scores = _scores(rows, centers)
-    sq = scores[0].copy()
-    idx = np.zeros(rows.shape[0], dtype=np.intp)
-    closer = np.empty(rows.shape[0], dtype=bool)
-    for c in range(1, centers.shape[0]):
-        np.less(scores[c], sq, out=closer)
-        np.putmask(idx, closer, c)
-        np.minimum(sq, scores[c], out=sq)
-    sq += norms
+    k, d = centers.shape
+    lifted = np.empty((k, d + 2))
+    np.multiply(centers, -2.0, out=lifted[:, :d])  # exact
+    lifted[:, d] = 1.0
+    lifted[:, d + 1] = np.einsum("ij,ij->i", centers, centers)
+    return np.matmul(lifted, frame.lifted.T, out=out)
+
+
+def _nearest(frame: Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest listed center per row of the frame (lowest index wins ties)
+    and its squared distance, clamped at 0; the centers are given in frame
+    coordinates (moved by -origin).
+
+    One product by :func:`_sq_dists`, one minimum over the centers, then the
+    lowest index whose distance equals that minimum, found by a sweep from
+    the last center down.  The squared distances are bit for bit those of
+    :func:`_frame_dist2`, which takes the same minimum.
+    """
+    dist = _sq_dists(frame, centers)
+    sq = dist.min(axis=0)
+    idx = np.full(dist.shape[1], dist.shape[0] - 1, dtype=np.intp)
+    for c in range(dist.shape[0] - 2, -1, -1):
+        np.putmask(idx, dist[c] == sq, c)
     return idx, np.maximum(sq, 0.0, out=sq)
 
 
 def _frame_dist2(frame: Frame, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each row of the frame to its nearest center."""
-    sq = _scores(frame.rows, centers - frame.origin).min(axis=0)
-    sq += frame.norms
+    sq = _sq_dists(frame, centers - frame.origin).min(axis=0)
     return np.maximum(sq, 0.0, out=sq)
 
 

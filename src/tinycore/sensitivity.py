@@ -17,7 +17,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
-from .linalg import Frame, PointSet, _as_readonly, _frame, _nearest
+from .linalg import Frame, PointSet, _as_readonly, _frame, _nearest, _sq_dists
 
 DEFAULT_C_S = 8.0
 DEFAULT_C_VC = 1.0
@@ -95,29 +95,34 @@ def d2_seed(
     Each draw inverts the cumulative scores at a uniform variate, in blocks
     of ceil(sqrt(n)) rows (see :func:`_draw`): a row of score 0 is never
     drawn, and no index reaches n.  A restart whose scores sum to 0 repeats
-    its first draw.  Distances expand ||p||^2 - 2 p.c + ||c||^2, so callers
-    pass the rows of a point set's :class:`~tinycore.linalg.Frame` (moved to
-    their mean), and its `norms`, the squared row norms, to keep the
-    expansion accurate.
+    its first draw.  The rows are measured as they are given, lifted with
+    their squared norms (`norms`, when the caller holds them) into a
+    :class:`~tinycore.linalg.Frame` at the origin, so that each draw's
+    distances ||p||^2 - 2 p.c + ||c||^2 are one matrix product.  The
+    expansion is accurate only near the origin, so callers pass the rows of
+    a point set's own frame (moved to their mean) and its `norms`.
     """
-    return rows[_d2_pass(rows, weights, count, rng, restarts, norms)[0]]
+    rows = np.asarray(rows, dtype=np.float64)
+    frame = _frame(rows, np.zeros(rows.shape[1]), norms)
+    return rows[_d2_pass(frame, weights, count, rng, restarts)[0]]
 
 
 def _d2_pass(
-    rows: np.ndarray, weights: np.ndarray, count: int, rng: np.random.Generator,
-    restarts: int, norms: Optional[np.ndarray],
+    frame: Frame, weights: np.ndarray, count: int, rng: np.random.Generator, restarts: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of :func:`d2_seed` as restarts x count row indices, and each
-    restart's seeding cost sum w * min ||p - c||^2 over its own draws (one
-    more distance pass, for the last draw).
+    """The draws of :func:`d2_seed` on a frame's rows as restarts x count row
+    indices, and each restart's seeding cost sum w * min ||p - c||^2 over its
+    own draws (one more distance pass, for the last draw).
 
     The first draw inverts the weights and every later one w * min ||p - c||^2,
     both through :func:`_draw`; a restart whose later scores sum to 0 gets
-    its first draw again."""
+    its first draw again.  Each draw's distances are one product of
+    :func:`~tinycore.linalg._sq_dists`, clamped at 0 and folded into the
+    running minimum; unit weights draw from that minimum as it is."""
     if not np.sum(weights) > 0:
         raise InvalidInput("total weight must be positive")
-    if norms is None:
-        norms = np.einsum("ij,ij->i", rows, rows)
+    rows = frame.rows
+    unweighted = bool(np.all(weights == 1.0))  # w * min is then min itself
     chosen = np.empty((restarts, count), dtype=np.intp)
     best = np.full((restarts, rows.shape[0]), np.inf)
     cand = np.empty_like(best)
@@ -125,16 +130,13 @@ def _d2_pass(
     draw = _BlockedDraw(restarts, rows.shape[0])
     chosen[:, 0] = draw(cand, rng.random(restarts), 0)
     for i in range(1, count + 1):
-        last = chosen[:, i - 1]
-        np.matmul(-2.0 * rows[last], rows.T, out=cand)
-        cand += norms
-        cand += norms[last][:, None]
+        _sq_dists(frame, rows[chosen[:, i - 1]], out=cand)
         np.maximum(cand, 0.0, out=cand)
         np.minimum(best, cand, out=best)
         if i == count:
             break
-        np.multiply(best, weights, out=cand)
-        chosen[:, i] = draw(cand, rng.random(restarts), chosen[:, 0])
+        scores = best if unweighted else np.multiply(best, weights, out=cand)
+        chosen[:, i] = draw(scores, rng.random(restarts), chosen[:, 0])
     return chosen, best @ weights
 
 
@@ -224,23 +226,23 @@ def _lloyd(
     as a reseed onto a row of weight 0 can leave an assigned cluster of weight 0),
     stops once the assignment repeats, moves the centers to their weighted
     means and assigns again."""
-    rows, norms = frame.rows, frame.norms
-    chosen, seed_costs = _d2_pass(rows, weights, count, np.random.default_rng(seed), restarts, norms)
+    rows = frame.rows
+    chosen, seed_costs = _d2_pass(frame, weights, count, np.random.default_rng(seed), restarts)
     if not np.all(np.isfinite(seed_costs)):
         raise InvalidInput("seeding cost is not finite: the squared entries overflow float64")
     centers = rows[chosen[np.argmin(seed_costs)]]
-    idx, sq = _nearest(rows, centers, norms)
+    idx, sq = _nearest(frame, centers)
     prev_idx = None
     for _ in range(steps):
         dead = np.flatnonzero(np.bincount(idx, minlength=count) == 0) if reseed else ()
         for c in dead:
             centers[c] = rows[np.argmax(weights * sq)]
-            idx, sq = _nearest(rows, centers, norms)
+            idx, sq = _nearest(frame, centers)
         if prev_idx is not None and np.array_equal(idx, prev_idx):
             break
         centers = _mean_update(rows, weights, idx, centers)
         prev_idx = idx
-        idx, sq = _nearest(rows, centers, norms)
+        idx, sq = _nearest(frame, centers)
     return centers, idx, sq
 
 

@@ -48,18 +48,19 @@ class TestLloyd:
         assert hits >= 90
 
     def test_cost_monotone_per_iteration(self, rng):
+        from tinycore.linalg import _frame
         from tinycore.sensitivity import _mean_update, _nearest, d2_seed
 
-        rows = make_blobs(rng, 80, 3, 4)
+        frame = _frame(make_blobs(rng, 80, 3, 4))
         w = np.ones(80)
-        centers = d2_seed(rows, w, 4, np.random.default_rng(0))[0]
+        centers = d2_seed(frame.rows, w, 4, np.random.default_rng(0), norms=frame.norms)[0]
         prev = np.inf
         for _ in range(25):
-            idx, sq = _nearest(rows, centers)
+            idx, sq = _nearest(frame, centers)
             cost = float(np.sum(w * sq))
             assert cost <= prev * (1 + 1e-12) + 1e-12
             prev = cost
-            centers = _mean_update(rows, w, idx, centers)
+            centers = _mean_update(frame.rows, w, idx, centers)
 
     def test_centroid_optimality_for_fixed_partition(self, rng):
         rows = rng.standard_normal((30, 3))

@@ -414,8 +414,9 @@ class TestDist2:
 class TestNearest:
     """The center kernel against a brute-force argmin over explicit differences.
 
-    Rows and centers are multiples of 1/4 of magnitude at most 8, so every
-    distance is exact in both routes and ties are real ties."""
+    Rows and centers are multiples of 1/4 of magnitude at most 8, measured in
+    a frame at the origin, so every distance is exact in both routes and ties
+    are real ties."""
 
     @staticmethod
     def brute(rows, centers):
@@ -427,11 +428,15 @@ class TestNearest:
     def grid(gen, shape):
         return gen.integers(-32, 33, shape) / 4.0
 
+    @staticmethod
+    def nearest(rows, centers):
+        return _nearest(_frame(rows, np.zeros(rows.shape[1])), centers)
+
     @pytest.mark.parametrize("n,d,k", [(200, 3, 1), (5, 4, 9), (300, 2, 7), (1, 6, 3), (150, 32, 4)])
     def test_matches_brute_force(self, n, d, k):
         gen = np.random.default_rng(n * 100 + k)
         rows, centers = self.grid(gen, (n, d)), self.grid(gen, (k, d))
-        idx, sq = _nearest(rows, centers)
+        idx, sq = self.nearest(rows, centers)
         want_idx, want_sq = self.brute(rows, centers)
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
@@ -442,7 +447,7 @@ class TestNearest:
         centers = self.grid(gen, (6, 2))
         centers[4] = centers[1]
         centers[5] = centers[1]
-        idx, sq = _nearest(rows, centers)
+        idx, sq = self.nearest(rows, centers)
         want_idx, want_sq = self.brute(rows, centers)
         assert np.any(want_idx == 1)
         assert not np.any(np.isin(idx, [4, 5]))
@@ -450,17 +455,33 @@ class TestNearest:
         np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
 
     def test_precomputed_norms_give_same_bytes(self, rng):
+        # the frame takes squared norms that its caller holds (as d2_seed does)
         rows = rng.standard_normal((500, 7))
         centers = rng.standard_normal((5, 7))
-        norms = np.einsum("ij,ij->i", rows, rows)
-        idx0, sq0 = _nearest(rows, centers)
-        idx1, sq1 = _nearest(rows, centers, norms)
+        origin = np.zeros(7)
+        norms = _frame(rows, origin).norms.copy()
+        idx0, sq0 = _nearest(_frame(rows, origin), centers)
+        idx1, sq1 = _nearest(_frame(rows, origin, norms), centers)
         assert idx0.tobytes() == idx1.tobytes()
         assert sq0.tobytes() == sq1.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_large_translation_matches_brute_force(self, k):
+        # 1e8 + O(1): the expansion on the raw rows would lose every digit of
+        # the distances; in the rows' own frame it matches the differences
+        gen = np.random.default_rng(k)
+        rows = 1e8 + gen.standard_normal((300, 4))
+        centers = 1e8 + gen.standard_normal((k, 4))
+        frame = _frame(rows)
+        idx, sq = _nearest(frame, centers - frame.origin)
+        want_idx, want_sq = self.brute(rows, centers)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
+        assert sq.tobytes() == dist2_rows(rows, CenterSet(centers), frame).tobytes()
+
 
 class TestFrame:
-    """Center queries run in the rows' cached frame, through the one score kernel."""
+    """Center queries run in the rows' cached frame, through the one distance kernel."""
 
     def test_kernel_and_query_give_the_same_bytes(self, rng):
         rows = 1e3 + rng.standard_normal((700, 6))
@@ -468,8 +489,22 @@ class TestFrame:
         centers[3] = centers[1]  # tied centers
         centers[6] = centers[0]
         frame = _frame(rows)
-        _, sq = _nearest(frame.rows, centers - frame.origin, frame.norms)
+        _, sq = _nearest(frame, centers - frame.origin)
         assert sq.tobytes() == dist2_rows(rows, CenterSet(centers)).tobytes()
+
+    def test_rows_and_norms_are_read_only_views_of_one_lifted_array(self, rng):
+        rows = rng.standard_normal((40, 3)) + 5.0
+        frame = PointSet(rows).frame
+        lifted = frame.lifted
+        assert lifted.shape == (40, 5) and lifted.flags.f_contiguous
+        for view in (frame.rows, frame.norms):
+            assert view.base is lifted
+            assert not view.flags.writeable
+        assert not lifted.flags.writeable
+        np.testing.assert_array_equal(lifted[:, :3], frame.rows)
+        np.testing.assert_array_equal(lifted[:, 3], frame.norms)
+        np.testing.assert_array_equal(lifted[:, 4], np.ones(40))
+        np.testing.assert_allclose(frame.norms, np.sum(frame.rows**2, axis=1), rtol=1e-14)
 
     def test_raw_rows_and_cached_frame_give_the_same_bytes(self, rng):
         rows = rng.standard_normal((300, 4)) - 50.0

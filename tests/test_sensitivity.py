@@ -151,7 +151,7 @@ class TestBicriteria:
         ps = PointSet(make_blobs(rng, 300, 4, 3), rng.uniform(0.5, 2.0, 300))
         bic = bicriteria_kmeans(ps, 3, 0.1, seed=2)
         frame = ps.frame
-        idx, sq = sensitivity._nearest(frame.rows, bic.centers - frame.origin, frame.norms)
+        idx, sq = sensitivity._nearest(frame, bic.centers - frame.origin)
         np.testing.assert_array_equal(bic.assignment, idx)
         np.testing.assert_allclose(bic.sq_distances, sq, rtol=1e-12, atol=0)
         assert not bic.sq_distances.flags.writeable
