@@ -63,13 +63,16 @@ class Divergence:
             object.__setattr__(self, "matrix", _as_readonly(b))
 
     def _embed(self, rows: np.ndarray) -> np.ndarray:
-        """The rows mapped by B (unchanged when no matrix is declared)."""
+        """The rows mapped by B, a new read-only array (the rows as given when
+        no matrix is declared)."""
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         if self.matrix is None:
             return rows
         if self.matrix.shape[1] != rows.shape[1]:
             raise InvalidArgument("Mahalanobis matrix size does not match the row dimension")
-        return rows @ self.matrix.T
+        mapped = rows @ self.matrix.T
+        mapped.setflags(write=False)  # so that a PointSet of it keeps it, not a copy
+        return mapped
 
     def mahalanobis(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
         diff = self._embed(np.atleast_2d(points) - np.asarray(q)[None, :])
@@ -232,7 +235,10 @@ def _partition(
     def recurse(indices: np.ndarray, t: int, cost: float) -> list[tuple[np.ndarray, float]]:
         if t >= depth or indices.shape[0] <= 1:
             return [(indices, cost)]
-        labels = _kclustering(rows[indices], w[indices], k, div, seed)
+        part_rows, part_w = rows[indices], w[indices]
+        for a in (part_rows, part_w):  # made here: the split's PointSet keeps them, not a copy
+            a.setflags(write=False)
+        labels = _kclustering(part_rows, part_w, k, div, seed)
         parts = [indices[labels == p] for p in np.unique(labels)]
         costs = [_opt1(rows[p], w[p], div) for p in parts]
         if len(parts) <= 1 or cost <= (1.0 + f1) * sum(costs):

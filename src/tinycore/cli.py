@@ -10,7 +10,10 @@ Commands
 CSV input skips blank lines and `#` comments.  A line that does not parse
 (an undecodable byte included), is ragged or holds a non-finite value is an
 error naming `file:line`; `stream --skip-malformed` warns and drops it.
-Input is parsed in blocks of about 64 KiB of lines.  `stream` holds one block
+Input is parsed in blocks of about 64 KiB of lines.  A block of plain
+numbers goes to numpy's C reader first; any other block, and any block it
+declines, is read with Python's float(), which alone decides what is
+accepted, so both give the same rows and errors.  `stream` holds one block
 at a time and extends the stream block by block, so from a live pipe its
 `--checkpoint` lines come once per block rather than once per line; their
 text does not change.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import math
 import os
@@ -183,6 +187,35 @@ def read_coreset_file(path: str) -> CoresetFile:
 
 _BLOCK_BYTES = 1 << 16  # the size hint of each `readlines` call, so one block is about 64 KiB of lines
 
+# The bytes on which numpy's C reader and float() agree.  On others they can
+# differ: numpy strips \x1c-\x1f and, read as latin-1, \x85 and \xa0 around a
+# field, which float() rejects, and float() reads `1_0`, which numpy rejects.
+_C_READER_BYTES = b"0123456789.eE+-, \t\n"
+
+
+def _c_block(lines: list[bytes], width: Optional[int]) -> Optional[np.ndarray]:
+    """The lines as one array read by numpy's C reader (numpy >= 1.23), or None.
+
+    Only a block of `_C_READER_BYTES` (and \\r directly before \\n) is given
+    to it, and its result is kept only with one row per line, of `width`
+    columns if set, all finite: then it holds the doubles that float() gives.
+    Any other block, one with a bad or blank line included, is declined
+    without a warning, for the float() paths to decide.
+    """
+    data = b"".join(lines)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    # an all-blank block would make loadtxt warn "input contained no data"
+    if data.translate(None, _C_READER_BYTES) or not data.strip():
+        return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape[0] != len(lines) or width not in (None, block.shape[1]) or not np.isfinite(block).all():
+        return None
+    return block
+
 
 def _clean_block(stripped: list[bytes], width: Optional[int]) -> Optional[np.ndarray]:
     """The stripped lines as one array if all are data rows of one width (equal
@@ -208,14 +241,20 @@ def _csv_blocks(
     """Yield the rows of the binary CSV file `fh` as n x d float arrays, one per
     block of lines.  A bad line raises `name:lineno: ...` once the good rows
     before it are yielded, or with `skip` is logged and dropped.  `key=value`
-    tokens of `#` comments go into the dict `meta`, if given."""
+    tokens of `#` comments go into the dict `meta`, if given.
+
+    Each block goes to numpy's C reader first (:func:`_c_block`), then to one
+    float() call per field (:func:`_clean_block`), and only then line by line,
+    so float() alone decides which lines are accepted and what they hold."""
     width = None
     lineno = 0  # the number of the line before the block
     while lines := fh.readlines(_BLOCK_BYTES):
         if header and lineno == 0:
             lineno, lines = 1, lines[1:]
-        stripped = list(map(bytes.strip, lines))
-        block = _clean_block(stripped, width)
+        block = _c_block(lines, width)
+        if block is None:
+            stripped = list(map(bytes.strip, lines))
+            block = _clean_block(stripped, width)
         if block is not None:
             width = block.shape[1]
             lineno += len(lines)
@@ -466,7 +505,10 @@ def _write_coreset(
 # -- argument parsing ----------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every call returns the
+    same parser, whose `parse_args` makes a fresh namespace each time."""
     parser = argparse.ArgumentParser(prog="tinycore", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -252,6 +252,30 @@ class TestPartitionHelper:
         assert first.weights.tobytes() == again.weights.tobytes()
         assert first.delta == again.delta
 
+    @pytest.mark.parametrize("div", [squared_euclidean(), mahalanobis(np.diag([2.0, 0.5]))], ids=["identity", "mahalanobis"])
+    def test_splits_keep_their_rows_and_flag_no_caller_array(self, div, rng, monkeypatch):
+        from tinycore import bregman
+
+        shared = []
+        point_set = bregman.PointSet
+
+        def spying(rows, weights=None):
+            ps = point_set(rows, weights)
+            shared.append(ps.rows is rows and ps.weights is weights)
+            return ps
+
+        monkeypatch.setattr(bregman, "PointSet", spying)
+        rows = exact_blobs(rng) + 0.05 * rng.standard_normal((200, 2))
+        w = rng.uniform(0.5, 2.0, 200)
+        partition_helper(PointSet(rows, w), 3, 3, 0.01, div)
+        # each split's PointSet keeps the rows and weights made for it, not a copy
+        assert len(shared) > 1 and all(shared)
+        assert rows.flags.writeable and w.flags.writeable
+        # a caller's own arrays are copied, and stay writable
+        bregman._kclustering(rows, w, 3, div, 0)
+        assert rows.flags.writeable and w.flags.writeable
+        assert div._embed(rows) is rows if div.matrix is None else not div._embed(rows).flags.writeable
+
 
 class TestBregmanCoreset:
     def test_tiny_input_one_feature_per_point(self, rng):

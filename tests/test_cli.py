@@ -1,4 +1,6 @@
+import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tinycore
 from tinycore import cli
@@ -1173,3 +1176,115 @@ class TestBlockPaths:
         assert code == 0
         assert [line.split()[1] for line in want] == [f"n={7 * i}" for i in range(1, 15)]
         assert err == want
+
+
+def _per_line(data: bytes):
+    """The rows of `data` read by the per-line loop of `_csv_blocks` alone, or
+    None where it rejects a line (blank and `#` lines count as rejected, since
+    the block paths take data rows only)."""
+    lines = io.BytesIO(data).readlines()
+    if not lines or not all(line.strip() and not line.strip().startswith(b"#") for line in lines):
+        return None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_c_block", lambda lines, width: None)
+        mp.setattr(cli, "_clean_block", lambda stripped, width: None)
+        try:
+            return np.concatenate(list(cli._csv_blocks(io.BytesIO(data), "x", False)))
+        except tinycore.TinycoreError:
+            return None
+
+
+# Fields near the edge of what float() and numpy's C reader each accept: the
+# bytes numpy strips and float() does not, `_`, `#`, blanks and \r around
+# numbers, and short runs of number-like bytes that may or may not parse.
+_EDGE = ["", "_", "#", " ", "\t", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0"]
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["-0.0", "+.5", "1e308", "1e999", "-1E-3", "1_0", "4.", ".", "-", "e5"]
+)
+_JUNK = st.text(alphabet="0123456789+-.eE,_# \t\r\x1c\x1d\x1e\x1f\x85\xa0", max_size=4)
+_FIELD = st.tuples(st.sampled_from(_EDGE), _NUMBER | _JUNK, st.sampled_from(_EDGE)).map("".join)
+
+
+@st.composite
+def _csv_block(draw) -> bytes:
+    width = draw(st.integers(1, 3))
+    data_line = st.lists(_FIELD | _NUMBER, min_size=width, max_size=width).map(",".join)
+    lines = draw(st.lists(data_line | st.sampled_from(["", "  ", "# c"]), min_size=1, max_size=6))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    tail = draw(st.sampled_from([end, ""]))  # with or without a final line end
+    return (end.join(lines) + tail).encode("latin-1")
+
+
+class TestCReader:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=_csv_block(), width=st.sampled_from([None, 1, 2, 3]))
+    def test_block_paths_agree_with_the_per_line_parse(self, data, width):
+        lines = io.BytesIO(data).readlines()
+        want = _per_line(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = cli._c_block(lines, width)
+            clean = cli._clean_block(list(map(bytes.strip, lines)), width)
+        for got in (fast, clean):
+            if want is None or width not in (None, want.shape[1]):
+                assert got is None, (data, got)
+            elif got is not None:
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("data", [b"", b"\n", b"\n\r\n\n", b"  \n\t\n", b"\r\n"])
+    def test_blank_blocks_warn_nothing(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli._c_block(io.BytesIO(data).readlines(), None) is None
+            assert list(cli._csv_blocks(io.BytesIO(data), "x", False)) == []
+
+    def test_header_only_input_warns_nothing(self, tmp_path):
+        path = tmp_path / "head.csv"
+        path.write_bytes(b"x,y,z\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(cli._csv_blocks(io.BytesIO(path.read_bytes()), "x", True)) == []
+            with pytest.raises(tinycore.TinycoreError, match="empty input"):
+                load_points(str(path), False, True)
+
+    def test_plain_blocks_take_the_c_reader(self, rng):
+        rows = rng.standard_normal((50, 4))
+        for end in (b"\n", b"\r\n"):
+            lines = [line + end for line in _lines(rows)]
+            got = cli._c_block(lines, None)
+            assert got is not None and got.tobytes() == rows.tobytes()
+            assert cli._c_block(lines, 3) is None  # not the width seen so far
+
+
+class TestParserReuse:
+    def test_repeated_main_calls_give_the_same_codes_and_output(self, data_csv, tmp_path, capsys):
+        path, _ = data_csv
+        out = lambda name: str(tmp_path / name)
+        runs = [
+            ["coreset", "subspace", "--j", "1", "--epsilon", "0.5", path, "-o", out("a.cs")],
+            ["stream", "--kind", "kmeans", "--k", "2", "--epsilon", "0.5", "--seed", "1", path, "-o", out("b.cs")],
+            ["solve", "affine", "--j", "1", "--epsilon", "0.5", "--seed", "1", path, "-o", out("c.csv")],
+            ["stream", "--kind", "subspace", "--epsilon", "0.5", "--seed", "1", path, "-o", out("d.cs")],
+            ["eval", out("a.cs"), path, "--query-kind", "subspace", "--j", "1", "--count", "5",
+             "--epsilon", "0.5", "--seed", "1"],
+        ]
+        outputs = []
+        for _ in range(2):
+            result = []
+            for argv in runs:
+                code = main(argv)
+                std = capsys.readouterr()
+                written = argv[-1] if argv[-2] == "-o" and os.path.exists(argv[-1]) else None
+                # `coreset`'s elapsed seconds are the one figure that differs between runs
+                stdout = re.sub(r"\d+\.\d+s$", "s", std.out, flags=re.M)
+                result.append((code, stdout, std.err, written and Path(written).read_bytes()))
+            for name in ("a.cs", "b.cs", "c.csv"):  # each round writes them afresh
+                os.remove(out(name))
+            with pytest.raises(SystemExit) as exc:  # a usage error that argparse raises
+                main(["coreset", "subspace", "--epsilon", "0.5", path])
+            result.append((exc.value.code, capsys.readouterr().err))
+            outputs.append(result)
+        assert [r[0] for r in outputs[0]] == [0, 0, 0, 2, 0, 2]
+        assert outputs[0] == outputs[1]
+        assert cli.build_parser() is cli.build_parser()
