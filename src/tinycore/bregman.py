@@ -228,24 +228,28 @@ def _partition(
     positive = np.flatnonzero(w > 0)
     if positive.shape[0] == 0:
         raise InvalidInput("total weight must be positive")
-    total = _opt1(rows[positive], w[positive], div)
+    top_rows, top_w = rows[positive], w[positive]
+    total = _opt1(top_rows, top_w, div)
     if not np.isfinite(total):
         raise InvalidInput("the 1-clustering cost is not finite: the squared entries overflow float64")
 
-    def recurse(indices: np.ndarray, t: int, cost: float) -> list[tuple[np.ndarray, float]]:
+    def recurse(
+        indices: np.ndarray, part_rows: np.ndarray, part_w: np.ndarray, t: int, cost: float
+    ) -> list[tuple[np.ndarray, float]]:
+        """Split the part with these indices, rows and weights, whose cost is already priced."""
         if t >= depth or indices.shape[0] <= 1:
             return [(indices, cost)]
-        part_rows, part_w = rows[indices], w[indices]
-        for a in (part_rows, part_w):  # made here: the split's PointSet keeps them, not a copy
+        for a in (part_rows, part_w):  # gathered here: the split's PointSet keeps them, not a copy
             a.setflags(write=False)
         labels = _kclustering(part_rows, part_w, k, div, seed)
-        parts = [indices[labels == p] for p in np.unique(labels)]
-        costs = [_opt1(rows[p], w[p], div) for p in parts]
+        masks = [labels == p for p in np.unique(labels)]
+        parts = [(indices[m], part_rows[m], part_w[m]) for m in masks]
+        costs = [_opt1(r, pw, div) for _, r, pw in parts]
         if len(parts) <= 1 or cost <= (1.0 + f1) * sum(costs):
             return [(indices, cost)]
-        return [leaf for p, c in zip(parts, costs) for leaf in recurse(p, t + 1, c)]
+        return [leaf for part, c in zip(parts, costs) for leaf in recurse(*part, t + 1, c)]
 
-    return recurse(positive, 0, total)
+    return recurse(positive, top_rows, top_w, 0, total)
 
 
 def bregman_coreset(

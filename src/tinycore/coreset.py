@@ -103,26 +103,33 @@ def affine_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
     return _subspace_coreset(_Tsqr(centred=True).feed(points.rows, points.weights), j, eps)
 
 
-def _subspace_coreset(acc: _Tsqr, j: int, eps: float) -> Coreset:
+def _subspace_coreset(acc: _Tsqr, j: int, eps: float, offset: float = 0.0) -> Coreset:
     """The linear coreset of the rows fed to `acc`, or for a centred `acc` the
-    affine one, built from one :func:`~tinycore.linalg.svd` of it.
+    affine one, built from one :func:`~tinycore.linalg.svd` of it, with
+    `offset` (the summed offsets of the coresets fed, if any) added to its own.
 
     The affine coreset is the linear one of the centred, folded rows, scaled
     by sqrt(m / W), mirrored, and moved to the mean.  Above 4096 rows the
     mean and the centring come from the merges of the accumulator's tree, not
-    from one pass over all rows.
+    from one pass over all rows.  The points and weights are made here and
+    flagged read-only, so the coreset keeps them without a copy.
     """
     d = acc.d
     j = check_int("subspace dimension", j, 1, d - 1)
     m = min(acc.n, d, coreset_size_linear(j, eps))
     factors = svd(acc)
-    s = (factors.v[:, :m] * factors.sigma[:m]).T
-    delta = tail_energy(factors, m)
-    if not acc.centred:
-        return Coreset(points=s, weights=np.ones(m), delta=delta)
-    scaled = math.sqrt(m / acc.total) * s
-    pts = acc.mean[None, :] + np.vstack([scaled, -scaled])
-    return Coreset(points=pts, weights=np.full(2 * m, acc.total / (2 * m)), delta=delta)
+    # row i is sigma_i v_i^T, made C-contiguous
+    s = np.multiply(factors.v[:, :m].T, factors.sigma[:m, None], order="C")
+    delta = tail_energy(factors, m) + offset
+    if acc.centred:
+        scaled = math.sqrt(m / acc.total) * s
+        s = acc.mean[None, :] + np.vstack([scaled, -scaled])
+        w = np.full(2 * m, acc.total / (2 * m))
+    else:
+        w = np.ones(m)
+    for a in (s, w):
+        a.setflags(write=False)
+    return Coreset(points=s, weights=w, delta=delta)
 
 
 def affine_subspace_coreset_weighted(points: PointSet, j: int, eps: float) -> Coreset:

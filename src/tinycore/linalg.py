@@ -237,8 +237,10 @@ def svd(points: Union[PointSet, _Tsqr]) -> SvdFactors:
         _, s, vt = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise InvalidInput(f"SVD failed: {exc}") from exc
-    v = vt.T
+    v = np.ascontiguousarray(vt.T)  # the C-contiguous V that SvdFactors keeps without a copy
     v[:, _sign_flips(v)] *= -1.0
+    for a in (s, v):
+        a.setflags(write=False)
     factors = SvdFactors(sigma=s, v=v)
     _check_fit(acc.gram, acc.energy, factors)
     return factors

@@ -2,33 +2,30 @@
 
 Incoming points fill a buffer; a full buffer is compressed to a level
 coreset and cascaded through a binary counter of buckets, re-compressing on
-every carry and summing the offsets.  Epochs double in length; at the end
-of epoch h the surviving buckets are folded into one per-epoch summary and
-the working precision tightens to eps / (10 * (h + 1)), which keeps the
-total multiplicative error of a point that passes through every level
-within (1 + eps).  Randomized reduces spend failure budget delta / j^2 on
-the j-th construction, so the whole stream stays within delta.
+every carry and summing the offsets.  A reduce feeds its parts (the buffer's
+row blocks at unit weight) straight into one level builder: one TSQR
+accumulator for subspaces, one stacked point set for k-means, with the bytes
+of the public builder on `merge_coresets` of the parts.  Epochs double in
+length; at the end of epoch h the surviving buckets are folded into one
+per-epoch summary and the working precision tightens to eps / (10 * (h + 1)),
+which keeps the total multiplicative error of a point that passes through
+every level within (1 + eps).  Randomized reduces spend failure budget
+delta / j^2 on the j-th construction, so the whole stream stays within delta.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .coreset import (
-    Coreset,
-    affine_subspace_coreset_weighted,
-    coreset_size_linear,
-    linear_subspace_coreset,
-    merge_coresets,
-)
+from .coreset import Coreset, _subspace_coreset, coreset_size_linear
 from .clustering import kmeans_coreset
 from .errors import (
     EmptyState, InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit,
 )
-from .linalg import PointSet
+from .linalg import PointSet, _Tsqr
 
 STREAM_KINDS = ("subspace", "affine", "kmeans")
 DEFAULT_C_STREAM = 1.0
@@ -76,6 +73,7 @@ class CoresetStream:
         self._summaries: list[Coreset] = []
         self._epoch = 1
         self._epoch_seen = 0
+        self._level: Optional[int] = None  # level_size() of this epoch, once asked
         self._points_seen = 0
         self._live = 0
         self.reduce_count = 0
@@ -115,43 +113,52 @@ class CoresetStream:
 
     # -- reduction ------------------------------------------------------
 
-    def _next_seed(self) -> int:
-        mix = np.random.SeedSequence([self.config.seed, self.reduce_count + 2])
+    def _level_size(self) -> int:
+        """level_size(), computed once per epoch."""
+        if self._level is None:
+            self._level = self.level_size()
+        return self._level
+
+    def _seed(self, *key: int) -> int:
+        mix = np.random.SeedSequence([self.config.seed, self.reduce_count + 2, *key])
         return int(mix.generate_state(1)[0])
 
-    def _compress(self, parts: list[Coreset], eps: float, seed: int) -> Coreset:
-        """One coreset of the union of the parts at precision eps, offsets added."""
-        merged = merge_coresets(parts)
+    def _compress(self, parts: list[Coreset], blocks: Sequence[np.ndarray], final: bool) -> Coreset:
+        """One coreset of the union of the parts and the unit-weight row blocks
+        (fed in that order) at the level precision, or at eps if final, offsets added."""
         cfg = self.config
-        if cfg.kind == "subspace":
-            # level inputs carry unit weights throughout the linear stream
-            out = linear_subspace_coreset(PointSet(merged.points), cfg.j, eps)
-        elif cfg.kind == "affine":
-            out = affine_subspace_coreset_weighted(merged.as_point_set(), cfg.j, eps)
-        else:
-            out = kmeans_coreset(
-                merged.as_point_set(),
+        eps = cfg.eps if final else self.gamma()
+        if cfg.kind == "kmeans":
+            rows = np.vstack([*(p.points for p in parts), *blocks])
+            w = np.concatenate([*(p.weights for p in parts), *(np.ones(b.shape[0]) for b in blocks)])
+            # k-means level coresets carry offset 0, so there is none to add
+            return kmeans_coreset(
+                PointSet(rows, w),
                 cfg.k,
                 min(eps, 0.999),  # the config admits eps = 1, the sampler does not
                 # the j-th construction, j = reduce_count + 2, spends delta / j^2 (delta/4 first)
                 cfg.delta / (self.reduce_count + 2) ** 2,
-                seed,
-                sample_size=self.level_size(),
+                self._seed(self._points_seen) if final else self._seed(),
+                sample_size=self._level_size(),
             )
-        return Coreset(points=out.points, weights=out.weights, delta=out.delta + merged.delta)
+        # the TSQR bytes depend on the row count alone, not on where blocks are cut;
+        # linear level inputs carry unit weights throughout, so they go in unweighted
+        acc = _Tsqr(centred=cfg.kind == "affine")
+        for p in parts:
+            acc.feed(p.points, p.weights if acc.centred else None)
+        for b in blocks:
+            acc.feed(b, np.ones(b.shape[0]) if acc.centred else None)
+        return _subspace_coreset(acc, cfg.j, eps, offset=float(sum(p.delta for p in parts)))
 
-    def _reduce(self, parts: list[Coreset]) -> Coreset:
-        """Replace live parts by their compression at the current level precision."""
-        out = self._compress(parts, self.gamma(), self._next_seed())
+    def _reduce(self, parts: list[Coreset], blocks: Sequence[np.ndarray] = ()) -> Coreset:
+        """Replace live parts and blocks by their compression at the current level precision."""
+        out = self._compress(parts, blocks, final=False)
         self.reduce_count += 1
-        self._live += out.size - sum(p.size for p in parts)
+        self._live += out.size - sum(p.size for p in parts) - sum(b.shape[0] for b in blocks)
         return out
 
-    def _buffer_coreset(self) -> Coreset:
-        return Coreset(points=np.vstack(self._buffer), weights=np.ones(self._buffered), delta=0.0)
-
     def _flush_buffer(self) -> None:
-        carry = self._reduce([self._buffer_coreset()])
+        carry = self._reduce([], self._buffer)
         self._buffer, self._buffered = [], 0
         for level, other in enumerate(self._buckets):
             if other is None:
@@ -170,6 +177,7 @@ class CoresetStream:
             self._summaries.append(self._reduce(occupied))
         self._epoch += 1
         self._epoch_seen = 0
+        self._level = None
 
     def _feed(self, block: np.ndarray) -> None:
         """Take an n x d block, flushing and rolling exactly where row-by-row
@@ -186,7 +194,7 @@ class CoresetStream:
             raise InvalidInput(f"point dimension {block.shape[1]} != stream dimension {self._d}")
         n, start = block.shape[0], 0
         while start < n:
-            threshold = 2 * self.level_size()
+            threshold = 2 * self._level_size()
             take = min(n - start, threshold - self._buffered, 2**self._epoch - self._epoch_seen)
             self._buffer.append(block[start : start + take])
             start += take
@@ -221,10 +229,7 @@ class CoresetStream:
         if self._points_seen == 0:
             raise EmptyState("no points have been inserted")
         parts = self._summaries + [b for b in self._buckets if b is not None]
-        if self._buffer:
-            parts.append(self._buffer_coreset())
-        mix = np.random.SeedSequence([self.config.seed, self.reduce_count + 2, self._points_seen])
-        return self._compress(parts, self.config.eps, int(mix.generate_state(1)[0]))
+        return self._compress(parts, self._buffer, final=True)
 
     def occupied_levels(self) -> list[int]:
         return [i for i, b in enumerate(self._buckets) if b is not None]

@@ -293,6 +293,21 @@ class TestTsqrAccumulator:
             assert np.array_equal(split.finish(), r)
             assert np.array_equal(split.mean, whole.mean) and split.total == whole.total
 
+    @pytest.mark.parametrize("n", [700, _TSQR_BLOCK + 900])
+    def test_centred_parts_equal_their_vstack(self, n):
+        # separate arrays, as a stream reduce feeds them: weighted parts, then unit-weight blocks
+        gen = np.random.default_rng(n)
+        sizes = np.diff([0, *sorted(gen.choice(np.arange(1, n), 6, replace=False).tolist()), n])
+        parts = [gen.standard_normal((s, 5)) * [2.0, 1.0, 1.0, 0.5, 0.1] + 50.0 for s in sizes]
+        weights = [gen.uniform(0.5, 3.0, s) for s in sizes[:3]] + [np.ones(s) for s in sizes[3:]]
+        whole = _Tsqr(centred=True).feed(np.vstack(parts), np.concatenate(weights))
+        split = _Tsqr(centred=True)
+        for rows, w in zip(parts, weights):
+            split.feed(rows, w)
+        assert np.array_equal(split.finish(), whole.finish())
+        assert np.array_equal(split.mean, whole.mean) and split.total == whole.total
+        assert np.array_equal(split.gram, whole.gram)
+
     def test_one_leaf_is_centred_like_one_pass(self):
         gen = np.random.default_rng(13)
         a = gen.standard_normal((_TSQR_BLOCK, 6)) + 1e6

@@ -3,16 +3,20 @@ import pytest
 
 from tinycore import (
     CenterSet,
+    Coreset,
     CoresetStream,
     EmptyState,
     InvalidArgument,
     InvalidInput,
     PointSet,
     StreamConfig,
+    affine_subspace_coreset,
     coreset_cost,
     dist2,
+    kmeans_coreset,
     linear_subspace_coreset,
 )
+from tinycore.coreset import merge_coresets
 
 from conftest import make_blobs, rand_subspace
 
@@ -322,3 +326,91 @@ class TestBlockFeed:
         # the rejected blocks fixed no dimension: a wide enough one is taken
         stream.extend(rng.standard_normal((10, 6)))
         assert stream.points_seen == 10 and stream.query().d == 6
+
+
+class _MergeThenBuild(CoresetStream):
+    """The reduce route of record: the buffer as a unit-weight coreset, every
+    part merged by `merge_coresets`, the public builder run on the merge, and
+    the merged offset added to its output in a second coreset."""
+
+    def _compress(self, parts, blocks, final):
+        cfg = self.config
+        if blocks:
+            rows = np.vstack(blocks)
+            parts = [*parts, Coreset(points=rows, weights=np.ones(rows.shape[0]), delta=0.0)]
+        merged = merge_coresets(parts)
+        eps = cfg.eps if final else self.gamma()
+        if cfg.kind == "subspace":
+            out = linear_subspace_coreset(PointSet(merged.points), cfg.j, eps)
+        elif cfg.kind == "affine":
+            out = affine_subspace_coreset(merged.as_point_set(), cfg.j, eps)
+        else:
+            key = [cfg.seed, self.reduce_count + 2] + ([self.points_seen] if final else [])
+            out = kmeans_coreset(
+                merged.as_point_set(),
+                cfg.k,
+                min(eps, 0.999),
+                cfg.delta / (self.reduce_count + 2) ** 2,
+                int(np.random.SeedSequence(key).generate_state(1)[0]),
+                sample_size=self.level_size(),
+            )
+        return Coreset(points=out.points, weights=out.weights, delta=out.delta + merged.delta)
+
+
+def _summary(stream):
+    core = stream.query()
+    return (
+        core.points.tobytes(),
+        core.weights.tobytes(),
+        core.delta,
+        stream.reduce_count,
+        stream.peak_live_points,
+        stream.live_points(),
+    )
+
+
+class TestReduceRoute:
+    """Each reduce builds one level coreset straight from its parts, with the
+    bytes and counters of the merge-then-build route."""
+
+    @pytest.mark.parametrize("kw", STREAM_CONFIGS, ids=lambda kw: kw["kind"])
+    @pytest.mark.parametrize("eps", [0.5, 0.2])
+    def test_random_blocks_match_the_merge_route(self, rng, kw, eps):
+        rows = make_blobs(rng, 5000, 4, 3) + 3.0
+        cfg = StreamConfig(**{**kw, "eps": eps, "seed": 7})
+        cuts = np.cumsum(rng.integers(1, 900, 40))
+        cuts = [0] + [int(c) for c in cuts if c < len(rows)] + [len(rows)]
+        got, want = CoresetStream(cfg), _MergeThenBuild(cfg)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            got.extend(rows[a:b])
+            want.extend(rows[a:b])
+            if a % 3 == 0:  # a query mid-stream changes no state
+                assert _summary(got) == _summary(want)
+        assert got.reduce_count > 1 and got.epoch > 5
+        assert _summary(got) == _summary(want)
+
+    @pytest.mark.parametrize("kw", STREAM_CONFIGS, ids=lambda kw: kw["kind"])
+    def test_row_inserts_match_the_merge_route(self, rng, kw):
+        rows = make_blobs(rng, 1200, 3, 3)
+        cfg = StreamConfig(seed=2, **kw)
+        got, want = CoresetStream(cfg), _MergeThenBuild(cfg)
+        for i, row in enumerate(rows):
+            got.insert(row)
+            want.insert(row)
+            if i % 97 == 0:
+                assert _summary(got) == _summary(want)
+        assert got.reduce_count > 0
+        assert _summary(got) == _summary(want)
+
+    @pytest.mark.parametrize("kind", ["subspace", "affine"])
+    def test_level_offsets_match_the_merge_route(self, rng, kind):
+        # 96 columns against level sizes of 10 h (eps = 1): the first flushes, at
+        # epochs 8 and 9, keep 80 and 90 rows and drop the rest of the energy
+        rows = rng.standard_normal((2000, 96)) * np.linspace(3.0, 0.1, 96) + 1.0
+        cfg = StreamConfig(kind=kind, eps=1.0, j=1, seed=4)
+        got, want = CoresetStream(cfg), _MergeThenBuild(cfg)
+        for a in range(0, len(rows), 250):
+            got.extend(rows[a : a + 250])
+            want.extend(rows[a : a + 250])
+            assert _summary(got) == _summary(want)
+        assert any(b.delta > 0 for b in got._summaries) and got.reduce_count > 5
