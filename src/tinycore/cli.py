@@ -89,6 +89,8 @@ class CoresetFile:
         return self.points.shape[1]
 
     def to_coreset(self) -> Coreset:
+        """The coreset, sharing the points and weights when they are read-only
+        (as :func:`read_coreset_binary` gives them), else copying them."""
         return Coreset(points=self.points, weights=self.weights, delta=self.delta)
 
 
@@ -125,6 +127,10 @@ def read_coreset_binary(path: str) -> CoresetFile:
     if body.size != m * (d + 1):
         raise TinycoreError("coreset body size does not match its header")
     rows = body.reshape(m, d + 1)
+    # one copy each out of the file, read-only, so to_coreset() shares them
+    points, weights = rows[:, :d].copy(), rows[:, d].copy()
+    for a in (points, weights):
+        a.setflags(write=False)
     try:
         kind, construction = (f.rstrip(b"\0").decode() for f in (kind, construction))
     except UnicodeDecodeError as exc:
@@ -136,8 +142,8 @@ def read_coreset_binary(path: str) -> CoresetFile:
         seed=seed,
         kind=kind,
         construction=construction,
-        points=rows[:, :d].copy(),
-        weights=rows[:, d].copy(),
+        points=points,
+        weights=weights,
     )
 
 

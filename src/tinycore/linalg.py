@@ -8,8 +8,9 @@ every result is checked against the Gram matrix of the input before use.
 Distances to centers are taken in the rows' own frame (their mean at the
 origin), cached once per point set, whose lifted rows make every
 center-distance pass one matrix product.  :func:`dist2` runs one kernel per
-shape kind straight on a point set's own read-only arrays (rows, cached
-frame, weights); :func:`dist2_rows` runs the same kernels on bare rows.
+shape kind straight on a point set's own read-only arrays (rows, weights, and
+the frame and squared row norms it caches); :func:`dist2_rows` runs the same
+kernels on bare rows.
 """
 from __future__ import annotations
 
@@ -93,6 +94,20 @@ class PointSet:
         :func:`~tinycore.bicriteria_kmeans` builds its own and keeps none.
         """
         return _frame(self.rows)
+
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        """The squared norms of the rows, read-only: built by the first linear
+        subspace query, then kept (n floats)."""
+        norms = _sq_norms(self.rows)
+        norms.setflags(write=False)
+        return norms
+
+    @functools.cached_property
+    def unit_weights(self) -> bool:
+        """Whether every weight is exactly 1.0 (true without weights): built
+        on first use, then kept."""
+        return self.weights is None or bool(np.all(self.weights == 1.0))
 
 
 @dataclass(frozen=True)
@@ -527,23 +542,45 @@ def _frame_dist2(frame: Frame, centers: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _dist2_subspace(rows: np.ndarray, shape: Subspace) -> np.ndarray:
-    pts = rows if shape.offset is None else rows - shape.offset
-    # Pythagoras: ||p||^2 - ||p X||^2, never materializing the complement.
-    # np.add.reduce is what np.sum calls, without its Python wrapper.
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row.  np.add.reduce is what np.sum calls,
+    without its Python wrapper."""
+    return np.add.reduce(rows * rows, axis=1)
+
+
+def _dist2_subspace(rows: np.ndarray, shape: Subspace, norms: Callable[[], np.ndarray]) -> np.ndarray:
+    """Pythagoras: ||p||^2 - ||p X||^2, never materializing the complement.
+
+    A linear subspace takes ||p||^2 from `norms()`, the squared norms of
+    `rows`; an affine one moves the rows by -offset into a temporary of its
+    own and squares that in place after the product.
+    """
+    linear = shape.offset is None
+    pts = rows if linear else rows - shape.offset
     proj = pts @ shape.basis
     proj *= proj
-    out = np.add.reduce(pts * pts, axis=1)
-    out -= np.add.reduce(proj, axis=1)
+    if linear:
+        sq = norms()
+    else:
+        pts *= pts
+        sq = np.add.reduce(pts, axis=1)
+    out = np.add.reduce(proj, axis=1)
+    np.subtract(sq, out, out=out)
     return np.maximum(out, 0.0, out=out)
 
 
-def _per_row(rows: np.ndarray, shape: QueryShape, frame: Callable[[], Frame]) -> np.ndarray:
+def _per_row(
+    rows: np.ndarray,
+    shape: QueryShape,
+    frame: Callable[[], Frame],
+    norms: Callable[[], np.ndarray],
+) -> np.ndarray:
     """Per-row squared distance from `rows` to `shape`, in an array of its own.
 
     The one dispatch on the shape's kind and the one dimension check behind
     :func:`dist2` and :func:`dist2_rows`.  `frame()` gives the frame of
-    `rows`; only center sets call it, so a subspace query builds none.
+    `rows` and `norms()` their squared norms; only center sets call the
+    first and only linear subspaces the second, so no other query builds them.
     """
     if isinstance(shape, CenterSet):
         if shape.d != rows.shape[1]:
@@ -552,7 +589,7 @@ def _per_row(rows: np.ndarray, shape: QueryShape, frame: Callable[[], Frame]) ->
     if isinstance(shape, Subspace):
         if shape.basis.shape[0] != rows.shape[1]:
             raise InvalidArgument("subspace dimension does not match points")
-        return _dist2_subspace(rows, shape)
+        return _dist2_subspace(rows, shape, norms)
     raise InvalidArgument(f"unsupported query shape {type(shape).__name__}")
 
 
@@ -567,18 +604,25 @@ def dist2_rows(rows: np.ndarray, shape: QueryShape, frame: Optional[Frame] = Non
     invariant.  The kernels are those of :func:`dist2`.
     """
     rows = np.atleast_2d(rows)
-    return _per_row(rows, shape, lambda: _frame(rows) if frame is None else frame)
+    return _per_row(
+        rows, shape, lambda: _frame(rows) if frame is None else frame, lambda: _sq_norms(rows)
+    )
 
 
 def dist2(points: PointSet, shape: QueryShape) -> float:
     """Weighted sum of squared distances from the points to the shape.
 
-    One kernel per shape kind runs on the point set's own read-only arrays:
-    its rows for subspaces, its cached :attr:`PointSet.frame` for center
-    sets.  The weights multiply the kernel's fresh per-row array in place,
-    and the sum is ``np.sum(w * dist2_rows(rows, shape))`` bit for bit.
+    One kernel per shape kind runs on the point set's own read-only arrays
+    and on what the point set caches for queries, each built on first use
+    and then kept: the :attr:`PointSet.frame` (one more copy of the rows)
+    for center sets, the :attr:`PointSet.sq_norms` (n floats) for linear
+    subspaces, and the :attr:`PointSet.unit_weights` flag.  An affine
+    subspace works on a moved copy of the rows and caches nothing.  The
+    weights multiply the kernel's fresh per-row array in place, a step
+    skipped when all are 1.0 since x * 1.0 is x, and the sum is
+    ``np.sum(w * dist2_rows(rows, shape))`` bit for bit.
     """
-    per_row = _per_row(points.rows, shape, lambda: points.frame)
-    if points.weights is not None:
+    per_row = _per_row(points.rows, shape, lambda: points.frame, lambda: points.sq_norms)
+    if not points.unit_weights:
         per_row *= points.weights
     return float(np.add.reduce(per_row))

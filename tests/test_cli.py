@@ -81,6 +81,20 @@ class TestSerialization:
         np.testing.assert_array_equal(back.points, cf.points)
         np.testing.assert_array_equal(back.weights, cf.weights)
 
+    def test_binary_load_is_shared_by_its_coreset(self, tmp_path, rng):
+        cf = self.make_file(rng)
+        path, again = str(tmp_path / "c.cs"), str(tmp_path / "again.cs")
+        write_coreset_binary(path, cf)
+        back = read_coreset_binary(path)
+        for a in (back.points, back.weights):
+            assert not a.flags.writeable
+        core = back.to_coreset()
+        assert core.points is back.points and core.weights is back.weights
+        assert np.shares_memory(core.points, back.points)
+        # a loaded file writes back the bytes it was read from
+        write_coreset_binary(again, back)
+        assert Path(again).read_bytes() == Path(path).read_bytes()
+
     def test_csv_round_trip(self, tmp_path, rng):
         cf = self.make_file(rng)
         path = str(tmp_path / "c.csv")

@@ -605,6 +605,93 @@ class TestFrame:
             Coreset(rng.standard_normal((4, 2)), None, 0.0)
 
 
+class TestQueryCaches:
+    """Linear subspace queries read the point set's cached squared row norms,
+    and unit weights skip the multiply, with the bytes of bare rows."""
+
+    @staticmethod
+    def _weights(rng, n):
+        nudged = np.ones(n)
+        nudged[n // 2] = np.nextafter(1.0, 2.0)
+        return {"none": None, "ones": np.ones(n), "general": rng.random(n), "nudged": nudged}
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (37, 5), (300, 24)])
+    def test_queries_give_the_bytes_of_bare_rows(self, rng, n, d):
+        rows = rng.standard_normal((n, d)) * 30.0 - 1e3
+        shapes = {
+            "linear": Subspace(basis=rand_orthonormal(rng, d, 2)),
+            "affine": Subspace(basis=rand_orthonormal(rng, d, 1), offset=rng.standard_normal(d) - 1e3),
+            "centers": CenterSet(rng.standard_normal((4, d)) - 1e3),
+        }
+        for label, w in self._weights(rng, n).items():
+            ps = PointSet(rows, w)
+            core = Coreset(rows, ps.effective_weights(), 0.75)
+            for kind, shape in shapes.items():
+                want = float(np.sum(ps.effective_weights() * dist2_rows(rows, shape)))
+                for _ in range(2):  # the first query builds the caches, the second reads them
+                    assert dist2(ps, shape).hex() == want.hex(), (label, kind)
+                    assert coreset_cost(core, shape).hex() == (want + 0.75).hex(), (label, kind)
+
+    @pytest.mark.parametrize("build", [linear_subspace_coreset, affine_subspace_coreset])
+    def test_built_coresets_give_the_bytes_of_bare_rows(self, rng, build):
+        ps = PointSet(rng.standard_normal((200, 8)) + 4.0)
+        core = build(ps, 2, 0.5)
+        shapes = (
+            Subspace(basis=rand_orthonormal(rng, 8, 2)),
+            Subspace(basis=rand_orthonormal(rng, 8, 2), offset=np.full(8, 4.0)),
+            CenterSet(rng.standard_normal((3, 8)) + 4.0),
+        )
+        for shape in shapes:
+            want = float(np.sum(core.weights * dist2_rows(np.asarray(core.points), shape)))
+            for _ in range(2):
+                assert coreset_cost(core, shape).hex() == (want + core.delta).hex()
+        # the linear coreset's weights are all exactly 1.0, the affine one's not here
+        assert core.as_point_set().unit_weights == (build is linear_subspace_coreset)
+
+    def test_unit_weight_flag(self, rng):
+        for label, w in self._weights(rng, 10).items():
+            assert PointSet(np.ones((10, 2)), w).unit_weights == (label in ("none", "ones"))
+
+    def test_norms_are_built_once_read_only_with_the_bytes_of_a_row_sum(self, rng):
+        rows = rng.standard_normal((80, 6)) + 3.0
+        ps = PointSet(rows)
+        assert "sq_norms" not in vars(ps)
+        dist2(ps, Subspace(basis=rand_orthonormal(rng, 6, 2)))
+        norms = vars(ps)["sq_norms"]
+        assert ps.sq_norms is norms
+        dist2(ps, Subspace(basis=rand_orthonormal(rng, 6, 3)))
+        assert ps.sq_norms is norms
+        assert norms.tobytes() == np.add.reduce(rows * rows, axis=1).tobytes()
+        assert not norms.flags.writeable
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+        with pytest.raises(AttributeError):
+            ps.sq_norms = norms
+
+    @pytest.mark.parametrize("make", [
+        lambda rows: PointSet(rows),
+        lambda rows: Coreset(rows, np.ones(rows.shape[0]), 0.0),
+    ], ids=["PointSet", "Coreset"])
+    def test_caches_are_not_fields(self, rng, make):
+        obj = make(rng.standard_normal((12, 3)))
+        ps = obj if isinstance(obj, PointSet) else obj.as_point_set()
+        before = repr(obj)
+        dist2(ps, Subspace(basis=np.eye(3)[:, :1]))
+        assert {"sq_norms", "unit_weights"} <= set(vars(ps))
+        assert repr(obj) == before
+        assert not {"sq_norms", "unit_weights"} & {f.name for f in dataclasses.fields(ps)}
+        one, other = make(np.array([[3.0]])), make(np.array([[3.0]]))
+        cached = one if isinstance(one, PointSet) else one.as_point_set()
+        cached.sq_norms, cached.unit_weights
+        assert one == other
+
+    def test_affine_and_center_queries_build_no_norms(self, rng):
+        core = Coreset(rng.standard_normal((20, 3)), np.ones(20), 0.0)
+        coreset_cost(core, Subspace(basis=np.eye(3)[:, :1], offset=np.ones(3)))
+        coreset_cost(core, CenterSet(np.zeros((2, 3))))
+        assert "sq_norms" not in vars(core.as_point_set())
+
+
 class TestMatrixInvariants:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 20), d=st.integers(2, 12))
