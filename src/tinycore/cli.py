@@ -11,12 +11,12 @@ CSV input skips blank lines and `#` comments.  A line that does not parse
 (an undecodable byte included), is ragged or holds a non-finite value is an
 error naming `file:line`; `stream --skip-malformed` warns and drops it.
 Input is parsed in blocks of about 64 KiB of lines.  A block of plain
-numbers goes to numpy's C reader first; any other block, and any block it
-declines, is read with Python's float(), which alone decides what is
-accepted, so both give the same rows and errors.  `stream` holds one block
-at a time and extends the stream block by block, so from a live pipe its
-`--checkpoint` lines come once per block rather than once per line; their
-text does not change.
+numbers goes to numpy's C reader; any other block, and any block it
+declines, is read line by line with Python's float(), which alone decides
+what is accepted, so both give the same rows and errors.  `stream` holds
+one block at a time and extends the stream block by block, so from a live
+pipe its `--checkpoint` lines come once per block rather than once per
+line; their text does not change.
 
 Exit codes: 0 success, 1 data or validation error, 2 usage error.  All
 randomized commands require --seed, in [0, 2**63).  The TINYCORE_LOG
@@ -206,7 +206,7 @@ def _c_block(lines: list[bytes], width: Optional[int]) -> Optional[np.ndarray]:
     to it, and its result is kept only with one row per line, of `width`
     columns if set, all finite: then it holds the doubles that float() gives.
     Any other block, one with a bad or blank line included, is declined
-    without a warning, for the float() paths to decide.
+    without a warning, for the per-line float() loop to decide.
     """
     data = b"".join(lines)
     if b"\r" in data:
@@ -223,24 +223,6 @@ def _c_block(lines: list[bytes], width: Optional[int]) -> Optional[np.ndarray]:
     return block
 
 
-def _clean_block(stripped: list[bytes], width: Optional[int]) -> Optional[np.ndarray]:
-    """The stripped lines as one array if all are data rows of one width (equal
-    to `width`, if set) holding finite values, else None.  Each field goes
-    through the same `float()` as in the per-line loop of `_csv_blocks`."""
-    commas = set(map(bytes.count, stripped, [b","] * len(stripped)))
-    if len(commas) != 1 or b"" in stripped:
-        return None
-    cols = commas.pop() + 1
-    joined = b",".join(stripped)
-    if width not in (None, cols) or b"#" in joined:  # a `#` inside a line fails float() too
-        return None
-    try:
-        values = np.array(list(map(float, joined.split(b","))))
-    except ValueError:
-        return None
-    return values.reshape(-1, cols) if np.isfinite(values).all() else None
-
-
 def _csv_blocks(
     fh, name: str, header: bool, skip: bool = False, meta: Optional[dict] = None
 ) -> Iterator[np.ndarray]:
@@ -249,25 +231,22 @@ def _csv_blocks(
     before it are yielded, or with `skip` is logged and dropped.  `key=value`
     tokens of `#` comments go into the dict `meta`, if given.
 
-    Each block goes to numpy's C reader first (:func:`_c_block`), then to one
-    float() call per field (:func:`_clean_block`), and only then line by line,
-    so float() alone decides which lines are accepted and what they hold."""
+    Each block goes to numpy's C reader first (:func:`_c_block`), and if it
+    declines, line by line to float(), so float() alone decides which lines
+    are accepted and what they hold."""
     width = None
     lineno = 0  # the number of the line before the block
     while lines := fh.readlines(_BLOCK_BYTES):
         if header and lineno == 0:
             lineno, lines = 1, lines[1:]
         block = _c_block(lines, width)
-        if block is None:
-            stripped = list(map(bytes.strip, lines))
-            block = _clean_block(stripped, width)
         if block is not None:
             width = block.shape[1]
             lineno += len(lines)
             yield block
             continue
         rows = []
-        for line in stripped:
+        for line in map(bytes.strip, lines):
             lineno += 1
             if not line:
                 continue

@@ -138,19 +138,16 @@ class Frame:
         return self.lifted[:, -2]
 
 
-def _frame(
-    rows: np.ndarray, origin: Optional[np.ndarray] = None, norms: Optional[np.ndarray] = None
-) -> Frame:
+def _frame(rows: np.ndarray, origin: Optional[np.ndarray] = None) -> Frame:
     """The frame of an n x d matrix: the rows moved by -`origin` (their mean
-    when not given), lifted with their squared norms (`norms`, when the caller
-    holds them) and a column of ones."""
+    when not given), lifted with their squared norms and a column of ones."""
     rows = np.asarray(rows, dtype=np.float64)
     n, d = rows.shape
     origin = rows.mean(axis=0) if origin is None else np.array(origin, dtype=np.float64)
     # column-major, so the k x n products read lifted.T contiguously
     lifted = np.empty((n, d + 2), order="F")
     centred = np.subtract(rows, origin, out=lifted[:, :d])
-    lifted[:, d] = np.einsum("ij,ij->i", centred, centred) if norms is None else norms
+    lifted[:, d] = np.einsum("ij,ij->i", centred, centred)
     lifted[:, d + 1] = 1.0
     for a in (origin, lifted):
         a.setflags(write=False)
@@ -593,20 +590,16 @@ def _per_row(
     raise InvalidArgument(f"unsupported query shape {type(shape).__name__}")
 
 
-def dist2_rows(rows: np.ndarray, shape: QueryShape, frame: Optional[Frame] = None) -> np.ndarray:
+def dist2_rows(rows: np.ndarray, shape: QueryShape) -> np.ndarray:
     """Per-row squared distance to a query shape.
 
     Center sets are measured in the frame of the rows, so a common shift of
-    rows and centers changes nothing but rounding.  `frame`, when given, is
-    ``_frame(rows)`` cached by the caller; without it the frame is built
-    here, with the same bytes.  Subspaces are measured on the rows as they
-    are, clamped at 0 per row: a linear subspace is not translation
-    invariant.  The kernels are those of :func:`dist2`.
+    rows and centers changes nothing but rounding.  Subspaces are measured
+    on the rows as they are, clamped at 0 per row: a linear subspace is not
+    translation invariant.  The kernels are those of :func:`dist2`.
     """
     rows = np.atleast_2d(rows)
-    return _per_row(
-        rows, shape, lambda: _frame(rows) if frame is None else frame, lambda: _sq_norms(rows)
-    )
+    return _per_row(rows, shape, lambda: _frame(rows), lambda: _sq_norms(rows))
 
 
 def dist2(points: PointSet, shape: QueryShape) -> float:

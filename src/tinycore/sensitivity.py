@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -86,7 +85,6 @@ def d2_seed(
     count: int,
     rng: np.random.Generator,
     restarts: int = 1,
-    norms: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Squared-distance seeding: draw `count` rows, each proportional to its
     weighted squared distance from the rows already chosen, for `restarts`
@@ -96,14 +94,13 @@ def d2_seed(
     of ceil(sqrt(n)) rows (see :func:`_draw`): a row of score 0 is never
     drawn, and no index reaches n.  A restart whose scores sum to 0 repeats
     its first draw.  The rows are measured as they are given, lifted with
-    their squared norms (`norms`, when the caller holds them) into a
-    :class:`~tinycore.linalg.Frame` at the origin, so that each draw's
-    distances ||p||^2 - 2 p.c + ||c||^2 are one matrix product.  The
-    expansion is accurate only near the origin, so callers pass the rows of
-    a point set's own frame (moved to their mean) and its `norms`.
+    their squared norms into a :class:`~tinycore.linalg.Frame` at the
+    origin, so that each draw's distances ||p||^2 - 2 p.c + ||c||^2 are one
+    matrix product.  The expansion is accurate only near the origin, so
+    callers pass the rows of a point set's own frame (moved to their mean).
     """
     rows = np.asarray(rows, dtype=np.float64)
-    frame = _frame(rows, np.zeros(rows.shape[1]), norms)
+    frame = _frame(rows, np.zeros(rows.shape[1]))
     return rows[_d2_pass(frame, weights, count, rng, restarts)[0]]
 
 

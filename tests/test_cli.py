@@ -1148,9 +1148,6 @@ class TestBlockPaths:
     def expected(self):
         return [[float(f) for f in line.split(b",")] for line in ODD_LINES]
 
-    def test_odd_fields_take_the_fast_path(self):
-        assert cli._clean_block([line.strip() for line in ODD_LINES], None) is not None
-
     @pytest.mark.parametrize("with_comment", [False, True])
     def test_odd_fields_same_values_on_both_paths(self, tmp_path, with_comment):
         path = tmp_path / "odd.csv"
@@ -1195,13 +1192,12 @@ class TestBlockPaths:
 def _per_line(data: bytes):
     """The rows of `data` read by the per-line loop of `_csv_blocks` alone, or
     None where it rejects a line (blank and `#` lines count as rejected, since
-    the block paths take data rows only)."""
+    the C reader takes data rows only)."""
     lines = io.BytesIO(data).readlines()
     if not lines or not all(line.strip() and not line.strip().startswith(b"#") for line in lines):
         return None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_c_block", lambda lines, width: None)
-        mp.setattr(cli, "_clean_block", lambda stripped, width: None)
         try:
             return np.concatenate(list(cli._csv_blocks(io.BytesIO(data), "x", False)))
         except tinycore.TinycoreError:
@@ -1237,14 +1233,12 @@ class TestCReader:
         want = _per_line(data)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = cli._c_block(lines, width)
-            clean = cli._clean_block(list(map(bytes.strip, lines)), width)
-        for got in (fast, clean):
-            if want is None or width not in (None, want.shape[1]):
-                assert got is None, (data, got)
-            elif got is not None:
-                assert got.dtype == np.float64 and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()  # -0.0 keeps its sign
+            got = cli._c_block(lines, width)
+        if want is None or width not in (None, want.shape[1]):
+            assert got is None, (data, got)
+        elif got is not None:
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # -0.0 keeps its sign
 
     @pytest.mark.parametrize("data", [b"", b"\n", b"\n\r\n\n", b"  \n\t\n", b"\r\n"])
     def test_blank_blocks_warn_nothing(self, data):

@@ -53,7 +53,7 @@ class TestLloyd:
 
         frame = _frame(make_blobs(rng, 80, 3, 4))
         w = np.ones(80)
-        centers = d2_seed(frame.rows, w, 4, np.random.default_rng(0), norms=frame.norms)[0]
+        centers = d2_seed(frame.rows, w, 4, np.random.default_rng(0))[0]
         prev = np.inf
         for _ in range(25):
             idx, sq = _nearest(frame, centers)

@@ -469,17 +469,6 @@ class TestNearest:
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
 
-    def test_precomputed_norms_give_same_bytes(self, rng):
-        # the frame takes squared norms that its caller holds (as d2_seed does)
-        rows = rng.standard_normal((500, 7))
-        centers = rng.standard_normal((5, 7))
-        origin = np.zeros(7)
-        norms = _frame(rows, origin).norms.copy()
-        idx0, sq0 = _nearest(_frame(rows, origin), centers)
-        idx1, sq1 = _nearest(_frame(rows, origin, norms), centers)
-        assert idx0.tobytes() == idx1.tobytes()
-        assert sq0.tobytes() == sq1.tobytes()
-
     @pytest.mark.parametrize("k", [1, 6])
     def test_large_translation_matches_brute_force(self, k):
         # 1e8 + O(1): the expansion on the raw rows would lose every digit of
@@ -492,7 +481,7 @@ class TestNearest:
         want_idx, want_sq = self.brute(rows, centers)
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
-        assert sq.tobytes() == dist2_rows(rows, CenterSet(centers), frame).tobytes()
+        assert sq.tobytes() == dist2_rows(rows, CenterSet(centers)).tobytes()
 
 
 class TestFrame:
@@ -531,7 +520,6 @@ class TestFrame:
             core = Coreset(ps.rows, ps.effective_weights(), 2.5)
             for shape in (centers, linear, affine):
                 raw = dist2_rows(np.asarray(ps.rows), shape)
-                assert raw.tobytes() == dist2_rows(np.asarray(ps.rows), shape, ps.frame).tobytes()
                 assert dist2(ps, shape) == float(np.sum(ps.effective_weights() * raw))
                 assert coreset_cost(core, shape) == dist2(core.as_point_set(), shape) + core.delta
                 assert coreset_cost(core, shape) == float(np.sum(ps.effective_weights() * raw) + 2.5)

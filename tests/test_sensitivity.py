@@ -86,7 +86,7 @@ class TestBicriteria:
         rows, w = np.asarray(ps.rows), np.asarray(ps.weights)
         delta, k = 0.01, 3  # 7 restarts of 6 seeds
         frame = ps.frame
-        seeds = d2_seed(frame.rows, w, 2 * k, np.random.default_rng(seed), restarts=7, norms=frame.norms)
+        seeds = d2_seed(frame.rows, w, 2 * k, np.random.default_rng(seed), restarts=7)
         seeds = seeds + frame.origin
         d2 = ((rows[None, :, None, :] - seeds[:, None, :, :]) ** 2).sum(-1)  # restart x row x seed
         seeding_costs = (w * d2.min(axis=2)).sum(axis=1)
