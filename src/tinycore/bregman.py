@@ -84,22 +84,16 @@ class Divergence:
             return np.asarray(self.evaluator(np.atleast_2d(points), np.asarray(q)))
         return self.mahalanobis(points, q)
 
-    def _nearest(self, rows: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest center per row (lowest index wins ties) and its d_phi.
+    def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
+        """d_phi from each row to its nearest center.
 
         d_B is measured in the frame of the mapped rows, as :func:`tinycore.dist2`
         measures squared Euclidean distance; a custom evaluator is called once
         per center.
         """
         if self.evaluator is not None:
-            each = np.array([self.between(rows, c) for c in centers])
-            return np.argmin(each, axis=0), each.min(axis=0)
-        frame = linalg._frame(self._embed(rows))
-        return linalg._nearest(frame, self._embed(centers) - frame.origin)
-
-    def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
-        """d_phi from each row to its nearest center."""
-        return self._nearest(points, centers.centers)[1]
+            return np.array([self.between(points, c) for c in centers.centers]).min(axis=0)
+        return linalg._frame_dist2(linalg._frame(self._embed(points)), self._embed(centers.centers))
 
     def cost(self, coreset: Coreset, centers: CenterSet) -> float:
         """sum_i w_i * min_c d_phi(s_i, c) + delta: the cost of the centers on a coreset.

@@ -140,13 +140,28 @@ class Frame:
 
 def _frame(rows: np.ndarray, origin: Optional[np.ndarray] = None) -> Frame:
     """The frame of an n x d matrix: the rows moved by -`origin` (their mean
-    when not given), lifted with their squared norms and a column of ones."""
+    when not given), lifted with their squared norms and a column of ones.
+
+    The mean has the bytes of ``rows.mean(axis=0)``.  On C-contiguous rows
+    with d >= 2 that reduction adds the rows one by one, in order;
+    ``np.einsum("ij->j", rows)`` adds in the same order at full vector width,
+    so it is taken there.  A single column (which ``mean`` sums pairwise)
+    and rows in any other layout keep ``mean``.  The lifted array is filled
+    one contiguous column at a time.
+    """
     rows = np.asarray(rows, dtype=np.float64)
     n, d = rows.shape
-    origin = rows.mean(axis=0) if origin is None else np.array(origin, dtype=np.float64)
+    if origin is not None:
+        origin = np.array(origin, dtype=np.float64)
+    elif d > 1 and rows.flags.c_contiguous:
+        origin = np.einsum("ij->j", rows) / n
+    else:
+        origin = rows.mean(axis=0)
     # column-major, so the k x n products read lifted.T contiguously
     lifted = np.empty((n, d + 2), order="F")
-    centred = np.subtract(rows, origin, out=lifted[:, :d])
+    for j in range(d):
+        np.subtract(rows[:, j], origin[j], out=lifted[:, j])
+    centred = lifted[:, :d]
     lifted[:, d] = np.einsum("ij,ij->i", centred, centred)
     lifted[:, d + 1] = 1.0
     for a in (origin, lifted):
@@ -521,15 +536,20 @@ def _nearest(frame: Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     coordinates (moved by -origin).
 
     One product by :func:`_sq_dists`, one minimum over the centers, then the
-    lowest index whose distance equals that minimum, found by a sweep from
-    the last center down.  The squared distances are bit for bit those of
-    :func:`_frame_dist2`, which takes the same minimum.
+    lowest index whose distance equals that minimum: a running mask, "no
+    earlier center attains it", is cut by each center in turn and added to
+    the index, so a row's index counts the centers before its first minimum
+    (the last center needs no pass).  The squared distances are bit for bit
+    those of :func:`_frame_dist2`, which takes the same minimum.
     """
     dist = _sq_dists(frame, centers)
     sq = dist.min(axis=0)
-    idx = np.full(dist.shape[1], dist.shape[0] - 1, dtype=np.intp)
-    for c in range(dist.shape[0] - 2, -1, -1):
-        np.putmask(idx, dist[c] == sq, c)
+    idx = np.zeros(dist.shape[1], dtype=np.intp)
+    before = np.ones(dist.shape[1], dtype=bool)
+    hit = np.empty_like(before)
+    for c in range(dist.shape[0] - 1):
+        before &= np.not_equal(dist[c], sq, out=hit)
+        idx += before
     return idx, np.maximum(sq, 0.0, out=sq)
 
 

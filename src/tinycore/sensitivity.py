@@ -204,6 +204,8 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     with size_limit("restart count"):
         restarts = max(1, math.ceil(math.log2(1.0 / delta)))
     centers, idx, sq = _lloyd(frame, w, min(points.n, _BETA * k), seed, restarts, 1, reseed=False)
+    for a in (idx, sq):  # made here: the solution keeps them, not a copy
+        a.setflags(write=False)
     return BicriteriaSolution(
         centers=centers + frame.origin, assignment=idx, sq_distances=sq,
         cluster_costs=np.bincount(idx, weights=w * sq, minlength=centers.shape[0]),
@@ -276,6 +278,7 @@ def kmeans_sensitivities(points: PointSet, bic: BicriteriaSolution) -> Sensitivi
         share = share + w * sq / total_cost
     sigma = DEFAULT_C_S * share
     sigma = np.maximum(sigma, 1.0 / points.n)
+    sigma.setflags(write=False)  # made here: the profile keeps it, not a copy
     return SensitivityProfile(sigma=sigma, total=float(np.sum(sigma)))
 
 

@@ -15,6 +15,7 @@ from tinycore import (
     squared_euclidean,
 )
 from tinycore.bregman import Divergence
+from tinycore.linalg import dist2_rows
 from tinycore.coreset import merge_coresets
 
 
@@ -144,6 +145,16 @@ class TestCfCost:
         cost = squared_euclidean().cost(cs, centers)
         assert "frame" in vars(cs.as_point_set())
         assert cost.hex() == coreset_cost(cs, centers).hex()
+
+    def test_mahalanobis_cost_is_the_squared_euclidean_cost_of_the_mapped_rows(self, rng):
+        b = np.diag([2.0, 0.5, 1.5]) + 0.2 * np.eye(3, k=1)
+        cs = Coreset(points=rng.standard_normal((60, 3)) + 1e6, weights=rng.random(60), delta=0.5)
+        for _ in range(10):
+            centers = rng.standard_normal((4, 3)) + 1e6
+            centers[3] = centers[1]  # tied centers
+            cost = mahalanobis(b).cost(cs, CenterSet(centers))
+            mapped = dist2_rows(cs.points @ b.T, CenterSet(centers @ b.T))
+            assert cost.hex() == (float(np.sum(cs.weights * mapped)) + 0.5).hex()
 
     def test_center_dimension_checked(self, rng):
         cs = Coreset(points=rng.standard_normal((4, 3)), weights=np.ones(4), delta=0.0)

@@ -20,7 +20,9 @@ from tinycore import (
     svd,
     tail_energy,
 )
-from tinycore.linalg import _TSQR_BLOCK, TOL_ORTH, _frame, _nearest, _Tsqr, dist2_rows
+from tinycore.linalg import (
+    _TSQR_BLOCK, TOL_ORTH, _frame, _frame_dist2, _nearest, _sq_dists, _Tsqr, dist2_rows,
+)
 
 from conftest import oracle_cost_centers, oracle_cost_subspace, rand_orthonormal, rand_subspace
 
@@ -483,9 +485,70 @@ class TestNearest:
         np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
         assert sq.tobytes() == dist2_rows(rows, CenterSet(centers)).tobytes()
 
+    @staticmethod
+    def first_minimum(dist):
+        """The tie rule by hand: per row, a loop over the centers that keeps the first minimum."""
+        idx = []
+        for col in dist.T.tolist():
+            best = 0
+            for c, v in enumerate(col):
+                if v < col[best]:
+                    best = c
+            idx.append(best)
+        return np.array(idx)
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["origin", "mean"])
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_go_to_the_first_minimum(self, seed, k, moved):
+        gen = np.random.default_rng([seed, k])
+        d = seed + 1
+        centers = self.grid(gen, (k, d))
+        for _ in range(k // 2):  # duplicated centers at random positions
+            a, b = gen.choice(k, 2, replace=False)
+            centers[b] = centers[a]
+        pairs = gen.integers(0, k, (150, 2))
+        rows = np.vstack([
+            self.grid(gen, (150, d)),
+            (centers[pairs[:, 0]] + centers[pairs[:, 1]]) / 2,  # equidistant from two centers
+            centers[gen.integers(0, k, 50)],  # at distance 0
+        ])
+        rows = np.vstack([rows, rows[gen.integers(0, 350, 40)]])  # exact duplicate rows
+        if moved:
+            rows, centers = rows + 1e8, centers + 1e8
+        frame = _frame(rows) if moved else _frame(rows, np.zeros(d))
+        local = centers - frame.origin
+        dist = _sq_dists(frame, local)
+        if k > 1:
+            assert np.any(np.sum(dist == dist.min(axis=0), axis=0) > 1)
+        idx, sq = _nearest(frame, local)
+        np.testing.assert_array_equal(idx, self.first_minimum(dist))
+        assert idx.dtype == np.intp
+        assert sq.tobytes() == _frame_dist2(frame, centers).tobytes()
+
 
 class TestFrame:
     """Center queries run in the rows' cached frame, through the one distance kernel."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [1, 2, 10, 33, 130])
+    def test_mean_moved_rows_and_norms_have_the_bytes_of_plain_numpy(self, d, order):
+        # the mean of C-contiguous rows of two or more columns is summed another
+        # way; single columns and other layouts, where that order would differ, are not
+        for n in (1, 7, 8, 9, 4096, 20001):
+            gen = np.random.default_rng([n, d])
+            rows = np.asarray(gen.standard_normal((n, d)) * 10 + (1e8 if n % 2 else 0.0), order=order)
+            frame = _frame(rows)
+            origin = rows.mean(axis=0)
+            moved = rows - origin
+            norms = moved[:, 0] * moved[:, 0]
+            for j in range(1, d):
+                norms = norms + moved[:, j] * moved[:, j]
+            assert frame.origin.tobytes() == origin.tobytes()
+            assert frame.lifted.flags.f_contiguous
+            assert frame.rows.tobytes(order="F") == moved.tobytes(order="F")
+            assert frame.norms.tobytes() == norms.tobytes()
+            assert frame.lifted[:, -1].tobytes() == np.ones(n).tobytes()
 
     def test_kernel_and_query_give_the_same_bytes(self, rng):
         rows = 1e3 + rng.standard_normal((700, 6))

@@ -187,6 +187,41 @@ class TestBicriteria:
             lloyd_solve(PointSet(rows), 2, seed=0)
 
 
+class TestSharedArrays:
+    """A build keeps the n-length arrays it makes; a caller's writable arrays are copied."""
+
+    def test_build_copies_no_n_length_array(self, rng, monkeypatch):
+        import tinycore
+
+        n = 20000
+        ps = PointSet(make_blobs(rng, n, 10, 5))
+        copied = []
+        for module in (tinycore.linalg, sensitivity):
+            readonly = module._as_readonly
+
+            def spying(a, dtype=np.float64, readonly=readonly):
+                out = readonly(a, dtype)
+                if out is not a and np.shape(a)[:1] == (n,):
+                    copied.append(np.shape(a))
+                return out
+
+            monkeypatch.setattr(module, "_as_readonly", spying)
+        core = kmeans_coreset(ps, 5, 0.5, 0.1, seed=0, sample_size=2000)
+        assert core.size < n
+        assert copied == []
+
+    def test_writable_arrays_of_the_caller_are_copied(self):
+        assignment, sq, sigma = np.zeros(3, dtype=np.int64), np.zeros(3), np.full(3, 0.5)
+        bic = sensitivity.BicriteriaSolution(
+            centers=np.zeros((1, 2)), assignment=assignment, sq_distances=sq,
+            cluster_costs=np.zeros(1), cluster_sizes=np.full(1, 3.0),
+        )
+        profile = SensitivityProfile(sigma=sigma, total=1.5)
+        for mine, held in ((assignment, bic.assignment), (sq, bic.sq_distances), (sigma, profile.sigma)):
+            assert mine.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(mine, held)
+
+
 class TestD2Seed:
     @staticmethod
     def drawn(rows, picks):
