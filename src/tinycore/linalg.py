@@ -2,9 +2,13 @@
 
 Everything downstream (subspace coresets, dimensionality reduction, the
 streaming summaries) is built on sigma and V computed here; no construction
-needs U, and none is formed.  The factorization comes from LAPACK QR and SVD
-through ``numpy.linalg``, over rows fed to one accumulator block by block;
-every result is checked against the Gram matrix of the input before use.
+needs U, and none is formed.  The factorization comes from LAPACK QR,
+Cholesky and SVD through ``numpy.linalg``, over rows fed to one accumulator
+block by block: a leaf of 16 to 96 columns and at least 1024 rows takes its
+R by CholeskyQR2 from the Gram matrix the accumulator forms anyway, any
+other leaf (or one that CholeskyQR2 cannot factor safely) and every merge
+by Householder QR.  Every result is checked against that Gram matrix of
+the input before use.
 Distances to centers are taken in the rows' own frame (their mean at the
 origin), cached once per point set, whose lifted rows make every
 center-distance pass one matrix product.  :func:`dist2` runs one kernel per
@@ -28,6 +32,18 @@ TOL_RECON = 1e-8
 # Rows per leaf of the TSQR tree behind svd().  A constant, so
 # that the order in which rows are combined depends on nothing but n.
 _TSQR_BLOCK = 4096
+# A leaf of _CHOLQR_MIN_D to _CHOLQR_MAX_D columns and at least
+# _CHOLQR_MIN_ROWS rows takes its R by CholeskyQR2 (see _leaf_r).  From 16
+# columns it took at most 0.84 of the time of one Householder QR on leaves
+# of 1024 and 4096 rows (one BLAS thread; 0.47 to 1.07 at 8 and 12 columns);
+# on leaves of 256 rows or fewer it was slower in all but one case, by up to
+# 3.7 times.  Above 96 columns OpenBLAS 0.3.31 wrote other bytes of A^T A at
+# 1 and 2 threads.  A first factor Q1 with max|Q1^T Q1 - I| above
+# _CHOLQR_TOL (cond(A) above about 3e7) falls back to Householder.
+_CHOLQR_MIN_D = 16
+_CHOLQR_MAX_D = 96
+_CHOLQR_MIN_ROWS = 1024
+_CHOLQR_TOL = 1e-2
 
 
 def _as_readonly(a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
@@ -250,13 +266,15 @@ def svd(points: Union[PointSet, _Tsqr]) -> SvdFactors:
     (weights are ignored), or a private :class:`_Tsqr` accumulator that holds
     rows fed block by block, which may be weighted or centred.  sigma and V
     come from the SVD of the factor R of a tall-skinny QR (TSQR; Demmel,
-    Grigori, Hoemmen & Langou, 2012): the R of each block of 4096 rows,
-    merged pairwise in a fixed tree.  The n x r factor U is never formed.
-    The tree depends on n alone, not on the BLAS thread count or on how the
-    rows were cut into blocks; with OpenBLAS 0.3.31 the bytes were the same
-    at 1, 2 and 4 threads for up to 113 columns.  The signs are fixed so that
-    the largest-magnitude entry of each column of V is positive.  The result
-    is checked by :func:`_check_fit` against the Gram matrix of the rows.
+    Grigori, Hoemmen & Langou, 2012): the R of each block of 4096 rows
+    (by CholeskyQR2 for 16 to 96 columns and 1024 rows or more, see
+    :func:`_leaf_r`), merged pairwise by Householder QR in a fixed tree.  The n x r factor U is
+    never formed.  The tree depends on n alone, not on the BLAS thread
+    count or on how the rows were cut into blocks; with OpenBLAS 0.3.31 the
+    bytes were the same at 1, 2 and 4 threads for up to 113 columns.  The
+    signs are fixed so that the largest-magnitude entry of each column of V
+    is positive.  The result is checked by :func:`_check_fit` against the
+    Gram matrix of the rows.
     """
     acc = points if isinstance(points, _Tsqr) else _Tsqr().feed(points.rows)
     r = acc.finish()
@@ -289,11 +307,39 @@ def _qr_r(m: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"SVD failed: {exc}") from exc
 
 
+def _leaf_r(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The R of a leaf A, given its Gram matrix G = A^T A.
+
+    With _CHOLQR_MIN_D to _CHOLQR_MAX_D columns and at least
+    _CHOLQR_MIN_ROWS rows, by CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa
+    & Fukaya, 2015): R1 from the Cholesky factor of G, Q1 = A R1^-1, and
+    R = R2 R1 with R2 from the Cholesky factor of W = Q1^T Q1, two matrix
+    products where Householder QR takes memory-bound column steps.  For cond(A) up to about
+    u^-1/2 it is as backward stable as Householder QR.  A Cholesky that
+    fails, or a W that is not finite or is further than _CHOLQR_TOL from I
+    in any entry (rank-deficient, zero, duplicate-heavy or ill-conditioned
+    leaves), falls back to :func:`_qr_r`, as does any other shape.
+    """
+    n, d = a.shape
+    if _CHOLQR_MIN_D <= d <= _CHOLQR_MAX_D and n >= _CHOLQR_MIN_ROWS:
+        with np.errstate(all="ignore"):
+            try:
+                r1 = np.linalg.cholesky(g).T
+                q1 = a @ np.linalg.inv(r1)
+                w = q1.T @ q1
+                if np.max(np.abs(w - np.eye(d))) <= _CHOLQR_TOL:
+                    return np.linalg.cholesky(w).T @ r1
+            except np.linalg.LinAlgError:
+                pass
+    return _qr_r(a)
+
+
 class _Tsqr:
     """A running TSQR: the R factor of the rows fed so far, block by block,
     with their Gram matrix and, for centred input, their mean and weight.
 
     Rows are cut into leaves of _TSQR_BLOCK rows; a leaf may span blocks.
+    A leaf's R comes from :func:`_leaf_r`, given the leaf's Gram matrix.
     Leaf nodes go into a binary counter, slot i holding the node of 2**i
     leaves, and two nodes merge by the QR of their stacked Rs, the older
     first.  :meth:`finish` merges what is left the same way, which gives the
@@ -316,9 +362,10 @@ class _Tsqr:
     at :meth:`finish`, so a whole array fed at once is factored inside
     :func:`svd`, leaf view by leaf view, without a copy of its own; the
     caller must not change a block once fed.  Memory beyond the last block:
-    one leaf of pending rows with its folded and LAPACK copies, and a d x d
-    R per occupied slot.  Finite rows whose leaf centring or Gram matrix
-    overflows float64 raise InvalidInput without a numpy warning.
+    one leaf of pending rows with its folded copy and one more leaf-sized
+    array (LAPACK's copy, or CholeskyQR2's Q1), and a d x d R per occupied
+    slot.  Finite rows whose leaf centring or Gram matrix overflows float64
+    raise InvalidInput without a numpy warning.
     """
 
     def __init__(self, centred: bool = False):
@@ -426,7 +473,7 @@ class _Tsqr:
                 self.gram = g
             else:
                 self.gram += g
-        self._push((_qr_r(a), mean, total))
+        self._push((_leaf_r(a, g), mean, total))
 
     def _push(self, node: tuple) -> None:
         for i, slot in enumerate(self._slots):
@@ -473,10 +520,17 @@ def _check_fit(gram: np.ndarray, energy: float, f: SvdFactors) -> None:
     U diag(sigma) V^T vanishes outside span(V), so the energy of A there is
     that of E there, at most e^2 <= t^2 max(||A||_F^2, 1).
 
-    G is summed from the rows themselves, leaf by leaf, never from R, so a
-    wrong R cannot hide in it.  Its own rounding leaves the bound
-    meaningful: each leaf's product A_b^T A_b, a sum of at most 4096 terms
-    per entry, is off by at most gamma |A_b|^T |A_b|, and
+    G is summed from the rows themselves, leaf by leaf, never from R.  A
+    CholeskyQR2 leaf (:func:`_leaf_r`) takes its first factor R1 from G
+    itself, so the check cannot test R1; it need not, since R = R2 R1
+    with R2 from the Gram matrix W of Q1 = A R1^-1, recomputed from the
+    rows, and R^T R = R1^T W R1 is the leaf's G up to rounding whatever R1
+    is, once W is within _CHOLQR_TOL of I.  What the check does catch is
+    unchanged in kind: a wrong R2, a wrong Householder leaf or merge, and a
+    wrong small SVD of R or sign and order of its factors.  Its own
+    rounding leaves the bound meaningful: each leaf's product A_b^T A_b, a
+    sum of at most 4096 terms per entry, is off by at most
+    gamma |A_b|^T |A_b|, and
     || |A|^T |A| ||_F <= ||A||_F^2, so with L leaves the computed G is off
     by at most gamma_(4096 + L) ||A||_F^2 in Frobenius norm, gamma_k = k u /
     (1 - k u), u = 2^-53 (the extra row of each merge of centred input adds

@@ -20,8 +20,10 @@ from tinycore import (
     svd,
     tail_energy,
 )
+from tinycore import linalg
 from tinycore.linalg import (
-    _TSQR_BLOCK, TOL_ORTH, _frame, _frame_dist2, _nearest, _sq_dists, _Tsqr, dist2_rows,
+    _CHOLQR_MAX_D, _CHOLQR_MIN_D, _CHOLQR_MIN_ROWS, _CHOLQR_TOL, _TSQR_BLOCK, TOL_ORTH,
+    _frame, _frame_dist2, _nearest, _qr_r, _sq_dists, _Tsqr, dist2_rows,
 )
 
 from conftest import oracle_cost_centers, oracle_cost_subspace, rand_orthonormal, rand_subspace
@@ -353,6 +355,121 @@ class TestTsqrAccumulator:
         monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": qr(m[: (m.shape[0] + 1) // 2], mode=mode))
         with pytest.raises(InvalidInput, match="do not fit the input"):
             svd(fed(a, cuts=[300, 5000, 9999], centred=centred))
+
+
+def rotated(gen, n, d, cond):
+    """U diag(sigma) V^T with dense random U (n x d) and V (d x d), sigma log-spaced from 100 to 100 / cond."""
+    u, _ = np.linalg.qr(gen.standard_normal((n, d)))
+    v, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    return (u * (100.0 * np.logspace(0, -np.log10(cond), d))) @ v.T
+
+
+@pytest.fixture
+def leaves(monkeypatch):
+    """Spies on the TSQR leaves: each leaf's A with the R it got, and the shape of every _qr_r call."""
+    seen = {"leaf": [], "qr": []}
+    leaf_r, qr_r = linalg._leaf_r, linalg._qr_r
+
+    def leaf(a, g):
+        r = leaf_r(a, g)
+        seen["leaf"].append((a.copy(), r))
+        return r
+
+    def qr(m):
+        seen["qr"].append(m.shape)
+        return qr_r(m)
+
+    monkeypatch.setattr(linalg, "_leaf_r", leaf)
+    monkeypatch.setattr(linalg, "_qr_r", qr)
+    return seen
+
+
+@pytest.mark.filterwarnings("error")
+class TestCholeskyQr2Leaf:
+    """_leaf_r: a leaf of 16 to 96 columns and at least 1024 rows takes its R
+    by CholeskyQR2 from its Gram matrix, and falls back to one Householder QR
+    where that is unsafe or, on fewer rows, slower."""
+
+    # the largest deviation measured over d <= 96 and cond <= 3e8 was 12 u ||A||
+    SIGMA_TOL = 32 * 2.0**-53
+
+    def assert_householder_sigma(self, leaves):
+        for a, r in leaves["leaf"]:
+            want = np.linalg.svd(_qr_r(a), compute_uv=False)
+            got = np.linalg.svd(r, compute_uv=False)
+            assert np.max(np.abs(got - want)) <= self.SIGMA_TOL * max(want[0], 1.0)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("d", [_CHOLQR_MIN_D, 30, _CHOLQR_MAX_D])
+    def test_dense_rotations_keep_householder_singular_values(self, leaves, d, cond):
+        a = rotated(np.random.default_rng(d), 4000, d, cond)
+        svd(PointSet(a))  # its fit check passes
+        self.assert_householder_sigma(leaves)
+        if cond <= 1e6:
+            assert leaves["qr"] == []  # CholeskyQR2, with no Householder step
+        elif cond >= 1e10:
+            assert leaves["qr"] == [a.shape]
+
+    def test_centred_accumulator_shifted_by_1e8(self, leaves):
+        gen = np.random.default_rng(31)
+        n = _TSQR_BLOCK + 2000  # the first leaf sets the origin; the second leaf moves to its own mean
+        a = rotated(gen, n, 24, 1e4) + 1e8 * gen.standard_normal(24)
+        svd(_Tsqr(centred=True).feed(a))
+        assert len(leaves["leaf"]) == 2 and leaves["qr"] == [(49, 24)]  # one merge, no leaf fell back
+        self.assert_householder_sigma(leaves)
+
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_weights_from_1e_minus_6_to_1e6(self, leaves, centred):
+        gen = np.random.default_rng(32)
+        n = 2 * _TSQR_BLOCK + 500
+        a = rotated(gen, n, 20, 1e2) + 5.0
+        w = 10.0 ** gen.uniform(-6.0, 6.0, n)
+        svd(_Tsqr(centred=centred).feed(a, w))
+        assert len(leaves["leaf"]) == 3
+        assert (500, 20) in leaves["qr"]  # the last leaf, below the row floor
+        self.assert_householder_sigma(leaves)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda gen: gen.standard_normal((3000, 2)) @ gen.standard_normal((2, 20)),  # an exact 2-plane
+            lambda gen: np.repeat(gen.standard_normal((5, 20)), 600, axis=0),  # five rows, each 600 times
+            lambda gen: gen.standard_normal((19, 20)),  # fewer rows than columns
+            lambda gen: gen.standard_normal((_CHOLQR_MIN_ROWS - 1, 20)),  # below the row floor
+            lambda gen: rotated(gen, 3000, 32, 1e12),  # the Cholesky factor of G fails
+            lambda gen: gen.standard_normal((3000, _CHOLQR_MIN_D - 1)),
+            lambda gen: gen.standard_normal((3000, _CHOLQR_MAX_D + 1)),
+        ],
+        ids=["2-plane", "duplicates", "rows<d", "rows<floor", "cond-1e12", "d<min", "d>max"],
+    )
+    def test_falls_back_to_householder(self, leaves, make):
+        a = make(np.random.default_rng(33))
+        f = svd(PointSet(a))
+        assert leaves["qr"] == [a.shape]
+        (_, r), = leaves["leaf"]
+        assert np.array_equal(r, np.linalg.qr(a, mode="r"))
+        assert np.all(np.isfinite(f.sigma))
+
+    def test_first_factor_beyond_tolerance_falls_back(self, leaves):
+        # cond 1e8: the Cholesky factor of G exists, but Q1 = A R1^-1 is
+        # further than _CHOLQR_TOL from orthonormal
+        a = rotated(np.random.default_rng(34), 3000, 32, 1e8)
+        r1 = np.linalg.cholesky(a.T @ a).T
+        q1 = a @ np.linalg.inv(r1)
+        assert np.max(np.abs(q1.T @ q1 - np.eye(32))) > _CHOLQR_TOL
+        svd(PointSet(a))
+        assert leaves["qr"] == [a.shape]
+        self.assert_householder_sigma(leaves)
+
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_zero_weight_leaf_falls_back(self, leaves, centred):
+        gen = np.random.default_rng(35)
+        a = gen.standard_normal((2 * _TSQR_BLOCK, 20)) + 3.0
+        w = np.ones(2 * _TSQR_BLOCK)
+        w[_TSQR_BLOCK:] = 0.0
+        svd(_Tsqr(centred=centred).feed(a, w))
+        assert leaves["qr"] == [(_TSQR_BLOCK, 20), (40, 20)]  # the zero leaf, then the merge (no extra row)
+        assert not np.any(leaves["leaf"][1][1])
 
 
 class TestLowRankApprox:
