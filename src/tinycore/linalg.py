@@ -48,7 +48,8 @@ _CHOLQR_TOL = 1e-2
 
 def _as_readonly(a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
     """`a` itself if it is a plain C-contiguous ndarray of `dtype`, read-only (numpy's
-    flag) with every array it views down to their owner; else a read-only copy."""
+    flag) with every array it views down to their owner; else a read-only copy.
+    An owner that sets the flag back to writable can still change shared data."""
     base = a
     while type(base) is np.ndarray and not base.flags.writeable:
         base = base.base
@@ -63,7 +64,8 @@ def _as_readonly(a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
 class PointSet:
     """n x d matrix of row points with optional non-negative multiplicities,
     held read-only: a C-contiguous float64 array that is read-only down to its
-    owner is kept as it is, anything else is copied."""
+    owner is kept as it is, anything else is copied.  The query caches below
+    are no dataclass fields: ``repr`` and ``==`` do not see them."""
 
     rows: np.ndarray
     weights: Optional[np.ndarray] = None
@@ -128,7 +130,8 @@ class PointSet:
 
 @dataclass(frozen=True)
 class Frame:
-    """Rows moved by -origin (by default their plain, unweighted mean) and lifted.
+    """Rows moved by their own plain, unweighted mean, `origin`, and lifted:
+    the one frame of every center pass, D² draws included.
 
     `lifted` is the column-major n x (d + 2) array [p - o | ||p - o||^2 | 1]:
     the moved rows, their squared norms and a column of ones.  :attr:`rows`
@@ -154,9 +157,9 @@ class Frame:
         return self.lifted[:, -2]
 
 
-def _frame(rows: np.ndarray, origin: Optional[np.ndarray] = None) -> Frame:
-    """The frame of an n x d matrix: the rows moved by -`origin` (their mean
-    when not given), lifted with their squared norms and a column of ones.
+def _frame(rows: np.ndarray) -> Frame:
+    """The frame of an n x d matrix: the rows moved by their mean, lifted
+    with their squared norms and a column of ones.
 
     The mean has the bytes of ``rows.mean(axis=0)``.  On C-contiguous rows
     with d >= 2 that reduction adds the rows one by one, in order;
@@ -167,9 +170,7 @@ def _frame(rows: np.ndarray, origin: Optional[np.ndarray] = None) -> Frame:
     """
     rows = np.asarray(rows, dtype=np.float64)
     n, d = rows.shape
-    if origin is not None:
-        origin = np.array(origin, dtype=np.float64)
-    elif d > 1 and rows.flags.c_contiguous:
+    if d > 1 and rows.flags.c_contiguous:
         origin = np.einsum("ij->j", rows) / n
     else:
         origin = rows.mean(axis=0)
@@ -624,7 +625,7 @@ def _dist2_subspace(rows: np.ndarray, shape: Subspace, norms: Callable[[], np.nd
 
     A linear subspace takes ||p||^2 from `norms()`, the squared norms of
     `rows`; an affine one moves the rows by -offset into a temporary of its
-    own and squares that in place after the product.
+    own and squares that in place after the product; each row clamps at 0.
     """
     linear = shape.offset is None
     pts = rows if linear else rows - shape.offset

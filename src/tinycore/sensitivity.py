@@ -79,41 +79,18 @@ class BicriteriaSolution:
         return float(np.sum(self.cluster_costs))
 
 
-def d2_seed(
-    rows: np.ndarray,
-    weights: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-    restarts: int = 1,
-) -> np.ndarray:
-    """Squared-distance seeding: draw `count` rows, each proportional to its
-    weighted squared distance from the rows already chosen, for `restarts`
-    independent restarts side by side.  Returns restarts x count x d.
-
-    Each draw inverts the cumulative scores at a uniform variate, in blocks
-    of ceil(sqrt(n)) rows (see :func:`_draw`): a row of score 0 is never
-    drawn, and no index reaches n.  A restart whose scores sum to 0 repeats
-    its first draw.  The rows are measured as they are given, lifted with
-    their squared norms into a :class:`~tinycore.linalg.Frame` at the
-    origin, so that each draw's distances ||p||^2 - 2 p.c + ||c||^2 are one
-    matrix product.  The expansion is accurate only near the origin, so
-    callers pass the rows of a point set's own frame (moved to their mean).
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    frame = _frame(rows, np.zeros(rows.shape[1]))
-    return rows[_d2_pass(frame, weights, count, rng, restarts)[0]]
-
-
 def _d2_pass(
     frame: Frame, weights: np.ndarray, count: int, rng: np.random.Generator, restarts: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of :func:`d2_seed` on a frame's rows as restarts x count row
-    indices, and each restart's seeding cost sum w * min ||p - c||^2 over its
-    own draws (one more distance pass, for the last draw).
+    """D² seeding on a frame's rows: `count` draws, each proportional to
+    w * min ||p - c||^2 over the rows already drawn (the first to w), for
+    `restarts` independent restarts side by side.  Returns them as
+    restarts x count row indices, and each restart's seeding cost
+    sum w * min ||p - c||^2 over its own draws (one more distance pass).
 
-    The first draw inverts the weights and every later one w * min ||p - c||^2,
-    both through :func:`_draw`; a restart whose later scores sum to 0 gets
-    its first draw again.  Each draw's distances are one product of
+    Every draw goes through :class:`_BlockedDraw`: a row of score 0 is never
+    drawn, and no index reaches n.  A restart whose later scores sum to 0
+    repeats its first draw.  Each draw's distances are one product of
     :func:`~tinycore.linalg._sq_dists`, clamped at 0 and folded into the
     running minimum; unit weights draw from that minimum as it is."""
     if not np.sum(weights) > 0:
@@ -137,18 +114,12 @@ def _d2_pass(
     return chosen, best @ weights
 
 
-def _draw(scores: np.ndarray, u: np.ndarray, fallback: int | np.ndarray) -> np.ndarray:
-    """Invert each row of the non-negative restarts x n `scores` at its
-    variate: the first index whose cumulative score exceeds u times the
-    row's total, u in [0, 1), so an index of score 0 is never returned.  A
-    row whose scores sum to 0 returns its `fallback` instead.  See
-    :class:`_BlockedDraw`, which a pass of many draws builds once."""
-    return _BlockedDraw(*scores.shape)(scores, u, fallback)
-
-
 class _BlockedDraw:
-    """The draws of :func:`_draw` on restarts x n scores, with the block
-    layout, the index tables and the buffers built once.
+    """Draws on restarts x n non-negative scores, each row inverted at its
+    variate u in [0, 1): the first index whose cumulative score exceeds u
+    times the row's total, so no index of score 0 or at n is returned; a
+    row whose scores sum to 0 returns its `fallback`.  The block layout,
+    index tables and buffers are built once per pass.
 
     The inversion is blocked, over blocks of ceil(sqrt(n)) columns: the
     block sums (`np.add.reduceat`), a search in their ~sqrt(n) cumulative

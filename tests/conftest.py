@@ -8,8 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tinycore import CenterSet, PointSet, Subspace
+
+# Property tests draw the same examples on every run and keep none between
+# runs; each test still sets its own max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def rand_orthonormal(rng: np.random.Generator, d: int, j: int) -> np.ndarray:

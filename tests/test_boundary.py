@@ -245,10 +245,7 @@ MALFORMED = st.one_of(SCALARS, ARRAYS)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-@settings(
-    derandomize=True, max_examples=25, deadline=None, database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_malformed_arguments_raise_tinycore_errors(name, data):
     call, valid = ENTRY_POINTS[name]

@@ -49,11 +49,11 @@ class TestLloyd:
 
     def test_cost_monotone_per_iteration(self, rng):
         from tinycore.linalg import _frame
-        from tinycore.sensitivity import _mean_update, _nearest, d2_seed
+        from tinycore.sensitivity import _d2_pass, _mean_update, _nearest
 
         frame = _frame(make_blobs(rng, 80, 3, 4))
         w = np.ones(80)
-        centers = d2_seed(frame.rows, w, 4, np.random.default_rng(0))[0]
+        centers = frame.rows[_d2_pass(frame, w, 4, np.random.default_rng(0), 1)[0][0]]
         prev = np.inf
         for _ in range(25):
             idx, sq = _nearest(frame, centers)

@@ -22,7 +22,7 @@ from tinycore import (
 )
 from tinycore import linalg
 from tinycore.linalg import (
-    _CHOLQR_MAX_D, _CHOLQR_MIN_D, _CHOLQR_MIN_ROWS, _CHOLQR_TOL, _TSQR_BLOCK, TOL_ORTH,
+    _CHOLQR_MAX_D, _CHOLQR_MIN_D, _CHOLQR_MIN_ROWS, _CHOLQR_TOL, _TSQR_BLOCK, TOL_ORTH, Frame,
     _frame, _frame_dist2, _nearest, _qr_r, _sq_dists, _Tsqr, dist2_rows,
 )
 
@@ -563,8 +563,18 @@ class TestNearest:
         return gen.integers(-32, 33, shape) / 4.0
 
     @staticmethod
-    def nearest(rows, centers):
-        return _nearest(_frame(rows, np.zeros(rows.shape[1])), centers)
+    def frame_at_origin(rows):
+        """A frame of the rows as they are (origin 0), built by hand: the
+        library's frames sit at the mean, where these rows would not be exact."""
+        n, d = rows.shape
+        lifted = np.empty((n, d + 2), order="F")
+        lifted[:, :d] = rows
+        lifted[:, d] = np.einsum("ij,ij->i", rows, rows)
+        lifted[:, d + 1] = 1.0
+        return Frame(origin=np.zeros(d), lifted=lifted)
+
+    def nearest(self, rows, centers):
+        return _nearest(self.frame_at_origin(rows), centers)
 
     @pytest.mark.parametrize("n,d,k", [(200, 3, 1), (5, 4, 9), (300, 2, 7), (1, 6, 3), (150, 32, 4)])
     def test_matches_brute_force(self, n, d, k):
@@ -633,7 +643,7 @@ class TestNearest:
         rows = np.vstack([rows, rows[gen.integers(0, 350, 40)]])  # exact duplicate rows
         if moved:
             rows, centers = rows + 1e8, centers + 1e8
-        frame = _frame(rows) if moved else _frame(rows, np.zeros(d))
+        frame = _frame(rows) if moved else self.frame_at_origin(rows)
         local = centers - frame.origin
         dist = _sq_dists(frame, local)
         if k > 1:

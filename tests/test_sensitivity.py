@@ -23,7 +23,8 @@ from tinycore import (
     vc_sample_size,
 )
 from tinycore import sensitivity
-from tinycore.sensitivity import DEFAULT_C_S, d2_seed, renormalize_bounds
+from tinycore.linalg import _frame
+from tinycore.sensitivity import DEFAULT_C_S, _BlockedDraw, _d2_pass, renormalize_bounds
 
 from conftest import make_blobs
 
@@ -86,8 +87,8 @@ class TestBicriteria:
         rows, w = np.asarray(ps.rows), np.asarray(ps.weights)
         delta, k = 0.01, 3  # 7 restarts of 6 seeds
         frame = ps.frame
-        seeds = d2_seed(frame.rows, w, 2 * k, np.random.default_rng(seed), restarts=7)
-        seeds = seeds + frame.origin
+        chosen = _d2_pass(frame, w, 2 * k, np.random.default_rng(seed), 7)[0]
+        seeds = frame.rows[chosen] + frame.origin
         d2 = ((rows[None, :, None, :] - seeds[:, None, :, :]) ** 2).sum(-1)  # restart x row x seed
         seeding_costs = (w * d2.min(axis=2)).sum(axis=1)
         centers = seeds[np.argmin(seeding_costs)]
@@ -224,17 +225,19 @@ class TestSharedArrays:
 
 class TestD2Seed:
     @staticmethod
-    def drawn(rows, picks):
-        """Row indices of the drawn points (the rows are distinct)."""
-        match = np.all(picks[..., None, :] == rows, axis=-1)
-        assert np.all(match.sum(-1) == 1)
-        return np.argmax(match, axis=-1)
+    def drawn(rows, w, count, rng, restarts=1):
+        """The D² draws on the rows' own frame, as restarts x count row
+        indices, each checked to be a row of the input."""
+        idx = _d2_pass(_frame(rows), w, count, rng, restarts)[0]
+        assert idx.shape == (restarts, count)
+        assert np.all((idx >= 0) & (idx < rows.shape[0]))
+        return idx
 
     def test_draws_follow_weights_then_weighted_d2(self):
         rows = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
         w = np.array([1.0, 2.0, 3.0, 4.0])
         draws = np.array([
-            self.drawn(rows, d2_seed(rows, w, 2, np.random.default_rng(seed))[0])
+            self.drawn(rows, w, 2, np.random.default_rng(seed))[0]
             for seed in range(4000)
         ])
         first = w / w.sum()
@@ -263,7 +266,7 @@ class TestD2Seed:
         rngs = [np.random.default_rng(seed) for seed in range(200)]
         rngs += [self.FixedVariate(0.0), self.FixedVariate(np.nextafter(1.0, 0.0))]
         for rng in rngs:
-            idx = self.drawn(rows, d2_seed(rows, w, 5, rng, restarts=3))
+            idx = self.drawn(rows, w, 5, rng, restarts=3)
             assert np.all((idx > 0) & (idx < 9))
 
     @pytest.mark.parametrize("outlier_weight", [1.0, 0.0])
@@ -274,7 +277,7 @@ class TestD2Seed:
         w = np.array([outlier_weight, 1.0, 2.0, 1.0, 3.0, outlier_weight])
         if outlier_weight == 0:
             rows[[0, -1]] = [[50.0, 50.0], [-50.0, 9.0]]
-        picks = d2_seed(rows, w, 4, np.random.default_rng(0), restarts=3)
+        picks = rows[self.drawn(rows, w, 4, np.random.default_rng(0), restarts=3)]
         assert picks.shape == (3, 4, 2)
         np.testing.assert_array_equal(picks, np.broadcast_to([2.0, -1.0], (3, 4, 2)))
 
@@ -287,9 +290,9 @@ class TestD2Seed:
         for pos in range(n):
             scores = np.zeros((4, n))
             scores[:, pos] = 0.75
-            np.testing.assert_array_equal(sensitivity._draw(scores, u, -1), np.full(4, pos))
-            for v in u:  # the first draw of d2_seed, which draws from the weights
-                picks = d2_seed(rows, scores[0], 1, self.FixedVariate(v))
+            np.testing.assert_array_equal(_BlockedDraw(*scores.shape)(scores, u, -1), np.full(4, pos))
+            for v in u:  # the first draw of a D² pass, which draws from the weights
+                picks = rows[self.drawn(rows, scores[0], 1, self.FixedVariate(v))]
                 assert picks[0, 0, 0] == pos
 
     def test_zero_runs_across_block_edges(self):
@@ -300,7 +303,8 @@ class TestD2Seed:
         scores = np.zeros(n)
         scores[[3, 41, 97]] = [2.0, 5.0, 1.0]
         u = np.append(np.linspace(0.0, 1.0, 800, endpoint=False), np.nextafter(1.0, 0.0))
-        got = sensitivity._draw(np.tile(scores, (u.size, 1)), u, -1)
+        tiled = np.tile(scores, (u.size, 1))
+        got = _BlockedDraw(*tiled.shape)(tiled, u, -1)
         want = np.searchsorted(np.cumsum(scores), u * scores.sum(), side="right")
         np.testing.assert_array_equal(got, want)
         assert set(got.tolist()) == {3, 41, 97}
@@ -317,7 +321,7 @@ class TestD2Seed:
         rngs = [np.random.default_rng(seed) for seed in range(50)]
         rngs += [self.FixedVariate(0.0), self.FixedVariate(np.nextafter(1.0, 0.0))]
         for rng in rngs:
-            idx = self.drawn(rows, d2_seed(rows, w, 6, rng, restarts=4))
+            idx = self.drawn(rows, w, 6, rng, restarts=4)
             assert np.all(w[idx] > 0)
 
     def test_variate_at_the_top_never_draws_a_zero_score(self):
@@ -326,33 +330,34 @@ class TestD2Seed:
         scores = np.zeros(20)
         scores[12] = 3 * 2.0**-1074
         assert one[0] * scores.sum() == scores.sum()
-        assert sensitivity._draw(scores[None], one, -1)[0] == 12
+        assert _BlockedDraw(1, 20)(scores[None], one, -1)[0] == 12
         # blocks of 10; the block sum of the last block rounds above its
         # in-block cumulative sum, so the remainder passes the in-block total
         e = 2.0**-53
         scores = np.zeros(100)
         scores[91], scores[92:] = 1.0, e
-        assert sensitivity._draw(scores[None], one, -1)[0] == 91
+        assert _BlockedDraw(1, 100)(scores[None], one, -1)[0] == 91
 
     def test_restart_with_zero_total_gets_its_fallback(self):
         scores = np.zeros((3, 30))
         scores[1, 17] = 1.0
         u = np.array([0.5, 0.5, np.nextafter(1.0, 0.0)])
-        np.testing.assert_array_equal(sensitivity._draw(scores, u, np.array([4, 5, 6])), [4, 17, 6])
+        np.testing.assert_array_equal(_BlockedDraw(*scores.shape)(scores, u, np.array([4, 5, 6])), [4, 17, 6])
         # 50 coinciding rows in blocks of 8: every later draw repeats the first
         rows = np.tile([[2.0, -1.0]], (50, 1))
-        picks = d2_seed(rows, np.ones(50), 3, np.random.default_rng(0), restarts=4)
+        picks = rows[self.drawn(rows, np.ones(50), 3, np.random.default_rng(0), restarts=4)]
         np.testing.assert_array_equal(picks, np.broadcast_to([2.0, -1.0], (4, 3, 2)))
 
     def test_draws_in_proportion_over_several_blocks(self):
         # 60 rows in blocks of 8 (the last holds 4): chi-square of the counts,
-        # once for the first draw of d2_seed and once for _draw on its own
+        # once for the first draw of a D² pass and once for a draw on its own
         gen = np.random.default_rng(5)
         n, draws = 60, 20000
         scores = gen.uniform(0.5, 2.0, n)
         scores[np.r_[0, 7:10, 30:36, 59]] = 0.0
-        first = d2_seed(np.arange(float(n))[:, None], scores, 1, gen, restarts=draws)[:, 0, 0].astype(int)
-        later = sensitivity._draw(np.tile(scores, (draws, 1)), gen.random(draws), -1)
+        first = self.drawn(np.arange(float(n))[:, None], scores, 1, gen, restarts=draws)[:, 0]
+        tiled = np.tile(scores, (draws, 1))
+        later = _BlockedDraw(*tiled.shape)(tiled, gen.random(draws), -1)
         p = scores / scores.sum()
         pos = p > 0
         df = int(pos.sum()) - 1
@@ -376,7 +381,7 @@ class TestD2Seed:
         scores = np.repeat(values, lengths)
         n = scores.shape[0]
         variates = np.array([u, 0.0, np.nextafter(1.0, 0.0)])
-        got = sensitivity._draw(np.tile(scores, (3, 1)), variates, -1)
+        got = _BlockedDraw(3, n)(np.tile(scores, (3, 1)), variates, -1)
         if scores.sum() > 0:
             assert np.all((got >= 0) & (got < n))
             assert np.all(scores[got] > 0)
@@ -385,7 +390,7 @@ class TestD2Seed:
 
     def test_restarts_are_independent(self, rng):
         rows = rng.standard_normal((50, 2))
-        picks = d2_seed(rows, np.ones(50), 3, np.random.default_rng(1), restarts=4)
+        picks = rows[self.drawn(rows, np.ones(50), 3, np.random.default_rng(1), restarts=4)]
         assert picks.shape == (4, 3, 2)
         assert any(not np.array_equal(picks[0], picks[r]) for r in range(1, 4))
 

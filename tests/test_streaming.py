@@ -103,13 +103,19 @@ class TestStreamState:
                 want = {b for b in range(flushes.bit_length()) if (flushes >> b) & 1}
                 assert got == want
 
-    def test_points_touch_logarithmically_many_levels(self, rng):
-        cfg = StreamConfig(kind="subspace", eps=0.5, j=1)
-        stream = CoresetStream(cfg)
+    @pytest.mark.parametrize("kind", ["subspace", "affine", "kmeans"])
+    def test_points_touch_logarithmically_many_levels(self, rng, kind):
+        # the highest level occupied at any point of a feed in 97-row blocks;
+        # k-means levels of 24 rows flush often enough that a counter that
+        # did not carry would exceed the bound (43 levels)
+        stream = CoresetStream(StreamConfig(kind=kind, eps=0.5, j=1, k=2, c_stream=0.05))
         n = 4096
-        stream.extend(rng.standard_normal((n, 4)))
-        max_level = max(stream.occupied_levels(), default=0)
-        assert max_level <= np.log2(n) + 2
+        data = rng.standard_normal((n, 4))
+        top = 0
+        for start in range(0, n, 97):
+            stream.extend(data[start : start + 97])
+            top = max(top, *stream.occupied_levels(), 0)
+        assert top <= np.log2(n) + 2
 
 
 class TestSubspaceStream:

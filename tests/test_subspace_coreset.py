@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -105,6 +106,20 @@ class TestAffineSubspaceCoreset:
         core = affine_subspace_coreset(PointSet(a), 2, 0.5)
         got = np.average(np.asarray(core.points), weights=np.asarray(core.weights), axis=0)
         np.testing.assert_allclose(got, a.mean(axis=0), atol=1e-9)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e8])
+    def test_mean_preserved_to_a_relative_bound(self, shift, weighted):
+        # every coordinate of the coreset's weighted mean lies within 1e-12 of
+        # the rows' largest absolute entry from the exact weighted mean
+        gen = np.random.default_rng(7)
+        n = 3000
+        a = make_blobs(gen, n, 6, 3) + shift
+        w = gen.uniform(1e-3, 1e3, n) if weighted else np.ones(n)
+        core = affine_subspace_coreset(PointSet(a, w if weighted else None), 2, 0.5)
+        got = np.average(np.asarray(core.points), weights=np.asarray(core.weights), axis=0)
+        want = np.array([math.fsum(w * col) for col in a.T]) / math.fsum(w)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(a))
 
     def test_sizes_and_weights(self, rng):
         a = rng.standard_normal((60, 8))
