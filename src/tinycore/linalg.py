@@ -79,9 +79,10 @@ class PointSet:
         object.__setattr__(self, "rows", _as_readonly(rows))
         if self.weights is not None:
             w = as_floats(self.weights, InvalidInput, "weights")
+            n = rows.shape[0]  # a vector of n: one axis, a single row or a single column
+            if w.shape not in ((n,), (1, n), (n, 1)):
+                raise InvalidInput(f"weights must be a vector of one per row ({n}), not of shape {w.shape}")
             w = w if w.ndim == 1 else w.reshape(-1)  # a 1-D vector is kept, not re-viewed
-            if w.shape[0] != rows.shape[0]:
-                raise InvalidInput("weight vector length does not match row count")
             if not np.all(np.isfinite(w)) or np.any(w < 0):
                 raise InvalidInput("weights must be finite and non-negative")
             object.__setattr__(self, "weights", _as_readonly(w))
@@ -224,10 +225,10 @@ class Subspace:
             raise InvalidArgument(f"basis columns are not orthonormal (err={gram_err:.2e})")
         object.__setattr__(self, "basis", _as_readonly(basis))
         if self.offset is not None:
-            off = as_floats(self.offset, InvalidArgument, "subspace offset").reshape(-1)
-            if off.shape[0] != d or not np.all(np.isfinite(off)):
+            off = as_floats(self.offset, InvalidArgument, "subspace offset")
+            if off.shape not in ((d,), (1, d), (d, 1)) or not np.all(np.isfinite(off)):
                 raise InvalidArgument("offset must be a finite vector of the basis dimension")
-            object.__setattr__(self, "offset", _as_readonly(off))
+            object.__setattr__(self, "offset", _as_readonly(off.reshape(-1)))
 
     @property
     def dim(self) -> int:

@@ -32,13 +32,15 @@ class SensitivityProfile:
     total: float
 
     def __post_init__(self):
-        sigma = as_floats(self.sigma, InvalidInput, "sensitivity bounds").reshape(-1)
+        sigma = as_floats(self.sigma, InvalidInput, "sensitivity bounds")
+        if sigma.shape not in ((sigma.size,), (1, sigma.size), (sigma.size, 1)):
+            raise InvalidInput(f"sensitivity bounds must be a vector, not an array of shape {sigma.shape}")
         if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
             raise InvalidInput("sensitivity bounds must be positive and finite")
         total = float(np.sum(sigma))
         if not abs(total - check_real("profile total", self.total)) <= 1e-9 * max(total, 1.0):
             raise InvalidInput("profile total does not match the sum of bounds")
-        object.__setattr__(self, "sigma", _as_readonly(sigma))
+        object.__setattr__(self, "sigma", _as_readonly(sigma.reshape(-1)))
         object.__setattr__(self, "total", total)
 
     @property

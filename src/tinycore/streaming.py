@@ -72,7 +72,6 @@ class CoresetStream:
         self._buckets: list[Optional[Coreset]] = []
         self._summaries: list[Coreset] = []
         self._epoch = 1
-        self._epoch_seen = 0
         self._level: Optional[int] = None  # level_size() of this epoch, once asked
         self._points_seen = 0
         self._live = 0
@@ -94,15 +93,16 @@ class CoresetStream:
         return self.config.eps / (10.0 * self._epoch)
 
     def level_size(self) -> int:
-        """Target coreset size for one reduce at the current epoch's precision."""
-        gamma = self.gamma()
-        cfg = self.config
-        if cfg.kind == "subspace":
-            return coreset_size_linear(cfg.j, gamma)
-        if cfg.kind == "affine":
-            return 2 * coreset_size_linear(cfg.j, gamma)
-        with size_limit("level size"):
-            return max(2 * cfg.k + 2, math.ceil(cfg.c_stream * cfg.k / gamma))
+        """Target coreset size for one reduce at the current epoch's precision,
+        computed once per epoch."""
+        if self._level is None:
+            cfg, gamma = self.config, self.gamma()
+            if cfg.kind == "kmeans":
+                with size_limit("level size"):
+                    self._level = max(2 * cfg.k + 2, math.ceil(cfg.c_stream * cfg.k / gamma))
+            else:  # an affine level holds twice the rows of a linear one
+                self._level = (2 if cfg.kind == "affine" else 1) * coreset_size_linear(cfg.j, gamma)
+        return self._level
 
     def live_points(self) -> int:
         return self._live
@@ -112,12 +112,6 @@ class CoresetStream:
         return MEMORY_FACTOR * max(self._epoch, 1) * self.level_size() + 2 * self.level_size()
 
     # -- reduction ------------------------------------------------------
-
-    def _level_size(self) -> int:
-        """level_size(), computed once per epoch."""
-        if self._level is None:
-            self._level = self.level_size()
-        return self._level
 
     def _seed(self, *key: int) -> int:
         mix = np.random.SeedSequence([self.config.seed, self.reduce_count + 2, *key])
@@ -139,7 +133,7 @@ class CoresetStream:
                 # the j-th construction, j = reduce_count + 2, spends delta / j^2 (delta/4 first)
                 cfg.delta / (self.reduce_count + 2) ** 2,
                 self._seed(self._points_seen) if final else self._seed(),
-                sample_size=self._level_size(),
+                sample_size=self.level_size(),
             )
         # the TSQR bytes depend on the row count alone, not on where blocks are cut;
         # linear level inputs carry unit weights throughout, so they go in unweighted
@@ -176,12 +170,23 @@ class CoresetStream:
         elif occupied:
             self._summaries.append(self._reduce(occupied))
         self._epoch += 1
-        self._epoch_seen = 0
         self._level = None
 
-    def _feed(self, block: np.ndarray) -> None:
-        """Take an n x d block, flushing and rolling exactly where row-by-row
-        inserts would; a block with a bad row is rejected whole."""
+    # -- public API -----------------------------------------------------
+
+    def insert(self, point: np.ndarray) -> None:
+        """Take one point, a d-vector or a 1 x d row: `extend` of a one-row block."""
+        block = np.atleast_2d(as_floats(point, InvalidInput, "stream point"))
+        if block.ndim != 2 or block.shape[0] != 1:
+            raise InvalidInput("insert takes one point, a d-vector or a 1 x d row")
+        self.extend(block)
+
+    def extend(self, points: np.ndarray) -> None:
+        """Take an n x d block (copied), flushing and rolling exactly where
+        row-by-row inserts would; a block with a bad row is rejected whole."""
+        block = np.atleast_2d(np.array(as_floats(points, InvalidInput, "stream points")))
+        if block.ndim != 2:
+            raise InvalidInput("stream blocks must be n x d arrays")
         if block.shape[0] == 0:
             return
         if not np.isfinite(block).all():
@@ -194,16 +199,16 @@ class CoresetStream:
             raise InvalidInput(f"point dimension {block.shape[1]} != stream dimension {self._d}")
         n, start = block.shape[0], 0
         while start < n:
-            threshold = 2 * self._level_size()
-            take = min(n - start, threshold - self._buffered, 2**self._epoch - self._epoch_seen)
+            threshold = 2 * self.level_size()
+            epoch_end = 2 ** (self._epoch + 1) - 2  # epoch h holds the 2^h rows after 2^h - 2
+            take = min(n - start, threshold - self._buffered, epoch_end - self._points_seen)
             self._buffer.append(block[start : start + take])
             start += take
             self._buffered += take
             self._points_seen += take
-            self._epoch_seen += take
             self._live += take
             flush = self._buffered >= threshold
-            roll = self._epoch_seen >= 2**self._epoch
+            roll = self._points_seen >= epoch_end
             if flush or roll:
                 # a row-by-row feed sees the state one row before the reduce, never the one at it
                 self.peak_live_points = max(self.peak_live_points, self._live - 1)
@@ -212,17 +217,6 @@ class CoresetStream:
                 if roll:
                     self._roll_epoch()
             self.peak_live_points = max(self.peak_live_points, self._live)
-
-    # -- public API -----------------------------------------------------
-
-    def insert(self, point: np.ndarray) -> None:
-        self._feed(np.array(as_floats(point, InvalidInput, "stream point")).reshape(1, -1))
-
-    def extend(self, points: np.ndarray) -> None:
-        block = np.atleast_2d(np.array(as_floats(points, InvalidInput, "stream points")))
-        if block.ndim != 2:
-            raise InvalidInput("stream blocks must be n x d arrays")
-        self._feed(block)
 
     def query(self) -> Coreset:
         """Compress everything seen so far into one coreset at full precision."""

@@ -88,6 +88,14 @@ TABLE = {
     "Coreset-string": (lambda: Coreset(points=[["a"]], weights=[1.0], delta=0.0), InvalidInput),
     "extend-string": (lambda: _stream([["a"]], kind="subspace", eps=0.5, j=1), InvalidInput),
     "insert-string": (lambda: _insert(["a"]), InvalidInput),
+    # arrays of the wrong shape, once flattened or read as one wide point
+    "insert-matrix": (lambda: _insert(np.ones((2, 3))), InvalidInput),
+    "extend-3d": (lambda: _stream(np.ones((2, 2, 2)), kind="subspace", eps=0.5, j=1), InvalidInput),
+    "PointSet-matrix-weight": (lambda: PointSet(np.ones((4, 2)), np.ones((2, 2))), InvalidInput),
+    "Subspace-matrix-offset": (lambda: Subspace(basis=np.eye(4)[:, :1], offset=np.zeros((2, 2))), InvalidArgument),
+    "SensitivityProfile-matrix-sigma": (
+        lambda: SensitivityProfile(sigma=np.full((2, 2), 0.25), total=1.0), InvalidInput
+    ),
     "kmeans_coreset-seed": (lambda: kmeans_coreset(PS, 2, 0.5, 0.1, -1), InvalidArgument),
     "lloyd_solve-seed": (lambda: lloyd_solve(PS, 2, -1), InvalidArgument),
     "bregman_coreset-seed": (lambda: bregman_coreset(PS, 2, 0.5, squared_euclidean(), -1), InvalidArgument),

@@ -74,6 +74,26 @@ class TestDivergence:
             d_b = float(div.mahalanobis(p[None, :], q)[0])
             assert 0.36 * d_b - 1e-12 <= d_phi <= d_b + 1e-12
 
+    def test_validate_warns_when_the_evaluator_exceeds_d_b(self, rng, caplog):
+        div = Divergence(evaluator=lambda pts, q: 2.0 * np.sum((pts - q) ** 2, axis=1), name="double")
+        with caplog.at_level("WARNING", logger="tinycore.bregman"):
+            div.validate(rng.standard_normal((20, 2)), rng)
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "divergence double violates its similarity sandwich"
+        ]
+
+    def test_validate_warns_when_the_centroid_identity_fails(self, rng, caplog):
+        # d_B scaled by a factor in [0.5, 1] that depends on q: inside the sandwich, not Bregman
+        def evaluator(pts, q):
+            return (0.75 + 0.25 * np.sin(q[0])) * np.sum((pts - q) ** 2, axis=1)
+
+        div = Divergence(similarity=0.5, evaluator=evaluator, name="tilted")
+        with caplog.at_level("WARNING", logger="tinycore.bregman"):
+            div.validate(3.0 * rng.standard_normal((20, 2)), rng)
+        assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+            "divergence tilted violates the centroid identity"
+        ]
+
     def test_rejects_singular_matrix(self):
         with pytest.raises(InvalidArgument):
             mahalanobis(np.zeros((2, 2)))

@@ -282,6 +282,12 @@ class TestBestAffineSubspace:
         fit = best_affine_subspace(PointSet(rows, w), 1)
         np.testing.assert_allclose(fit.offset, w @ rows / w.sum(), rtol=1e-12, atol=1e-12)
 
+    def test_identical_rows_give_the_first_axes_through_the_row(self):
+        row = np.array([1.5, -2.0, 3.25, 0.5])
+        fit = best_affine_subspace(PointSet(np.tile(row, (7, 1))), 2)
+        assert np.array_equal(fit.basis, np.eye(4)[:, :2])
+        assert np.array_equal(fit.offset, row)
+
     def test_zero_total_weight_is_invalid_input(self, rng):
         ps = PointSet(rng.standard_normal((4, 3)), np.zeros(4))
         with pytest.raises(InvalidInput, match="total weight must be positive"):

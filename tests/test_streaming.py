@@ -260,6 +260,33 @@ class TestBlockFeed:
             assert got.weights.tobytes() == want.weights.tobytes()
             assert got.delta == want.delta
 
+    def test_empty_block_changes_nothing(self, rng):
+        stream = CoresetStream(StreamConfig(kind="affine", eps=0.5, j=1))
+        before = _state(stream)
+        stream.extend(np.empty((0, 3)))
+        assert _state(stream) == before
+        # it fixed no width: a block of another one is taken
+        stream.extend(rng.standard_normal((10, 5)))
+        assert stream.points_seen == 10 and stream.query().d == 5
+
+    def test_insert_takes_exactly_one_point(self, rng):
+        cfg = StreamConfig(kind="kmeans", eps=0.5, k=2, seed=1)
+        stream = CoresetStream(cfg)
+        with pytest.raises(InvalidInput, match="one point"):
+            stream.insert(np.ones((2, 3)))
+        assert stream.points_seen == 0
+        stream.insert(np.ones(6))  # the rejected array fixed no width
+        assert stream.points_seen == 1
+        rows = rng.standard_normal((300, 3))
+        flat, row = CoresetStream(cfg), CoresetStream(cfg)
+        for r in rows:
+            flat.insert(r)
+            row.insert(r[None, :])
+        assert _state(flat) == _state(row)
+        got, want = row.query(), flat.query()
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+
     def test_live_points_is_a_recount(self, rng):
         stream = CoresetStream(StreamConfig(kind="kmeans", eps=0.5, k=3, c_stream=0.25, seed=3))
         peak = 0
