@@ -11,7 +11,8 @@ by Householder QR.  Every result is checked against that Gram matrix of
 the input before use.
 Distances to centers are taken in the rows' own frame (their mean at the
 origin), cached once per point set, whose lifted rows make every
-center-distance pass one matrix product.  :func:`dist2` runs one kernel per
+center-distance pass one matrix product, or one per block of 4096 rows
+for a nearest-center assignment.  :func:`dist2` runs one kernel per
 shape kind straight on a point set's own read-only arrays (rows, weights, and
 the frame and squared row norms it caches); :func:`dist2_rows` runs the same
 kernels on bare rows.
@@ -29,8 +30,9 @@ from .errors import InvalidArgument, InvalidInput, as_floats, check_int
 
 TOL_ORTH = 1e-8
 TOL_RECON = 1e-8
-# Rows per leaf of the TSQR tree behind svd().  A constant, so
-# that the order in which rows are combined depends on nothing but n.
+# Rows per leaf of the TSQR tree behind svd(), and per block of a
+# nearest-center pass (_nearest).  A constant, so that the order in which
+# rows are combined depends on nothing but n.
 _TSQR_BLOCK = 4096
 # A leaf of _CHOLQR_MIN_D to _CHOLQR_MAX_D columns and at least
 # _CHOLQR_MIN_ROWS rows takes its R by CholeskyQR2 (see _leaf_r).  From 16
@@ -570,20 +572,32 @@ def _weighted_mean(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w[:, None] * rows).sum(axis=0) / w.sum()
 
 
-def _sq_dists(frame: Frame, centers: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The k x n squared distances from k centers, given in frame coordinates
-    (moved by -origin), to the frame's rows, not clamped at 0.
-
-    The one center-distance kernel: the centers are lifted to
-    [-2c | 1 | ||c||^2], and one matrix product with the frame's lifted rows
-    [p | ||p||^2 | 1] sums the three terms of ||p||^2 - 2 p.c + ||c||^2.
-    """
+def _lift(centers: np.ndarray) -> np.ndarray:
+    """k centers, given in frame coordinates (moved by -origin), lifted to
+    the k x (d + 2) array [-2c | 1 | ||c||^2]: the one way centers enter
+    :func:`_sq_dists`."""
     k, d = centers.shape
     lifted = np.empty((k, d + 2))
     np.multiply(centers, -2.0, out=lifted[:, :d])  # exact
     lifted[:, d] = 1.0
     lifted[:, d + 1] = np.einsum("ij,ij->i", centers, centers)
-    return np.matmul(lifted, frame.lifted.T, out=out)
+    return lifted
+
+
+def _sq_dists(
+    frame: Frame, lifted: np.ndarray, rows: slice = slice(None), out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The k x m squared distances from k centers, lifted by :func:`_lift`,
+    to the frame's `rows` (all n by default), not clamped at 0.
+
+    The one center-distance kernel: one matrix product of the lifted centers
+    [-2c | 1 | ||c||^2] with the frame's lifted rows [p | ||p||^2 | 1] sums
+    the three terms of ||p||^2 - 2 p.c + ||c||^2.  Each entry is one dot
+    product of d + 2 terms, so a run of two or more rows gets the bytes of
+    the same columns of the full product (one row goes to gemv instead; see
+    :func:`_nearest`).
+    """
+    return np.matmul(lifted, frame.lifted[rows].T, out=out)
 
 
 def _nearest(frame: Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -591,27 +605,47 @@ def _nearest(frame: Frame, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     and its squared distance, clamped at 0; the centers are given in frame
     coordinates (moved by -origin).
 
-    One product by :func:`_sq_dists`, one minimum over the centers, then the
-    lowest index whose distance equals that minimum: a running mask, "no
-    earlier center attains it", is cut by each center in turn and added to
-    the index, so a row's index counts the centers before its first minimum
-    (the last center needs no pass).  The squared distances are bit for bit
-    those of :func:`_frame_dist2`, which takes the same minimum.
+    The centers are lifted once and the rows walked in blocks of
+    _TSQR_BLOCK (the last may hold one more row): each block's distances are
+    one product by :func:`_sq_dists`, freed before the next, and
+    :func:`_first_minimum` fills the block's run of both outputs.  So the
+    scratch besides the two n-vectors returned is one k x _TSQR_BLOCK
+    product, never a k x n matrix.  The squared distances are bit for bit
+    those of :func:`_frame_dist2`, which takes the same minimum over one
+    product of all n rows.
     """
-    dist = _sq_dists(frame, centers)
-    sq = dist.min(axis=0)
-    idx = np.zeros(dist.shape[1], dtype=np.intp)
-    before = np.ones(dist.shape[1], dtype=bool)
+    n = frame.lifted.shape[0]
+    lifted = _lift(centers)
+    idx = np.zeros(n, dtype=np.intp)
+    sq = np.empty(n)
+    # a last block of one row joins the block before it: numpy takes a
+    # product with one column by gemv, whose sums may differ from gemm's
+    edges = [*range(0, max(n - 1, 1), _TSQR_BLOCK), n]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        _first_minimum(_sq_dists(frame, lifted, rows), sq[rows], idx[rows])
+    return idx, np.maximum(sq, 0.0, out=sq)
+
+
+def _first_minimum(dist: np.ndarray, low: np.ndarray, at: np.ndarray) -> None:
+    """Each column's minimum of the k x m distances into `low`, and into `at`
+    (zeros on entry) the lowest center index that attains it.
+
+    A running mask, "no earlier center attains it", is cut by each center in
+    turn and added to the index, so a column's index counts the centers
+    before its first minimum (the last center needs no pass).
+    """
+    np.min(dist, axis=0, out=low)
+    before = np.ones(low.shape[0], dtype=bool)
     hit = np.empty_like(before)
     for c in range(dist.shape[0] - 1):
-        before &= np.not_equal(dist[c], sq, out=hit)
-        idx += before
-    return idx, np.maximum(sq, 0.0, out=sq)
+        before &= np.not_equal(dist[c], low, out=hit)
+        at += before
 
 
 def _frame_dist2(frame: Frame, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each row of the frame to its nearest center."""
-    sq = _sq_dists(frame, centers - frame.origin).min(axis=0)
+    sq = _sq_dists(frame, _lift(centers - frame.origin)).min(axis=0)
     return np.maximum(sq, 0.0, out=sq)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
-from .linalg import Frame, PointSet, _as_readonly, _frame, _nearest, _sq_dists
+from .linalg import Frame, PointSet, _as_readonly, _frame, _lift, _nearest, _sq_dists
 
 DEFAULT_C_S = 8.0
 DEFAULT_C_VC = 1.0
@@ -106,7 +106,7 @@ def _d2_pass(
     draw = _BlockedDraw(restarts, rows.shape[0])
     chosen[:, 0] = draw(cand, rng.random(restarts), 0)
     for i in range(1, count + 1):
-        _sq_dists(frame, rows[chosen[:, i - 1]], out=cand)
+        _sq_dists(frame, _lift(rows[chosen[:, i - 1]]), out=cand)
         np.maximum(cand, 0.0, out=cand)
         np.minimum(best, cand, out=best)
         if i == count:
@@ -170,6 +170,11 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     Deshpande & Kannan 2009; Wei 2016), so with probability >= 1 - delta the
     cheapest does, and the refinement can only lower its cost.  A seeding cost
     that is not finite (squares that overflow float64) raises InvalidInput.
+
+    Scratch: one frame of the rows (n x (d + 2)), two restarts x n arrays
+    for the D² pass, and for each assignment pass one 2k x 4096 block of
+    distances at a time (see :func:`~tinycore.linalg._nearest`), besides
+    the n-vectors the solution keeps.
     """
     k, delta, seed = check_int("k", k, 1, points.n), check_real("delta", delta, hi=1), check_seed(seed)
     frame = _frame(points.rows)  # one more copy of the rows, kept only for this call
@@ -312,6 +317,24 @@ def renormalize_bounds(sigma: np.ndarray, total: float, s: int) -> np.ndarray:
     return out
 
 
+def _inverse_cdf_draw(p: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
+    """s i.i.d. indices drawn with probabilities p: the inversion of
+    ``rng.choice(p.size, size=s, p=p)``, with its bytes and its use of rng.
+
+    The cumulative sum is scaled to end at exactly 1 and searched at s
+    variates of ``rng.random(s)``, first index past each.  The variates are
+    searched in increasing order and the indices put back in draw order:
+    sorted keys let each binary search start where the last one ended.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(s)
+    order = np.argsort(u)
+    drawn = np.empty(s, dtype=np.intp)
+    drawn[order] = cdf.searchsorted(u[order], side="right")
+    return drawn
+
+
 def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, seed: int) -> Coreset:
     """Draw an s-point weighted sample; points above the 1/s share are kept outright.
 
@@ -334,7 +357,7 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
         return Coreset(rows, w, 0.0)
 
     renorm = renormalize_bounds(sigma[rest], total, s)
-    drawn = np.random.default_rng(seed).choice(n_rest, size=s, p=renorm / total)
+    drawn = _inverse_cdf_draw(renorm / total, s, np.random.default_rng(seed))
     rest_idx = np.where(rest)[0]
     sampled_idx = rest_idx[drawn]
     # the cap renorm <= total/s makes each factor >= 1; guard the last ulp

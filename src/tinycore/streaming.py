@@ -185,8 +185,8 @@ class CoresetStream:
         """Take an n x d block (copied), flushing and rolling exactly where
         row-by-row inserts would; a block with a bad row is rejected whole."""
         block = np.atleast_2d(np.array(as_floats(points, InvalidInput, "stream points")))
-        if block.ndim != 2:
-            raise InvalidInput("stream blocks must be n x d arrays")
+        if block.ndim != 2 or block.shape[1] == 0:
+            raise InvalidInput("stream blocks must be n x d arrays with d >= 1")
         if block.shape[0] == 0:
             return
         if not np.isfinite(block).all():

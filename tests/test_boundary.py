@@ -68,8 +68,12 @@ def _stream(rows, **config):
     return stream.query()
 
 
-def _insert(point):
-    CoresetStream(StreamConfig(kind="subspace", eps=0.5, j=1)).insert(point)
+def _insert(point, kind="subspace"):
+    CoresetStream(StreamConfig(kind=kind, eps=0.5, j=1, k=2)).insert(point)
+
+
+def _extend(rows, kind):
+    CoresetStream(StreamConfig(kind=kind, eps=0.5, j=1, k=2)).extend(rows)
 
 
 def _solver(points, k):
@@ -91,6 +95,13 @@ TABLE = {
     # arrays of the wrong shape, once flattened or read as one wide point
     "insert-matrix": (lambda: _insert(np.ones((2, 3))), InvalidInput),
     "extend-3d": (lambda: _stream(np.ones((2, 2, 2)), kind="subspace", eps=0.5, j=1), InvalidInput),
+    # blocks of zero columns: a k-means stream once counted them and fixed width 0,
+    # a subspace stream raised InvalidArgument on j's range
+    "extend-zero-columns-kmeans": (lambda: _extend(np.empty((5, 0)), "kmeans"), InvalidInput),
+    "extend-zero-columns-subspace": (lambda: _extend(np.empty((5, 0)), "subspace"), InvalidInput),
+    "extend-zero-columns-affine": (lambda: _extend(np.empty((5, 0)), "affine"), InvalidInput),
+    "insert-empty-kmeans": (lambda: _insert([], "kmeans"), InvalidInput),
+    "insert-empty-subspace": (lambda: _insert([], "subspace"), InvalidInput),
     "PointSet-matrix-weight": (lambda: PointSet(np.ones((4, 2)), np.ones((2, 2))), InvalidInput),
     "Subspace-matrix-offset": (lambda: Subspace(basis=np.eye(4)[:, :1], offset=np.zeros((2, 2))), InvalidArgument),
     "SensitivityProfile-matrix-sigma": (

@@ -23,7 +23,7 @@ from tinycore import (
 from tinycore import linalg
 from tinycore.linalg import (
     _CHOLQR_MAX_D, _CHOLQR_MIN_D, _CHOLQR_MIN_ROWS, _CHOLQR_TOL, _TSQR_BLOCK, TOL_ORTH, Frame,
-    _frame, _frame_dist2, _nearest, _qr_r, _sq_dists, _Tsqr, dist2_rows,
+    _frame, _frame_dist2, _lift, _nearest, _qr_r, _sq_dists, _Tsqr, dist2_rows,
 )
 
 from conftest import oracle_cost_centers, oracle_cost_subspace, rand_orthonormal, rand_subspace
@@ -645,13 +645,77 @@ class TestNearest:
             rows, centers = rows + 1e8, centers + 1e8
         frame = _frame(rows) if moved else self.frame_at_origin(rows)
         local = centers - frame.origin
-        dist = _sq_dists(frame, local)
+        dist = _sq_dists(frame, _lift(local))
         if k > 1:
             assert np.any(np.sum(dist == dist.min(axis=0), axis=0) > 1)
         idx, sq = _nearest(frame, local)
         np.testing.assert_array_equal(idx, self.first_minimum(dist))
         assert idx.dtype == np.intp
         assert sq.tobytes() == _frame_dist2(frame, centers).tobytes()
+
+
+    @staticmethod
+    def unblocked(frame, centers):
+        """The pass over one k x n product: its minimum, the first minimum by
+        the running mask, then the clamp.  Returns the product too."""
+        dist = _sq_dists(frame, _lift(centers))
+        sq = dist.min(axis=0)
+        idx = np.zeros(dist.shape[1], dtype=np.intp)
+        before = np.ones(dist.shape[1], dtype=bool)
+        for c in range(dist.shape[0] - 1):
+            before &= dist[c] != sq
+            idx += before
+        return idx, np.maximum(sq, 0.0), dist
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["origin", "shifted"])
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    @pytest.mark.parametrize(
+        "n", [1, _TSQR_BLOCK - 1, _TSQR_BLOCK, _TSQR_BLOCK + 1, 3 * _TSQR_BLOCK + 1, 20001]
+    )
+    def test_blocks_give_the_bytes_of_one_product(self, n, k, moved):
+        gen = np.random.default_rng([n, k])
+        d = 3
+        centers = self.grid(gen, (k, d))
+        if k > 2:
+            centers[-1] = centers[0]
+        rows = self.grid(gen, (n, d))
+        # rows equidistant from two centers, or on one, on both sides of each
+        # block edge; every other one ties: on the duplicated center (k > 2)
+        # or midway between the two (k = 2)
+        edges = range(_TSQR_BLOCK, n, _TSQR_BLOCK)
+        for edge in edges:
+            at = np.arange(edge - 3, min(edge + 3, n))
+            pairs = gen.integers(0, k, (at.size, 2))
+            pairs[(at - edge) % 2 == 0] = [0, k - 1]
+            rows[at] = (centers[pairs[:, 0]] + centers[pairs[:, 1]]) / 2
+        if moved:  # shifted by 1e8 and measured in the rows' own mean frame
+            rows, centers = rows + 1e8, centers + 1e8
+        frame = _frame(rows) if moved else self.frame_at_origin(rows)
+        local = centers - frame.origin
+        idx, sq = _nearest(frame, local)
+        want_idx, want_sq, dist = self.unblocked(frame, local)
+        assert idx.dtype == np.intp
+        assert idx.tobytes() == want_idx.tobytes()
+        assert sq.tobytes() == want_sq.tobytes()
+        if k > 1 and not moved:
+            tied = np.sum(dist == dist.min(axis=0), axis=0) > 1
+            for edge in edges:
+                assert tied[edge - 3 : edge].any() and tied[edge : edge + 3].any()
+
+    def test_scratch_is_one_block_of_distances(self):
+        # the two n-vectors returned and one k x _TSQR_BLOCK product at a time
+        # (the bound allows two); one product of all rows would be k x n (1.6 MB)
+        n, k = 20000, 10
+        rows = np.random.default_rng(9).standard_normal((n, 10)) + 5.0
+        frame = _frame(rows)
+        centers = rows[:k] - frame.origin
+        tracemalloc.start()
+        try:
+            _nearest(frame, centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * 8 + 2 * k * _TSQR_BLOCK * 8
 
 
 class TestFrame:

@@ -24,7 +24,7 @@ from tinycore import (
 )
 from tinycore import sensitivity
 from tinycore.linalg import _frame
-from tinycore.sensitivity import DEFAULT_C_S, _BlockedDraw, _d2_pass, renormalize_bounds
+from tinycore.sensitivity import DEFAULT_C_S, _BlockedDraw, _d2_pass, _inverse_cdf_draw, renormalize_bounds
 
 from conftest import make_blobs
 
@@ -545,6 +545,23 @@ class TestSensitivitySample:
         assert counts[:2].sum() == 0
         freq = counts[2:] / counts.sum()
         np.testing.assert_allclose(freq, renorm, atol=0.005)
+
+    @pytest.mark.parametrize(
+        "n,s,seed", [(1, 1, 0), (2, 7, 1), (40, 10, 2), (1000, 5000, 3), (20000, 2000, 4), (5000, 1, 5)]
+    )
+    def test_draw_is_generator_choice(self, n, s, seed):
+        # the same indices as Generator.choice with p, and the generator left
+        # where choice leaves it; some probabilities are 0
+        gen = np.random.default_rng([n, s, seed])
+        p = gen.uniform(0.0, 1.0, n) ** 3
+        if n > 1:
+            p[gen.integers(0, n, n // 4 + 1)] = 0.0
+            p[0] = 1.0
+        p /= p.sum()
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _inverse_cdf_draw(p, s, rng), ref.choice(n, size=s, p=p)
+        np.testing.assert_array_equal(got, want)
+        assert rng.random() == ref.random()
 
     def test_degenerate_profile_rejected(self, rng):
         with pytest.raises(InvalidInput):

@@ -269,6 +269,16 @@ class TestBlockFeed:
         stream.extend(rng.standard_normal((10, 5)))
         assert stream.points_seen == 10 and stream.query().d == 5
 
+    @pytest.mark.parametrize("kind", ["subspace", "affine", "kmeans"])
+    def test_zero_column_block_is_rejected_and_fixes_no_width(self, rng, kind):
+        stream = CoresetStream(StreamConfig(kind=kind, eps=0.5, j=1, k=2))
+        for call, block in ((stream.extend, np.empty((5, 0))), (stream.insert, [])):
+            with pytest.raises(InvalidInput, match="d >= 1"):
+                call(block)
+        assert stream.points_seen == 0
+        stream.extend(rng.standard_normal((10, 3)))
+        assert stream.points_seen == 10 and stream.query().d == 3
+
     def test_insert_takes_exactly_one_point(self, rng):
         cfg = StreamConfig(kind="kmeans", eps=0.5, k=2, seed=1)
         stream = CoresetStream(cfg)
