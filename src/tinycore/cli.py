@@ -123,10 +123,11 @@ def read_coreset_binary(path: str) -> CoresetFile:
             raise TinycoreError(f"bad magic {magic!r}; not a coreset file")
         if version != FORMAT_VERSION:
             raise TinycoreError(f"unsupported format version {version}")
-        body = np.frombuffer(fh.read(), dtype="<f8")
-    if body.size != m * (d + 1):
+        raw = fh.read()
+    # checked on the bytes: a body that is not a whole number of floats has no array
+    if len(raw) != m * (d + 1) * 8:
         raise TinycoreError("coreset body size does not match its header")
-    rows = body.reshape(m, d + 1)
+    rows = np.frombuffer(raw, dtype="<f8").reshape(m, d + 1)
     # one copy each out of the file, read-only, so to_coreset() shares them
     points, weights = rows[:, :d].copy(), rows[:, d].copy()
     for a in (points, weights):
@@ -418,10 +419,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ratios = []
     for i in range(args.count):
         shape = _random_query(rng, points.d, args.query_kind, args.j, args.k, scale)
-        true_cost = dist2(points, shape)
-        if not math.isfinite(true_cost):
-            raise TinycoreError(f"query {i}: the cost on the data is {true_cost}, not finite")
-        est = coreset_cost(core, shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # squares past float64 fail below
+            true_cost, est = dist2(points, shape), coreset_cost(core, shape)
+        for what, cost in (("data", true_cost), ("coreset", est)):
+            if not math.isfinite(cost):
+                raise TinycoreError(f"query {i}: the cost on the {what} is {cost}, not finite")
         ratio = est / true_cost if true_cost > 0 else (1.0 if est == 0 else float("inf"))
         ratios.append(ratio)
         print(f"query {i:04d}: true={true_cost:.8g} coreset={est:.8g} ratio={ratio:.8f}")

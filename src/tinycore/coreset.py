@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, as_floats, check_int, check_real, size_limit
-from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _Tsqr
+from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _check_r, _Tsqr
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ def linear_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
 
     Keeps the first m = min(n, d, j + ceil(j/eps) - 1) rows of Sigma^(m) V^T with
     unit weights; the energy of the dropped spectrum becomes the offset.
+    When m = min(n, d) no direction is dropped: the rows are then those of
+    the input's R factor, with offset 0, and no SVD is taken.
     """
     if points.weights is not None:
         raise InvalidInput("linear subspace coreset expects unweighted input; fold weights first")
@@ -98,15 +100,26 @@ def affine_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
     The rows are recentered at their (weighted) mean and scaled by sqrt(w_i)
     before the linear construction.  The output holds 2m points of weight
     W/(2m), W the total weight, whose weighted mean equals the input mean, so
-    translations are charged correctly.
+    translations are charged correctly.  When m = min(n, d) the rows scaled
+    and mirrored are those of the R factor of the centred rows, and no SVD
+    is taken.
     """
     return _subspace_coreset(_Tsqr(centred=True).feed(points.rows, points.weights), j, eps)
 
 
 def _subspace_coreset(acc: _Tsqr, j: int, eps: float, offset: float = 0.0) -> Coreset:
     """The linear coreset of the rows fed to `acc`, or for a centred `acc` the
-    affine one, built from one :func:`~tinycore.linalg.svd` of it, with
-    `offset` (the summed offsets of the coresets fed, if any) added to its own.
+    affine one, with `offset` (the summed offsets of the coresets fed, if
+    any) added to its own.
+
+    Its m rows are Sigma^(m) V^T from one :func:`~tinycore.linalg.svd` of
+    the accumulator, and its own offset is the energy past m.  When the
+    accumulator's factor R has m rows, that is when m = min(n, d), nothing
+    is cut: every subspace cost depends on the rows only through their Gram
+    matrix, which R^T R equals, so the rows are R itself, checked by
+    :func:`~tinycore.linalg._check_r`, with no offset of its own and no SVD.
+    (The merges of a centred `acc` of more than 4096 rows, with more
+    columns than rows, can give R more than min(n, d) rows; it takes the SVD.)
 
     The affine coreset is the linear one of the centred, folded rows, scaled
     by sqrt(m / W), mirrored, and moved to the mean.  Above 4096 rows the
@@ -117,10 +130,15 @@ def _subspace_coreset(acc: _Tsqr, j: int, eps: float, offset: float = 0.0) -> Co
     d = acc.d
     j = check_int("subspace dimension", j, 1, d - 1)
     m = min(acc.n, d, coreset_size_linear(j, eps))
-    factors = svd(acc)
-    # row i is sigma_i v_i^T, made C-contiguous
-    s = np.multiply(factors.v[:, :m].T, factors.sigma[:m, None], order="C")
-    delta = tail_energy(factors, m) + offset
+    r = acc.finish()
+    if r.shape[0] == m:  # every direction is kept
+        _check_r(acc.gram, acc.energy, r)
+        s, delta = r.copy(), offset  # R stays the accumulator's
+    else:
+        factors = svd(acc)
+        # row i is sigma_i v_i^T, made C-contiguous
+        s = np.multiply(factors.v[:, :m].T, factors.sigma[:m, None], order="C")
+        delta = tail_energy(factors, m) + offset
     if acc.centred:
         scaled = math.sqrt(m / acc.total) * s
         s = acc.mean[None, :] + np.vstack([scaled, -scaled])

@@ -1,14 +1,18 @@
-"""Dense matrix kernel: the thin SVD's sigma and V, and squared-distance evaluation.
+"""Dense matrix kernel: the TSQR factor R, the thin SVD's sigma and V, and
+squared-distance evaluation.
 
-Everything downstream (subspace coresets, dimensionality reduction, the
-streaming summaries) is built on sigma and V computed here; no construction
-needs U, and none is formed.  The factorization comes from LAPACK QR,
-Cholesky and SVD through ``numpy.linalg``, over rows fed to one accumulator
-block by block: a leaf of 16 to 96 columns and at least 1024 rows takes its
-R by CholeskyQR2 from the Gram matrix the accumulator forms anyway, any
+The subspace constructions (subspace coresets, dimensionality reduction,
+the streaming summaries) start from the R factor of rows fed to one
+accumulator block by block.  A subspace coreset that keeps every direction
+is R itself; a construction that cuts directions takes sigma and V from the
+SVD of R.  No construction needs U or Q, and none is formed.  The
+factorization comes from LAPACK QR, Cholesky and SVD through
+``numpy.linalg``: a leaf of 16 to 96 columns and at least 1024 rows takes
+its R by CholeskyQR2 from the Gram matrix the accumulator forms anyway, any
 other leaf (or one that CholeskyQR2 cannot factor safely) and every merge
 by Householder QR.  Every result is checked against that Gram matrix of
-the input before use.
+the input before use: sigma and V by :func:`_check_fit`, R by
+:func:`_check_r`.
 Distances to centers are taken in the rows' own frame (their mean at the
 origin), cached once per point set, whose lifted rows make every
 center-distance pass one matrix product, or one per block of 4096 rows
@@ -308,7 +312,7 @@ def _qr_r(m: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.qr(m, mode="r")
     except np.linalg.LinAlgError as exc:
-        raise InvalidInput(f"SVD failed: {exc}") from exc
+        raise InvalidInput(f"QR factorization failed: {exc}") from exc
 
 
 def _leaf_r(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -554,11 +558,34 @@ def _check_fit(gram: np.ndarray, energy: float, f: SvdFactors) -> None:
     outside = energy - np.trace(inside)
     inside[np.diag_indices(r)] -= f.sigma**2
     gram_err = np.linalg.norm(inside)
-    bound = TOL_RECON * (2.0 + TOL_RECON) * max(energy, 1.0)
+    bound = _fit_bound(energy)
     if gram_err > bound or abs(outside) > bound:
         raise InvalidInput(
             f"SVD right factors do not fit the input (gram={gram_err:.2e}, outside={outside:.2e})"
         )
+
+
+def _check_r(gram: np.ndarray, energy: float, r: np.ndarray) -> None:
+    """Check a TSQR factor R against the Gram matrix G = A^T A of the input
+    A and its energy ||A||_F^2 = tr(G), under the bound of :func:`_check_fit`.
+
+    Used where R itself stands for A: every subspace cost of A is a
+    quadratic form of G, which R replaces by R^T R, so the check bounds
+    ||R^T R - G||_F by t (2 + t) max(||A||_F^2, 1), t = TOL_RECON.  Any R
+    with A = Q R + E, Q with orthonormal columns and
+    e = ||E||_F <= t max(||A||_F, 1), passes: R^T R = (A - E)^T (A - E), so
+    ||R^T R - G||_F <= 2 ||A||_F e + e^2.  What G is summed from, and why
+    its rounding leaves the bound meaningful, is as in :func:`_check_fit`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error fails below
+        gram_err = np.linalg.norm(r.T @ r - gram)
+    if not gram_err <= _fit_bound(energy):
+        raise InvalidInput(f"the R factor does not fit the input (gram={gram_err:.2e})")
+
+
+def _fit_bound(energy: float) -> float:
+    """t (2 + t) max(||A||_F^2, 1) with t = TOL_RECON, for an input A of energy ||A||_F^2."""
+    return TOL_RECON * (2.0 + TOL_RECON) * max(energy, 1.0)
 
 
 def tail_energy(factors: SvdFactors, m: int) -> float:

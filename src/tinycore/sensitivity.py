@@ -297,23 +297,25 @@ def renormalize_bounds(sigma: np.ndarray, total: float, s: int) -> np.ndarray:
         return sigma.copy()
     if sigma.shape[0] * cap < total * (1 - 1e-12):
         raise InvalidInput("not enough remaining points to absorb the removed mass")
-    # Water-fill over the breakpoints t_i = cap / sigma_i in increasing order.
+    # Water-fill over the breakpoints t_i = cap / sigma_i in increasing order:
+    # with the first i entries clipped, the sum at multiplier t is
+    # clipped[i] + t * suffix[i], and the fill stops at the first i whose
+    # multiplier t[i] does not pass t_i.  The clipped mass adds cap after cap,
+    # in order, as cumsum does.
     order = np.argsort(cap / sigma)
     sorted_sigma = sigma[order]
     breakpoints = cap / sorted_sigma
-    suffix = np.concatenate([np.cumsum(sorted_sigma[::-1])[::-1], [0.0]])
-    out = np.empty_like(sigma)
-    clipped_mass = 0.0
-    for i, t_i in enumerate(breakpoints):
-        # with the first i entries clipped, the sum at multiplier t is
-        # clipped_mass + t * suffix[i]
-        t = (total - clipped_mass) / suffix[i]
-        if t <= t_i:
-            out[order[:i]] = cap
-            out[order[i:]] = np.minimum(t * sorted_sigma[i:], cap)
-            return out
-        clipped_mass += cap
-    out[:] = cap
+    suffix = np.cumsum(sorted_sigma[::-1])[::-1]
+    t = np.full_like(sigma, cap)
+    t[0] = 0.0
+    np.cumsum(t, out=t)  # clipped[i], then t[i] in place
+    np.subtract(total, t, out=t)
+    t /= suffix
+    stops = t <= breakpoints
+    out = np.full_like(sigma, cap)
+    if stops.any():  # else every bound is clipped
+        i = int(np.argmax(stops))
+        out[order[i:]] = np.minimum(t[i] * sorted_sigma[i:], cap)
     return out
 
 

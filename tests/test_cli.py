@@ -242,11 +242,29 @@ class TestCoresetCommand:
         monkeypatch.setattr(np.linalg, "svd", fail)
         path, _ = data_csv
         out = str(tmp_path / "s.cs")
-        code = main(["coreset", "subspace", "--j", "2", "--epsilon", "0.5", path, "-o", out])
+        # m = 2 of 4 columns: the build cuts directions, so it takes an SVD
+        code = main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", path, "-o", out])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "did not converge" in err
         assert "Traceback" not in err
+
+    def test_qr_failure_of_an_exact_build_exits_1_without_traceback(
+        self, tmp_path, data_csv, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR did not converge")
+
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        path, _ = data_csv
+        out = tmp_path / "s.cs"
+        # m = 4 of 4 columns: the build keeps every direction, its rows are R
+        code = main(["coreset", "subspace", "--j", "2", "--epsilon", "0.5", path, "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: QR factorization failed") and "did not converge" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("affine", [False, True], ids=["subspace", "affine"])
     def test_subspace_infinite_epsilon_exits_1(self, tmp_path, data_csv, capsys, affine):
@@ -682,6 +700,27 @@ class TestRejections:
         with pytest.raises(tinycore.TinycoreError, match="bad magic"):
             read_coreset_binary(str(path))
 
+    @pytest.mark.parametrize("edit", [*(f"stray-{b}" for b in range(1, 8)), "cut-mid-float"])
+    def test_eval_on_a_body_of_partial_floats_exits_1(self, tmp_path, data_csv, capsys, edit):
+        # a 184-byte file: the 104-byte header and 2 rows of 4 coordinates and a weight
+        path = data_csv[0]
+        cpath = tmp_path / "s.cs"
+        assert main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", path, "-o", str(cpath)]) == 0
+        raw = cpath.read_bytes()
+        assert len(raw) == cli._HEADER.size + 2 * 5 * 8
+        if edit == "cut-mid-float":
+            cpath.write_bytes(raw[:-4])
+        else:
+            cpath.write_bytes(raw + bytes(range(1, int(edit.split("-")[1]) + 1)))
+        capsys.readouterr()
+        code = main([
+            "eval", str(cpath), path, "--query-kind", "subspace", "--j", "1",
+            "--count", "3", "--epsilon", "0.5", "--seed", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err == "error: coreset body size does not match its header\n"
+
     @pytest.mark.parametrize("problem", ["kmeans", "affine"])
     def test_solve_takes_no_format(self, tmp_path, data_csv, capsys, problem):
         # a solution is always CSV text, so a --format flag is a usage error
@@ -727,6 +766,61 @@ class TestRejections:
         assert code == expected, err
         assert err.startswith("error: ") and message in err, err
         assert not out.exists()
+
+
+def _corrupt(data: bytes, edits) -> bytes:
+    """`data` after each edit in turn: a byte flipped, the bytes from a
+    position on cut off, or a few bytes inserted, at a position taken modulo
+    the current length (plus one)."""
+    for kind, at, junk in edits:
+        at %= len(data) + 1
+        if kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ (junk[0] or 1)]) + data[at + 1 :]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "insert":
+            data = data[:at] + junk + data[at:]
+    return data
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "truncate", "insert"]),
+        st.integers(0, 1 << 16),
+        st.binary(min_size=1, max_size=8),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestCorruptCoresets:
+    """`eval` on a corrupted coreset file ends in exit 0 or 1, never in an
+    exception other than a TinycoreError."""
+
+    @pytest.fixture
+    def originals(self, tmp_path, data_csv):
+        files = {}
+        for fmt in ("binary", "csv"):
+            out = tmp_path / f"orig.{fmt}"
+            argv = ["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "--format", fmt]
+            assert main([*argv, data_csv[0], "-o", str(out)]) == 0
+            files[fmt] = out.read_bytes()
+        return files
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fmt=st.sampled_from(["binary", "csv"]), edits=_EDITS)
+    def test_eval_exits_0_or_1(self, tmp_path, data_csv, capsys, originals, fmt, edits):
+        cpath = tmp_path / "bad.cs"
+        cpath.write_bytes(_corrupt(originals[fmt], edits))
+        capsys.readouterr()
+        code = main([
+            "eval", str(cpath), data_csv[0], "--query-kind", "subspace", "--j", "1",
+            "--count", "3", "--epsilon", "0.5", "--seed", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert code in (0, 1), err
+        assert err.startswith("error: ") if err else out.endswith(("PASS\n", "FAIL\n")), (out, err)
 
 
 class TestSeedRange:

@@ -458,7 +458,47 @@ class TestVcSampleSize:
             vc_sample_size(4.0, 8, 1.5, 0.1)
 
 
+def _water_fill_loop(sigma: np.ndarray, total: float, s: int) -> tuple[np.ndarray, int]:
+    """The water-fill of renormalize_bounds as a loop over the breakpoints,
+    for input that needs one, and the number of bounds it clips."""
+    cap = total / s
+    order = np.argsort(cap / sigma)
+    sorted_sigma = sigma[order]
+    breakpoints = cap / sorted_sigma
+    suffix = np.cumsum(sorted_sigma[::-1])[::-1]
+    out = np.empty_like(sigma)
+    clipped_mass = 0.0
+    for i, t_i in enumerate(breakpoints):
+        t = (total - clipped_mass) / suffix[i]
+        if t <= t_i:
+            out[order[:i]] = cap
+            out[order[i:]] = np.minimum(t * sorted_sigma[i:], cap)
+            return out, i
+        clipped_mass += cap
+    out[:] = cap
+    return out, sigma.shape[0]
+
+
 class TestRenormalize:
+    def test_bytes_of_the_water_fill_loop(self, rng):
+        # one case where rounding leaves every bound clipped (found by search)
+        cases = [(np.array([0.10028793672301246, 0.10519277837015413, 0.14586372271917103,
+                            0.10670072983217, 0.12376591453596959, 0.16506143331676987]), 1.0, 6)]
+        for _ in range(300):
+            n = int(rng.integers(2, 3000))
+            s = n if rng.random() < 0.2 else int(rng.integers(1, n + 1))
+            sigma = rng.lognormal(0.0, float(rng.uniform(0.0, 2.0)), n)
+            total = float(sigma.sum()) * float(rng.uniform(1.0, 1.6))
+            kept = sigma[sigma <= total / s]
+            if kept.shape[0] * (total / s) >= total and kept.sum() < total * (1 - 1e-15):
+                cases.append((kept, total, s))
+        clips = set()
+        for sigma, total, s in cases:
+            expect, clipped = _water_fill_loop(sigma, total, s)
+            assert renormalize_bounds(sigma, total, s).tobytes() == expect.tobytes()
+            clips.add("none" if clipped == 0 else "all" if clipped == sigma.shape[0] else "some")
+        assert clips == {"none", "some", "all"}
+
     def test_three_constraints(self, rng):
         for _ in range(50):
             n = int(rng.integers(4, 40))

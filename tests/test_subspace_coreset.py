@@ -16,8 +16,11 @@ from tinycore import (
     linear_subspace_coreset,
     svd,
 )
+from tinycore import coreset as coreset_module
 from tinycore.clustering import best_affine_subspace
+from tinycore.coreset import _subspace_coreset
 from tinycore.linalg import _Tsqr
+from tinycore.streaming import CoresetStream, StreamConfig
 
 from conftest import estimate_cost, make_blobs, rand_subspace
 
@@ -241,3 +244,82 @@ class TestCentringOverflow:
                 affine_subspace_coreset(ps, 1, 0.5)
             with pytest.raises(InvalidInput, match="squared norm overflows float64"):
                 best_affine_subspace(ps, 1)
+
+
+class TestExactRoute:
+    """When m = min(n, d) no direction is cut: the coreset's rows are the R
+    factor of the (centred, folded) input, and no SVD is taken."""
+
+    J, EPS = 2, 0.05  # m = 2 + 40 - 1 = 41, at least d for every case below
+
+    @pytest.fixture(autouse=True)
+    def no_svd(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an exact subspace coreset took an SVD")
+
+        monkeypatch.setattr(coreset_module, "svd", fail)
+
+    @staticmethod
+    def _build(rows, w, affine, offset=0.0):
+        acc = _Tsqr(centred=affine).feed(rows, w)
+        return _subspace_coreset(acc, TestExactRoute.J, TestExactRoute.EPS, offset=offset)
+
+    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("d", [5, 30])
+    @pytest.mark.parametrize("n", ["below-d", 40, 3 * 4096 + 5])
+    def test_gram_size_offset_and_costs(self, n, d, weighted, affine):
+        gen = np.random.default_rng([n if isinstance(n, int) else 0, d, weighted, affine])
+        n = d - 2 if n == "below-d" else n
+        rows = make_blobs(gen, n, d, 3) + 10.0
+        w = gen.uniform(0.5, 4.0, n) if weighted else None
+        core = self._build(rows, w, affine, offset=0.75)
+        m = min(n, d)
+        assert core.size == (2 * m if affine else m)
+        assert core.delta == 0.75
+        ps = PointSet(rows, w)
+        weights = ps.effective_weights()
+        total = float(np.sum(weights))
+        if affine:
+            mean = weights @ rows / total
+            np.testing.assert_allclose(core.weights, np.full(2 * m, total / (2 * m)), rtol=1e-15)
+            np.testing.assert_allclose(core.weights @ core.points / total, mean, rtol=1e-12)
+            rows, pts = rows - mean, np.asarray(core.points) - mean
+        else:
+            np.testing.assert_array_equal(core.weights, np.ones(m))
+            pts = np.asarray(core.points)
+        gram = (rows * weights[:, None]).T @ rows
+        got = (pts * np.asarray(core.weights)[:, None]).T @ pts
+        assert np.linalg.norm(got - gram) <= 1e-11 * np.trace(gram)
+        # an affine coreset answers linear queries too: it keeps the second moments
+        shapes = [rand_subspace(gen, d, 1) for _ in range(10)]
+        if affine:
+            shapes += [rand_subspace(gen, d, 2, affine=True) for _ in range(10)]
+        for shape in shapes:
+            assert coreset_cost(core, shape) - 0.75 == pytest.approx(dist2(ps, shape), rel=1e-9)
+
+    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+    def test_public_builders_have_no_offset(self, rng, affine):
+        rows = rng.standard_normal((40, 5))
+        core = (affine_subspace_coreset if affine else linear_subspace_coreset)(PointSet(rows), 2, 0.5)
+        assert core.size == (10 if affine else 5)
+        assert core.delta == 0.0
+
+    @pytest.mark.parametrize("affine", [False, True], ids=["linear", "affine"])
+    def test_wrong_r_is_invalid_input(self, rng, monkeypatch, affine):
+        # a QR that drops the lower half of every stack (at a merge, the
+        # second block's R) gives an R that does not fit the input
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": qr(m[: (m.shape[0] + 1) // 2], mode=mode))
+        with pytest.raises(InvalidInput, match="does not fit the input"):
+            self._build(rng.standard_normal((10000, 6)), None, affine)
+
+    def test_a_stream_whose_reduces_keep_every_direction_takes_one_svd(self, rng, monkeypatch):
+        # level sizes 10 h / 0.3 reach d = 5 at once; the final query keeps m = 4 < 5
+        calls = []
+        monkeypatch.setattr(coreset_module, "svd", lambda acc: calls.append(acc) or svd(acc))
+        stream = CoresetStream(StreamConfig(kind="subspace", j=1, eps=0.3))
+        stream.extend(make_blobs(rng, 12000, 5, 3))
+        assert stream.reduce_count > 0 and calls == []
+        assert stream.query().size == 4
+        assert len(calls) == 1
