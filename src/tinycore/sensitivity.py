@@ -164,15 +164,17 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     """Constant-factor solution with 2k centers via squared-distance seeding.
 
     Seeds ceil(log2(1/delta)) independent restarts in one pass, keeps the one
-    whose seeds cost least (the first on ties) and refines it with one
-    Lloyd step that reseeds no empty cluster (see :func:`_lloyd`).  Each
-    restart's seeds cost at most c * OPT with constant probability (Aggarwal,
-    Deshpande & Kannan 2009; Wei 2016), so with probability >= 1 - delta the
-    cheapest does, and the refinement can only lower its cost.  A seeding cost
-    that is not finite (squares that overflow float64) raises InvalidInput.
+    whose seeds cost least (the first on ties) and assigns every row to its
+    nearest seed in one pass.  Each restart's seeds cost at most c * OPT with
+    constant probability (Aggarwal, Deshpande & Kannan 2009; Wei 2016; see
+    Braverman, Feldman & Lang, arXiv:1612.00889), so with probability
+    >= 1 - delta the cheapest does.  That bound is the seeds' own, which is
+    all sensitivity sampling needs, so no Lloyd step refines them.  A seeding
+    cost that is not finite (squares that overflow float64) raises
+    InvalidInput.
 
     Scratch: one frame of the rows (n x (d + 2)), two restarts x n arrays
-    for the D² pass, and for each assignment pass one 2k x 4096 block of
+    for the D² pass, and for the assignment pass one 2k x 4096 block of
     distances at a time (see :func:`~tinycore.linalg._nearest`), besides
     the n-vectors the solution keeps.
     """
@@ -181,7 +183,7 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     w = points.effective_weights()
     with size_limit("restart count"):
         restarts = max(1, math.ceil(math.log2(1.0 / delta)))
-    centers, idx, sq = _lloyd(frame, w, min(points.n, _BETA * k), seed, restarts, 1, reseed=False)
+    centers, idx, sq = _lloyd(frame, w, min(points.n, _BETA * k), seed, restarts, 0)
     for a in (idx, sq):  # made here: the solution keeps them, not a copy
         a.setflags(write=False)
     return BicriteriaSolution(
@@ -192,17 +194,14 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
 
 
 def _lloyd(
-    frame: Frame, weights: np.ndarray, count: int, seed: int, restarts: int, steps: int,
-    reseed: bool = True,
+    frame: Frame, weights: np.ndarray, count: int, seed: int, restarts: int, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`count` centers on a frame's rows, each row's nearest center and its
     squared distance, in frame coordinates: the first cheapest of `restarts`
     D² seedings (a cost that is not finite raises InvalidInput), then up to
     `steps` Lloyd steps.  A step reseeds each empty cluster at the row of
-    largest weighted distance (if `reseed`: a bicriteria solution turns it off,
-    as a reseed onto a row of weight 0 can leave an assigned cluster of weight 0),
-    stops once the assignment repeats, moves the centers to their weighted
-    means and assigns again."""
+    largest weighted distance, stops once the assignment repeats, moves the
+    centers to their weighted means and assigns again."""
     rows = frame.rows
     chosen, seed_costs = _d2_pass(frame, weights, count, np.random.default_rng(seed), restarts)
     if not np.all(np.isfinite(seed_costs)):
@@ -211,7 +210,7 @@ def _lloyd(
     idx, sq = _nearest(frame, centers)
     prev_idx = None
     for _ in range(steps):
-        dead = np.flatnonzero(np.bincount(idx, minlength=count) == 0) if reseed else ()
+        dead = np.flatnonzero(np.bincount(idx, minlength=count) == 0)
         for c in dead:
             centers[c] = rows[np.argmax(weights * sq)]
             idx, sq = _nearest(frame, centers)
@@ -242,14 +241,22 @@ def kmeans_sensitivities(points: PointSet, bic: BicriteriaSolution) -> Sensitivi
     sigma_i = c_s * (w_i / |J_i|_w + w_i * dist2(p_i, C') / cost(A, C')) with
     c_s = DEFAULT_C_S; when the total cost vanishes only the cluster-share
     term remains.  dist2(p_i, C') is the solution's own `sq_distances`.
+    Every bound is at least 1/n.  A row of weight 0 has share 0 and sits at
+    that floor, whatever its cluster weighs: rounding can assign it to a
+    cluster that holds only rows of weight 0.  A row of positive weight in
+    a cluster of weight <= 0 is an inconsistent solution and raises
+    InvalidInput.
     """
     if bic.assignment.shape[0] != points.n:
         raise InvalidInput("bicriteria assignment does not match the point set")
     w = points.effective_weights()
     idx, sq = bic.assignment, bic.sq_distances
     cluster_w = bic.cluster_sizes[idx]
-    if np.any(cluster_w <= 0):
-        raise InvalidInput("bicriteria solution contains an empty assigned cluster")
+    empty = cluster_w <= 0
+    if np.any(empty):
+        if np.any(w[empty] > 0):
+            raise InvalidInput("bicriteria solution contains an empty assigned cluster")
+        cluster_w[empty] = np.inf  # so that each row there, of weight 0, has share 0
     total_cost = bic.total_cost
     share = w / cluster_w
     if total_cost > 0:

@@ -227,6 +227,22 @@ class TestCoresetCommand:
         assert proc.stderr.startswith("error: total weight must be positive"), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kmeans_on_rows_of_weight_0_exits_0(self, tmp_path, capsys, seed):
+        # three rows of weight 1 at -2 and two of weight 0: every seed repeats the
+        # first draw, so one ulp of rounding in a seed can leave the rows of
+        # weight 0 alone in its cluster
+        path = tmp_path / "w.csv"
+        path.write_text("-2,1\n-2,1\n-2,1\n-1,0\n1,0\n")
+        out = tmp_path / "k.cs"
+        code = main([
+            "coreset", "kmeans", "--weighted", "--k", "3", "--epsilon", "0.5", "--delta", "0.5",
+            "--seed", str(seed), str(path), "-o", str(out),
+        ])
+        assert code == 0, capsys.readouterr().err
+        cf = read_coreset_file(str(out))
+        np.testing.assert_array_equal(cf.weights, [1.0, 1.0, 1.0, 0.0, 0.0])
+
     def test_ragged_csv_exits_1_with_line(self, tmp_path, capsys):
         path = tmp_path / "points.csv"
         path.write_text("1,2,3\n4,5\n")

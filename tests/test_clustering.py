@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tinycore import (
     InvalidArgument,
@@ -215,6 +217,54 @@ class TestKmeansCoreset:
         rows = rng.standard_normal((30, 3))
         core = kmeans_coreset(PointSet(rows), 40, 0.5, 0.1, 0, sample_size=sample_size)
         assert core.size == min(sample_size, 30)
+
+
+@st.composite
+def degenerate_weighted_input(draw):
+    """Up to 12 rows in 1 to 3 columns: a few distinct grid rows repeated,
+    rows of weight 0 (at least one row keeps a positive weight), optionally
+    moved by up to 1e-9 each and shifted by 1e6 together."""
+    n, d = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    distinct = draw(st.integers(1, n))
+    grid = draw(st.lists(st.integers(-2, 2), min_size=distinct * d, max_size=distinct * d))
+    pick = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    rows = np.array(grid, dtype=float).reshape(distinct, d)[pick]
+    if draw(st.booleans()):
+        nudge = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d, max_size=n * d))
+        rows += 1e-9 * np.array(nudge).reshape(n, d)
+    rows += draw(st.sampled_from([0.0, 1e6]))
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n)))
+    w[draw(st.integers(0, n - 1))] = 1.0
+    return rows, w
+
+
+class TestZeroWeights:
+    """Rows of weight 0 are valid input to every k-means construction.
+
+    Rounding in the frame can assign such a row to a center of its own, so
+    the bicriteria solution may hold an assigned cluster of weight 0: the
+    row then sits at the sensitivity floor instead of raising."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=degenerate_weighted_input(), k=st.integers(1, 4),
+           sample_size=st.one_of(st.none(), st.integers(1, 12)), seed=st.integers(0, 5))
+    # 1e-9 near-duplicates whose bicriteria solution assigns row 2, of weight 0, to a
+    # cluster of weight 0
+    @example(data=(np.array([[0.9999999993137928], [1.9999999994540096], [-2.000000000568744],
+                             [1.9999999998708307]]), np.array([0.0, 1.0, 0.0, 1.0])),
+             k=2, sample_size=1, seed=1)
+    def test_every_construction_builds_with_the_weight_floor(self, data, k, sample_size, seed):
+        rows, w = data
+        ps = PointSet(rows, w)
+        k = min(k, ps.n)
+        for build in (kmeans_coreset, small_kmeans_coreset):
+            core = build(ps, k, 0.5, 0.5, seed, sample_size=sample_size)
+            # each point is an input row, or (for n < d) its lift to rounding
+            for p, wt in zip(np.asarray(core.points), np.asarray(core.weights)):
+                src = np.all(np.isclose(rows, p, rtol=1e-12, atol=1e-12), axis=1)
+                assert src.any() and wt >= w[src].min()
+        solver = lambda pts, k: lloyd_solve(pts, k, seed)  # noqa: E731
+        assert approx_solution(ps, k, 0.5, solver, delta=0.5, seed=seed).k == k
 
 
 class TestSmallKmeansCoreset:

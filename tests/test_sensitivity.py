@@ -81,7 +81,7 @@ class TestBicriteria:
             bicriteria_kmeans(PointSet(rng.standard_normal((3, 2))), 4, 0.1, seed=0)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_refines_the_restart_with_the_least_seeding_cost(self, seed):
+    def test_takes_the_seeds_of_the_restart_with_the_least_seeding_cost(self, seed):
         gen = np.random.default_rng(seed + 50)
         ps = PointSet(make_blobs(gen, 300, 3, 4), gen.uniform(0.5, 2.0, 300))
         rows, w = np.asarray(ps.rows), np.asarray(ps.weights)
@@ -92,17 +92,14 @@ class TestBicriteria:
         d2 = ((rows[None, :, None, :] - seeds[:, None, :, :]) ** 2).sum(-1)  # restart x row x seed
         seeding_costs = (w * d2.min(axis=2)).sum(axis=1)
         centers = seeds[np.argmin(seeding_costs)]
-        idx = ((rows[:, None, :] - centers[None, :, :]) ** 2).sum(-1).argmin(axis=1)
-        for c in np.unique(idx):
-            centers[c] = np.average(rows[idx == c], axis=0, weights=w[idx == c])
         bic = bicriteria_kmeans(ps, k, delta, seed)
         np.testing.assert_allclose(np.asarray(bic.centers), centers, rtol=1e-10, atol=1e-10)
         d2 = ((rows[:, None, :] - np.asarray(bic.centers)[None, :, :]) ** 2).sum(-1)
         np.testing.assert_array_equal(np.asarray(bic.assignment), d2.argmin(axis=1))
-        assert bic.total_cost <= seeding_costs.min() * (1 + 1e-12)
+        assert bic.total_cost == pytest.approx(seeding_costs.min(), rel=1e-12)
 
     @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-3])  # 1, 4 and 10 restarts
-    def test_two_assignment_passes_whatever_the_restart_count(self, rng, monkeypatch, delta):
+    def test_one_assignment_pass_whatever_the_restart_count(self, rng, monkeypatch, delta):
         calls = []
         nearest = sensitivity._nearest
 
@@ -113,12 +110,12 @@ class TestBicriteria:
         monkeypatch.setattr(sensitivity, "_nearest", counting)
         ps = PointSet(make_blobs(rng, 200, 3, 3))
         bicriteria_kmeans(ps, 3, delta, seed=1)
-        assert len(calls) == 2
+        assert len(calls) == 1
         # a whole sampled build: the sensitivities reuse the bicriteria distances
         calls.clear()
         core = kmeans_coreset(ps, 3, 0.5, delta, seed=1, sample_size=50)
         assert core.size < ps.n
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rows, w", [
         (np.tile([[1.0, 1.0]], (8, 1)), None),
@@ -130,7 +127,7 @@ class TestBicriteria:
     ])
     def test_fewer_distinct_rows_than_centers(self, monkeypatch, rows, w):
         # D² seeding runs out of positive scores and repeats its first draw; the
-        # repeated centers stay empty, and no empty cluster is reseeded
+        # repeated centers stay empty, as no Lloyd step reseeds them
         calls = []
         nearest = sensitivity._nearest
 
@@ -141,7 +138,7 @@ class TestBicriteria:
         monkeypatch.setattr(sensitivity, "_nearest", counting)
         ps = PointSet(rows, w)
         bic = bicriteria_kmeans(ps, 3, 0.1, seed=0)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert np.all(bic.cluster_sizes[bic.assignment] > 0)
         core = kmeans_coreset(ps, 3, 0.5, 0.1, seed=0, sample_size=3)
         assert core.size == 3 and np.all(core.weights > 0)
@@ -432,6 +429,23 @@ class TestKmeansSensitivities:
         bic = bicriteria_kmeans(PointSet(rows), 1, 0.1, seed=0)
         prof = kmeans_sensitivities(PointSet(rows), bic)
         np.testing.assert_allclose(prof.sigma, np.full(4, DEFAULT_C_S / 4.0))
+
+    # rows 0 and 1 in cluster 0, of weight 2; row 2 alone in cluster 1, of weight 0
+    SPLIT = sensitivity.BicriteriaSolution(
+        centers=np.array([[0.5], [5.0]]), assignment=np.array([0, 0, 1]),
+        sq_distances=np.array([0.25, 0.25, 0.0]), cluster_costs=np.array([0.5, 0.0]),
+        cluster_sizes=np.array([2.0, 0.0]),
+    )
+
+    def test_rows_of_weight_0_sit_at_the_floor(self):
+        ps = PointSet(np.array([[0.0], [1.0], [5.0]]), np.array([1.0, 1.0, 0.0]))
+        prof = kmeans_sensitivities(ps, self.SPLIT)
+        np.testing.assert_array_equal(prof.sigma, [DEFAULT_C_S, DEFAULT_C_S, 1.0 / 3.0])
+
+    def test_positive_weight_in_a_cluster_of_weight_0_is_invalid_input(self):
+        ps = PointSet(np.array([[0.0], [1.0], [5.0]]))
+        with pytest.raises(InvalidInput, match="empty assigned cluster"):
+            kmeans_sensitivities(ps, self.SPLIT)
 
 
 class TestVcSampleSize:
