@@ -20,11 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import linalg
 from .clustering import brute_force_kmeans
-from .coreset import Coreset, coreset_cost
+from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
-from .linalg import CenterSet, PointSet, _as_readonly, _weighted_mean
+from .linalg import CenterSet, PointSet, _as_readonly, _nearest, _weighted_mean, dist2, dist2_rows
 from .sensitivity import _LLOYD_MAX_ITERS, _lloyd
 
 logger = logging.getLogger("tinycore.bregman")
@@ -65,7 +64,7 @@ class Divergence:
     def _embed(self, rows: np.ndarray) -> np.ndarray:
         """The rows mapped by B, a new read-only array (the rows as given when
         no matrix is declared)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+        rows = np.atleast_2d(as_floats(rows, InvalidInput, "point set"))
         if self.matrix is None:
             return rows
         if self.matrix.shape[1] != rows.shape[1]:
@@ -87,27 +86,30 @@ class Divergence:
     def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
         """d_phi from each row to its nearest center.
 
-        d_B is measured in the frame of the mapped rows, as :func:`tinycore.dist2`
-        measures squared Euclidean distance; a custom evaluator is called once
-        per center.
+        Without an evaluator this is :func:`~tinycore.linalg.dist2_rows` on the
+        rows and centers mapped by B (d_B in the mapped rows' frame); a custom
+        evaluator is called once per center.
         """
         if self.evaluator is not None:
             return np.array([self.between(points, c) for c in centers.centers]).min(axis=0)
-        return linalg._frame_dist2(linalg._frame(self._embed(points)), self._embed(centers.centers))
+        return dist2_rows(self._embed(points), CenterSet(self._embed(centers.centers)))
 
     def cost(self, coreset: Coreset, centers: CenterSet) -> float:
         """sum_i w_i * min_c d_phi(s_i, c) + delta: the cost of the centers on a coreset.
 
-        Plain squared Euclidean distance (neither a matrix nor an evaluator)
-        is :func:`~tinycore.coreset_cost`, measured in the coreset's cached
-        frame; a Mahalanobis matrix or a custom evaluator prices the rows here.
+        Without an evaluator this is :func:`~tinycore.dist2` plus delta on the
+        coreset and centers mapped by B; a custom evaluator prices the rows here.
         """
-        if centers.d != coreset.d:
-            raise InvalidArgument("center dimension does not match the coreset")
-        if self.matrix is None and self.evaluator is None:
-            return coreset_cost(coreset, centers)
-        near = self.to_centers(coreset.points, centers)
-        return float(np.sum(coreset.weights * near)) + coreset.delta
+        if not isinstance(centers, CenterSet) or centers.d != coreset.d:
+            raise InvalidArgument("centers must be a CenterSet of the coreset's dimension")
+        if self.evaluator is not None:
+            near = self.to_centers(coreset.points, centers)
+            return float(np.sum(coreset.weights * near)) + coreset.delta
+        if self.matrix is None:
+            points = coreset.as_point_set()  # and its cached frame, as coreset_cost
+        else:
+            points = PointSet(self._embed(coreset.points), coreset.weights)
+        return dist2(points, CenterSet(self._embed(centers.centers))) + coreset.delta
 
     def validate(self, sample: np.ndarray, rng: np.random.Generator) -> None:
         """Sampled check of a custom evaluator's similarity sandwich and centroid identity.
@@ -195,7 +197,7 @@ def _kclustering(rows: np.ndarray, w: np.ndarray, k: int, div: Divergence, seed:
         centers = brute_force_kmeans(mapped, k).centers
     else:
         return _lloyd(frame, w, k, seed, 1, _LLOYD_MAX_ITERS)[1]
-    return linalg._nearest(frame, centers - frame.origin)[0]
+    return _nearest(frame, centers - frame.origin)[0]
 
 
 def partition_helper(

@@ -122,9 +122,11 @@ def kmeans_coreset(
     """Sensitivity-sampling coreset for k center queries (offset is zero).
 
     Pipeline: bicriteria approximation, sensitivity bounds, VC sample size,
-    non-uniform sample.  If the computed sample size reaches the input size
-    the input itself is returned, ``Coreset(points.rows,
-    points.effective_weights(), 0.0)``, which shares its read-only rows.
+    non-uniform sample, all on the rows of positive weight (a row of weight
+    0 carries no cost).  If the sample size reaches the input size, or the
+    number of rows of positive weight, the input itself is returned,
+    ``Coreset(points.rows, points.effective_weights(), 0.0)``, which shares
+    its read-only rows.
     `sample_size`, a positive integer, overrides the VC formula (the
     streaming layer uses it to pin the summary size per level); a float is
     rejected, not truncated.  k may exceed n; eps and delta lie in (0, 1) and
@@ -138,12 +140,15 @@ def kmeans_coreset(
     seed_sample = int(rng.integers(2**62))
     s = None if sample_size is None else check_int("sample size", sample_size)
     if s is None or s < points.n:
-        profile = kmeans_sensitivities(points, bicriteria_kmeans(points, min(k, points.n), delta, seed_bic))
+        keep = points.effective_weights() > 0  # none kept: the bicriteria step raises
+        positive = points if keep.all() or not keep.any() else PointSet(points.rows[keep], points.weights[keep])
+        bicriteria = bicriteria_kmeans(positive, min(k, positive.n), delta, seed_bic)
+        profile = kmeans_sensitivities(positive, bicriteria)
         if s is None:
             s = vc_sample_size(profile.total, center_query_dimension(points.d, k), eps, delta, c_vc=c_vc)
-    if s >= points.n:
-        return Coreset(points.rows, points.effective_weights(), 0.0)
-    return sensitivity_sample(points, profile, s, seed_sample)
+        if s < positive.n:
+            return sensitivity_sample(positive, profile, s, seed_sample)
+    return Coreset(points.rows, points.effective_weights(), 0.0)
 
 
 def small_kmeans_coreset(

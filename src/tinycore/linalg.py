@@ -16,17 +16,17 @@ the input before use: sigma and V by :func:`_check_fit`, R by
 Distances to centers are taken in the rows' own frame (their mean at the
 origin), cached once per point set, whose lifted rows make every
 center-distance pass one matrix product, or one per block of 4096 rows
-for a nearest-center assignment.  :func:`dist2` runs one kernel per
-shape kind straight on a point set's own read-only arrays (rows, weights, and
-the frame and squared row norms it caches); :func:`dist2_rows` runs the same
-kernels on bare rows.
+for a nearest-center assignment.  Every query is one dispatch on a point
+set, :func:`_per_row`, whose kernels read its rows and the frame and
+squared row norms it caches; :func:`dist2` weights and sums the result, and
+:func:`dist2_rows` checks and holds bare rows as a point set first.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class PointSet:
     def sq_norms(self) -> np.ndarray:
         """The squared norms of the rows, read-only: built by the first linear
         subspace query, then kept (n floats)."""
-        norms = _sq_norms(self.rows)
+        norms = np.add.reduce(self.rows * self.rows, axis=1)  # np.sum without its wrapper
         norms.setflags(write=False)
         return norms
 
@@ -676,25 +676,19 @@ def _frame_dist2(frame: Frame, centers: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _sq_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row.  np.add.reduce is what np.sum calls,
-    without its Python wrapper."""
-    return np.add.reduce(rows * rows, axis=1)
-
-
-def _dist2_subspace(rows: np.ndarray, shape: Subspace, norms: Callable[[], np.ndarray]) -> np.ndarray:
+def _dist2_subspace(points: PointSet, shape: Subspace) -> np.ndarray:
     """Pythagoras: ||p||^2 - ||p X||^2, never materializing the complement.
 
-    A linear subspace takes ||p||^2 from `norms()`, the squared norms of
-    `rows`; an affine one moves the rows by -offset into a temporary of its
+    A linear subspace takes ||p||^2 from the point set's cached squared
+    norms; an affine one moves the rows by -offset into a temporary of its
     own and squares that in place after the product; each row clamps at 0.
     """
     linear = shape.offset is None
-    pts = rows if linear else rows - shape.offset
+    pts = points.rows if linear else points.rows - shape.offset
     proj = pts @ shape.basis
     proj *= proj
     if linear:
-        sq = norms()
+        sq = points.sq_norms
     else:
         pts *= pts
         sq = np.add.reduce(pts, axis=1)
@@ -703,56 +697,48 @@ def _dist2_subspace(rows: np.ndarray, shape: Subspace, norms: Callable[[], np.nd
     return np.maximum(out, 0.0, out=out)
 
 
-def _per_row(
-    rows: np.ndarray,
-    shape: QueryShape,
-    frame: Callable[[], Frame],
-    norms: Callable[[], np.ndarray],
-) -> np.ndarray:
-    """Per-row squared distance from `rows` to `shape`, in an array of its own.
-
-    The one dispatch on the shape's kind and the one dimension check behind
-    :func:`dist2` and :func:`dist2_rows`.  `frame()` gives the frame of
-    `rows` and `norms()` their squared norms; only center sets call the
-    first and only linear subspaces the second, so no other query builds them.
-    """
+def _per_row(points: PointSet, shape: QueryShape) -> np.ndarray:
+    """Per-row squared distance from the points to `shape`, in a new array: the
+    one query dispatch and check of the shape's kind and width.  Only center
+    sets build the cached frame and only linear subspaces the squared norms."""
     if isinstance(shape, CenterSet):
-        if shape.d != rows.shape[1]:
+        if shape.d != points.d:
             raise InvalidArgument("center set dimension does not match points")
-        return _frame_dist2(frame(), shape.centers)
+        return _frame_dist2(points.frame, shape.centers)
     if isinstance(shape, Subspace):
-        if shape.basis.shape[0] != rows.shape[1]:
+        if shape.basis.shape[0] != points.d:
             raise InvalidArgument("subspace dimension does not match points")
-        return _dist2_subspace(rows, shape, norms)
+        return _dist2_subspace(points, shape)
     raise InvalidArgument(f"unsupported query shape {type(shape).__name__}")
 
 
 def dist2_rows(rows: np.ndarray, shape: QueryShape) -> np.ndarray:
-    """Per-row squared distance to a query shape.
+    """Per-row squared distance to a query shape, ``_per_row(PointSet(rows), shape)``.
 
-    Center sets are measured in the frame of the rows, so a common shift of
-    rows and centers changes nothing but rounding.  Subspaces are measured
-    on the rows as they are, clamped at 0 per row: a linear subspace is not
-    translation invariant.  The kernels are those of :func:`dist2`.
+    The rows are checked and held as a :class:`PointSet` (InvalidInput unless a
+    non-empty, finite n x d matrix; a copy unless already held read-only), so
+    rows in any memory layout give the per-row bytes of ``dist2(PointSet(rows),
+    shape)``.  Center sets are measured in the rows' frame, so a common shift
+    changes only rounding; subspaces on the rows as they are (a linear subspace
+    is not translation invariant), clamped at 0 per row.
     """
-    rows = np.atleast_2d(rows)
-    return _per_row(rows, shape, lambda: _frame(rows), lambda: _sq_norms(rows))
+    return _per_row(PointSet(rows), shape)
 
 
 def dist2(points: PointSet, shape: QueryShape) -> float:
     """Weighted sum of squared distances from the points to the shape.
 
-    One kernel per shape kind runs on the point set's own read-only arrays
-    and on what the point set caches for queries, each built on first use
-    and then kept: the :attr:`PointSet.frame` (one more copy of the rows)
-    for center sets, the :attr:`PointSet.sq_norms` (n floats) for linear
-    subspaces, and the :attr:`PointSet.unit_weights` flag.  An affine
+    One kernel per shape kind runs on the point set's own read-only arrays,
+    checked when it was made, and on what it caches for queries, each built
+    on first use and then kept: the :attr:`PointSet.frame` (one more copy of
+    the rows) for center sets, the :attr:`PointSet.sq_norms` (n floats) for
+    linear subspaces, and the :attr:`PointSet.unit_weights` flag.  An affine
     subspace works on a moved copy of the rows and caches nothing.  The
     weights multiply the kernel's fresh per-row array in place, a step
     skipped when all are 1.0 since x * 1.0 is x, and the sum is
     ``np.sum(w * dist2_rows(rows, shape))`` bit for bit.
     """
-    per_row = _per_row(points.rows, shape, lambda: points.frame, lambda: points.sq_norms)
+    per_row = _per_row(points, shape)
     if not points.unit_weights:
         per_row *= points.weights
     return float(np.add.reduce(per_row))

@@ -52,6 +52,8 @@ from tinycore import (
     vc_sample_size,
 )
 
+from tinycore.linalg import dist2_rows
+
 from conftest import make_blobs
 
 ROWS = make_blobs(np.random.default_rng(7), 12, 3, 2)
@@ -60,6 +62,9 @@ FACTORS = svd(PS)
 PROFILE = kmeans_sensitivities(PS, bicriteria_kmeans(PS, 2, 0.1, 0))
 CORE = Coreset(points=ROWS[:4], weights=np.full(4, 3.0), delta=0.0)
 BASIS = np.eye(3)[:, :1]
+CENTERS = CenterSet(ROWS[:2])
+# a permutation scaled by powers of 2, so the Mahalanobis route prices the rows
+MAHALANOBIS = mahalanobis(np.array([[0.0, 2.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 def _stream(rows, **config):
@@ -102,6 +107,16 @@ TABLE = {
     "extend-zero-columns-affine": (lambda: _extend(np.empty((5, 0)), "affine"), InvalidInput),
     "insert-empty-kmeans": (lambda: _insert([], "kmeans"), InvalidInput),
     "insert-empty-subspace": (lambda: _insert([], "subspace"), InvalidInput),
+    # bare rows to dist2_rows: numpy errors, a warning, an empty result or NaN
+    "dist2_rows-3d": (lambda: dist2_rows(np.ones((2, 2, 2)), CenterSet(np.ones((1, 2)))), InvalidInput),
+    "dist2_rows-string": (lambda: dist2_rows([[1, "a"]], CenterSet(np.ones((1, 2)))), InvalidInput),
+    "dist2_rows-empty-centers": (lambda: dist2_rows(np.empty((0, 3)), CENTERS), InvalidInput),
+    "dist2_rows-empty-subspace": (lambda: dist2_rows(np.empty((0, 3)), Subspace(basis=BASIS)), InvalidInput),
+    "dist2_rows-empty-affine": (
+        lambda: dist2_rows(np.empty((0, 3)), Subspace(basis=BASIS, offset=np.zeros(3))), InvalidInput
+    ),
+    "dist2_rows-nan": (lambda: dist2_rows([[NAN, 1.0]], CenterSet(np.ones((1, 2)))), InvalidInput),
+    "Divergence.cost-array-centers": (lambda: MAHALANOBIS.cost(CORE, ROWS[:2]), InvalidArgument),
     "PointSet-matrix-weight": (lambda: PointSet(np.ones((4, 2)), np.ones((2, 2))), InvalidInput),
     "Subspace-matrix-offset": (lambda: Subspace(basis=np.eye(4)[:, :1], offset=np.zeros((2, 2))), InvalidArgument),
     "SensitivityProfile-matrix-sigma": (
@@ -190,7 +205,10 @@ ENTRY_POINTS = {
     "Subspace": (Subspace, dict(basis=BASIS, offset=np.zeros(3))),
     "Coreset": (Coreset, dict(points=ROWS[:4], weights=np.ones(4), delta=0.0)),
     "SensitivityProfile": (SensitivityProfile, dict(sigma=PROFILE.sigma, total=PROFILE.total)),
-    "dist2": (dist2, dict(points=PS, shape=CenterSet(ROWS[:2]))),
+    "dist2": (dist2, dict(points=PS, shape=CENTERS)),
+    # the rows alone: a broken shape, checked first, would mask them (`dist2` draws shapes)
+    "linalg.dist2_rows": (lambda rows: dist2_rows(rows, CENTERS), dict(rows=ROWS)),
+    "Divergence.cost": (MAHALANOBIS.cost, dict(coreset=CORE, centers=CENTERS)),
     "coreset_cost": (coreset_cost, dict(coreset=CORE, shape=Subspace(basis=BASIS))),
     "tail_energy": (tail_energy, dict(factors=FACTORS, m=1)),
     "coreset_size_linear": (coreset_size_linear, dict(j=1, eps=0.5)),

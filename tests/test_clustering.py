@@ -267,6 +267,23 @@ class TestZeroWeights:
         assert approx_solution(ps, k, 0.5, solver, delta=0.5, seed=seed).k == k
 
 
+    def test_samples_take_only_rows_of_positive_weight_with_an_unbiased_total(self):
+        # 30 rows of positive weight between 30 of weight 0, sampled at s = 12
+        gen = np.random.default_rng(5)
+        rows = gen.uniform(-1.0, 1.0, (60, 2))
+        w = np.where(np.arange(60) % 2 == 0, gen.uniform(0.5, 2.0, 60), 0.0)
+        ps = PointSet(rows, w)
+        totals = []
+        for seed in range(400):
+            core = kmeans_coreset(ps, 2, 0.5, 0.1, seed, sample_size=12)
+            assert np.all(np.asarray(core.weights) > 0)
+            totals.append(core.total_weight())
+        assert np.mean(totals) == pytest.approx(w.sum(), rel=0.03)
+        # a sample size that reaches the 30 rows of positive weight returns the input itself
+        whole = kmeans_coreset(ps, 2, 0.5, 0.1, 0, sample_size=30)
+        assert whole.points is ps.rows and np.array_equal(whole.weights, w)
+
+
 class TestSmallKmeansCoreset:
     def test_cap_binding_degenerates_to_plain_coreset(self, rng):
         rows = make_blobs(rng, 80, 6, 2)
