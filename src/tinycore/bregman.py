@@ -74,14 +74,16 @@ class Divergence:
         return mapped
 
     def mahalanobis(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        diff = self._embed(np.atleast_2d(points) - np.asarray(q)[None, :])
+        """d_B from each row to the point q."""
+        rows, q = _rows_and_point(points, q)
+        diff = self._embed(rows - q)
         return np.sum(diff * diff, axis=1)
 
     def between(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
         """d_phi from each row to the point q."""
-        if self.evaluator is not None:
-            return np.asarray(self.evaluator(np.atleast_2d(points), np.asarray(q)))
-        return self.mahalanobis(points, q)
+        if self.evaluator is None:
+            return self.mahalanobis(points, q)
+        return np.asarray(self.evaluator(*_rows_and_point(points, q)))
 
     def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
         """d_phi from each row to its nearest center.
@@ -90,6 +92,8 @@ class Divergence:
         rows and centers mapped by B (d_B in the mapped rows' frame); a custom
         evaluator is called once per center.
         """
+        if not isinstance(centers, CenterSet):
+            raise InvalidArgument("centers must be a CenterSet")
         if self.evaluator is not None:
             return np.array([self.between(points, c) for c in centers.centers]).min(axis=0)
         return dist2_rows(self._embed(points), CenterSet(self._embed(centers.centers)))
@@ -147,6 +151,18 @@ class Divergence:
                     self.name, lhs, rhs,
                 )
                 return
+
+
+def _rows_and_point(points, q) -> tuple[np.ndarray, np.ndarray]:
+    """The rows as an n x d float matrix (InvalidInput) and q as a float
+    d-vector (InvalidArgument), read before any divergence sees them."""
+    rows = np.atleast_2d(as_floats(points, InvalidInput, "point set"))
+    if rows.ndim != 2:
+        raise InvalidInput("point set must be an n x d matrix")
+    q = as_floats(q, InvalidArgument, "divergence point")
+    if q.shape != (rows.shape[1],):
+        raise InvalidArgument(f"the point must be a vector of the rows' dimension {rows.shape[1]}")
+    return rows, q
 
 
 def squared_euclidean() -> Divergence:

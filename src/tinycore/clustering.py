@@ -82,6 +82,8 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
     Partitions are scored on the rows of the point set's frame (moved to
     their mean): the expansion in :func:`_partition_costs` is accurate only
     near the origin, and a partition's cost does not depend on translation.
+    A cost that is not finite (weighted squares past float64) is never
+    chosen, and with no finite cost the call raises InvalidInput.
     """
     n, k = points.n, check_int("k", k)
     if n > BRUTE_FORCE_MAX_POINTS:
@@ -95,7 +97,9 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
     best = None
     for start in range(0, assignments.shape[0], _BRUTE_CHUNK):
         chunk = assignments[start : start + _BRUTE_CHUNK].astype(np.int64)
-        costs = _partition_costs(centred, w, chunk, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            costs = _partition_costs(centred, w, chunk, k)
+        costs[~np.isfinite(costs)] = math.inf  # squares past float64 never win: `best` stays None
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost = float(costs[i])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -342,15 +342,31 @@ def _leaf_r(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _qr_r(a)
 
 
+def _carry(slots: list, node, merge: Callable) -> None:
+    """Add `node` of one unit to the binary counter `slots`, in place.
+
+    Slot i holds a node of 2**i units or None.  Each occupied slot the node
+    passes is emptied into it as `node = merge(held, node)`, the held node
+    being the older; the first empty slot, or a new last one, takes the result.
+    """
+    for i, held in enumerate(slots):
+        if held is None:
+            slots[i] = node
+            return
+        slots[i] = None
+        node = merge(held, node)
+    slots.append(node)
+
+
 class _Tsqr:
     """A running TSQR: the R factor of the rows fed so far, block by block,
     with their Gram matrix and, for centred input, their mean and weight.
 
     Rows are cut into leaves of _TSQR_BLOCK rows; a leaf may span blocks.
     A leaf's R comes from :func:`_leaf_r`, given the leaf's Gram matrix.
-    Leaf nodes go into a binary counter, slot i holding the node of 2**i
-    leaves, and two nodes merge by the QR of their stacked Rs, the older
-    first.  :meth:`finish` merges what is left the same way, which gives the
+    Leaf nodes go into the binary counter of :func:`_carry`, slot i holding
+    the node of 2**i leaves, and two nodes merge by the QR of their stacked
+    Rs, the older first.  :meth:`finish` merges what is left the same way, which gives the
     fixed pairwise tree over the leaves: the bytes of R depend on n alone,
     not on where the blocks were cut.
 
@@ -481,16 +497,7 @@ class _Tsqr:
                 self.gram = g
             else:
                 self.gram += g
-        self._push((_leaf_r(a, g), mean, total))
-
-    def _push(self, node: tuple) -> None:
-        for i, slot in enumerate(self._slots):
-            if slot is None:
-                self._slots[i] = node
-                return
-            self._slots[i] = None
-            node = self._merge(slot, node)
-        self._slots.append(node)
+        _carry(self._slots, (_leaf_r(a, g), mean, total), self._merge)
 
     def _merge(self, old: tuple, new: tuple) -> tuple:
         (r1, mu1, w1), (r2, mu2, w2) = old, new

@@ -106,7 +106,8 @@ def _d2_pass(
     draw = _BlockedDraw(restarts, rows.shape[0])
     chosen[:, 0] = draw(cand, rng.random(restarts), 0)
     for i in range(1, count + 1):
-        _sq_dists(frame, _lift(rows[chosen[:, i - 1]]), out=cand)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller's cost check raises
+            _sq_dists(frame, _lift(rows[chosen[:, i - 1]]), out=cand)
         np.maximum(cand, 0.0, out=cand)
         np.minimum(best, cand, out=best)
         if i == count:

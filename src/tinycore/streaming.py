@@ -1,11 +1,12 @@
 """Merge-and-reduce streaming summaries for subspace and k-means coresets.
 
 Incoming points fill a buffer; a full buffer is compressed to a level
-coreset and cascaded through a binary counter of buckets, re-compressing on
-every carry and summing the offsets.  A reduce feeds its parts (the buffer's
-row blocks at unit weight) straight into one level builder: one TSQR
-accumulator for subspaces, one stacked point set for k-means, with the bytes
-of the public builder on `merge_coresets` of the parts.  Epochs double in
+coreset and cascaded through a binary counter of buckets (`linalg._carry`,
+the counter of the TSQR tree too), re-compressing the newer coreset and the
+held one on every carry and summing the offsets.  A reduce feeds its parts
+(the buffer's row blocks at unit weight) straight into one level builder:
+one TSQR accumulator for subspaces, one stacked point set for k-means, with
+the bytes of the public builder on `merge_coresets` of the parts.  Epochs double in
 length; at the end of epoch h the surviving buckets are folded into one
 per-epoch summary and the working precision tightens to eps / (10 * (h + 1)),
 which keeps the total multiplicative error of a point that passes through
@@ -25,7 +26,7 @@ from .clustering import kmeans_coreset
 from .errors import (
     EmptyState, InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit,
 )
-from .linalg import PointSet, _Tsqr
+from .linalg import PointSet, _Tsqr, _carry
 
 STREAM_KINDS = ("subspace", "affine", "kmeans")
 DEFAULT_C_STREAM = 1.0
@@ -72,7 +73,6 @@ class CoresetStream:
         self._buckets: list[Optional[Coreset]] = []
         self._summaries: list[Coreset] = []
         self._epoch = 1
-        self._level: Optional[int] = None  # level_size() of this epoch, once asked
         self._points_seen = 0
         self._live = 0
         self.reduce_count = 0
@@ -93,16 +93,13 @@ class CoresetStream:
         return self.config.eps / (10.0 * self._epoch)
 
     def level_size(self) -> int:
-        """Target coreset size for one reduce at the current epoch's precision,
-        computed once per epoch."""
-        if self._level is None:
-            cfg, gamma = self.config, self.gamma()
-            if cfg.kind == "kmeans":
-                with size_limit("level size"):
-                    self._level = max(2 * cfg.k + 2, math.ceil(cfg.c_stream * cfg.k / gamma))
-            else:  # an affine level holds twice the rows of a linear one
-                self._level = (2 if cfg.kind == "affine" else 1) * coreset_size_linear(cfg.j, gamma)
-        return self._level
+        """Target coreset size for one reduce at the current epoch's precision."""
+        cfg, gamma = self.config, self.gamma()
+        if cfg.kind == "kmeans":
+            with size_limit("level size"):
+                return max(2 * cfg.k + 2, math.ceil(cfg.c_stream * cfg.k / gamma))
+        # an affine level holds twice the rows of a linear one
+        return (2 if cfg.kind == "affine" else 1) * coreset_size_linear(cfg.j, gamma)
 
     def live_points(self) -> int:
         return self._live
@@ -154,13 +151,7 @@ class CoresetStream:
     def _flush_buffer(self) -> None:
         carry = self._reduce([], self._buffer)
         self._buffer, self._buffered = [], 0
-        for level, other in enumerate(self._buckets):
-            if other is None:
-                self._buckets[level] = carry
-                return
-            self._buckets[level] = None
-            carry = self._reduce([carry, other])
-        self._buckets.append(carry)
+        _carry(self._buckets, carry, lambda held, new: self._reduce([new, held]))
 
     def _roll_epoch(self) -> None:
         occupied = [b for b in self._buckets if b is not None]
@@ -170,7 +161,6 @@ class CoresetStream:
         elif occupied:
             self._summaries.append(self._reduce(occupied))
         self._epoch += 1
-        self._level = None
 
     # -- public API -----------------------------------------------------
 

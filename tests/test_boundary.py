@@ -19,6 +19,7 @@ from tinycore import (
     InvalidArgument,
     InvalidInput,
     PointSet,
+    ReducedInstance,
     ResourceLimit,
     SensitivityProfile,
     StreamConfig,
@@ -52,7 +53,9 @@ from tinycore import (
     vc_sample_size,
 )
 
+from tinycore.coreset import merge_coresets
 from tinycore.linalg import dist2_rows
+from tinycore.sensitivity import renormalize_bounds
 
 from conftest import make_blobs
 
@@ -164,6 +167,45 @@ TABLE = {
     ),
     "stream-subspace-tiny-eps": (lambda: _stream(np.eye(4), kind="subspace", eps=1e-320, j=1), ResourceLimit),
     "stream-kmeans-tiny-eps": (lambda: _stream(np.eye(4), kind="kmeans", eps=1e-320, k=2), ResourceLimit),
+    # finite rows whose squares overflow: a numpy warning, not the error
+    "brute_force_kmeans-overflow": (lambda: brute_force_kmeans(PointSet(ROWS * 1e160), 2), InvalidInput),
+    # weighted squares that overflow once summed: every cost -inf or NaN, once a one-center answer
+    "brute_force_kmeans-overflow-weights": (
+        lambda: brute_force_kmeans(PointSet(ROWS, np.full(12, 1e300)), 2), InvalidInput
+    ),
+    # Divergence's per-row methods: AttributeError, IndexError, broadcast ValueError, UFuncTypeError
+    "Divergence.to_centers-array-centers": (
+        lambda: mahalanobis(np.eye(2)).to_centers(np.ones((3, 2)), np.ones((2, 2))), InvalidArgument
+    ),
+    "Divergence.between-string-point": (lambda: squared_euclidean().between(np.ones((3, 2)), "a"), InvalidArgument),
+    "Divergence.between-wrong-width": (
+        lambda: squared_euclidean().between(np.ones((3, 2)), np.ones(3)), InvalidArgument
+    ),
+    "Divergence.between-evaluator-wrong-width": (
+        lambda: Divergence(evaluator=lambda p, q: np.sum((p - q) ** 2, axis=1)).between(np.ones((3, 2)), np.ones(3)),
+        InvalidArgument,
+    ),
+    "Divergence.mahalanobis-wrong-width": (
+        lambda: mahalanobis(np.eye(2)).mahalanobis(np.ones((3, 2)), np.ones(3)), InvalidArgument
+    ),
+    "Divergence.between-string-rows": (
+        lambda: squared_euclidean().between([["a", "b"]], np.ones(2)), InvalidInput
+    ),
+    # checks that no other test reaches
+    "kmeans_sensitivities-other-solution": (
+        lambda: kmeans_sensitivities(PS, bicriteria_kmeans(PointSet(ROWS[:6]), 2, 0.5, 0)), InvalidInput
+    ),
+    "sensitivity_sample-profile-length": (
+        lambda: sensitivity_sample(PS, SensitivityProfile(np.ones(5), 5.0), 3, 0), InvalidArgument
+    ),
+    "renormalize_bounds-above-cap": (lambda: renormalize_bounds(np.array([1.0, 5.0]), 6.0, 2), InvalidInput),
+    "renormalize_bounds-too-few": (lambda: renormalize_bounds(np.array([1.0]), 6.0, 2), InvalidInput),
+    "merge_coresets-empty": (lambda: merge_coresets([]), InvalidInput),
+    "Subspace-3d": (lambda: Subspace(np.ones((2, 2, 2))), InvalidArgument),
+    "coreset_size_linear-huge-int-eps": (lambda: coreset_size_linear(1, 10**400), InvalidArgument),
+    "ReducedInstance-negative-delta": (
+        lambda: ReducedInstance(points=PS, basis=np.eye(3), delta=-1.0), InvalidInput
+    ),
 }
 
 
@@ -209,6 +251,9 @@ ENTRY_POINTS = {
     # the rows alone: a broken shape, checked first, would mask them (`dist2` draws shapes)
     "linalg.dist2_rows": (lambda rows: dist2_rows(rows, CENTERS), dict(rows=ROWS)),
     "Divergence.cost": (MAHALANOBIS.cost, dict(coreset=CORE, centers=CENTERS)),
+    "Divergence.to_centers": (MAHALANOBIS.to_centers, dict(points=ROWS, centers=CENTERS)),
+    "Divergence.between": (MAHALANOBIS.between, dict(points=ROWS, q=ROWS[0])),
+    "Divergence.mahalanobis": (MAHALANOBIS.mahalanobis, dict(points=ROWS, q=ROWS[0])),
     "coreset_cost": (coreset_cost, dict(coreset=CORE, shape=Subspace(basis=BASIS))),
     "tail_energy": (tail_energy, dict(factors=FACTORS, m=1)),
     "coreset_size_linear": (coreset_size_linear, dict(j=1, eps=0.5)),

@@ -247,17 +247,18 @@ class TestPartitionHelper:
         assert parent_cost > (1 + f1) * child_cost
 
     def test_lloyd_split_labels_rows_without_a_pass_of_its_own(self, rng, monkeypatch):
-        # above the brute-force leaf the labels are the Lloyd iteration's own assignment
-        from tinycore import bregman, linalg
+        # above the brute-force leaf the labels are the Lloyd iteration's own assignment;
+        # bregman imports _nearest by name, so a pass of its own would call bregman._nearest
+        from tinycore import bregman
 
         calls = []
-        nearest = linalg._nearest
+        nearest = bregman._nearest
 
         def counting(*args):
             calls.append(1)
             return nearest(*args)
 
-        monkeypatch.setattr(linalg, "_nearest", counting)
+        monkeypatch.setattr(bregman, "_nearest", counting)
         rows = exact_blobs(rng, (7, 7, 6)) + 0.1 * rng.standard_normal((20, 2))
         labels = bregman._kclustering(rows, np.ones(20), 3, squared_euclidean(), 0)
         assert calls == []

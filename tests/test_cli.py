@@ -980,7 +980,6 @@ class TestSquareOverflow:
         ],
         ids=["solve-kmeans", "solve-affine", "coreset-subspace"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exits_1_with_error(self, tmp_path, rng, capsys, command, n):
         rows = rng.standard_normal((n, 2))
         rows[1, 1] = 1e160
@@ -1031,7 +1030,6 @@ class TestSquareOverflow:
         ],
         ids=["coreset-kmeans", "coreset-kmeans-small", "stream-kmeans"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_kmeans_construction_exits_1_with_error(self, tmp_path, rng, capsys, command):
         rows = rng.standard_normal((5000, 3))  # enough rows that the coreset and the stream sample
         rows[1, 1] = 1e160
@@ -1042,7 +1040,6 @@ class TestSquareOverflow:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_eval_stops_at_a_true_cost_that_is_not_finite(self, tmp_path, rng, capsys):
         rows = rng.standard_normal((200, 3))
         clean, big, core = tmp_path / "clean.csv", tmp_path / "big.csv", tmp_path / "c.tcs"

@@ -221,6 +221,25 @@ class TestRightFactors:
         f, g = svd(PointSet(a)), svd(PointSet(a))
         assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
 
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda u, s, vt: (u, s[::-1].copy(), vt), "not sorted"),
+            (lambda u, s, vt: (u, s, 2.0 * vt), "lost orthonormality"),
+        ],
+        ids=["sigma-reversed", "v-doubled"],
+    )
+    def test_factors_that_break_the_svd_contract_are_invalid_input(self, rng, monkeypatch, fault, message):
+        # _check_fit rejects them before any cost reads them, in svd and in a coreset
+        # that takes one (m = 2 of d = 5 directions)
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: fault(*real(*args, **kwargs)))
+        ps = PointSet(rng.standard_normal((100, 5)))
+        with pytest.raises(InvalidInput, match=message):
+            svd(ps)
+        with pytest.raises(InvalidInput, match=message):
+            linear_subspace_coreset(ps, 1, 0.5)
+
 
 def pairwise_r(a):
     """The reference TSQR: the R of every 4096 rows, stacked two by two level by level."""
@@ -355,6 +374,29 @@ class TestTsqrAccumulator:
         monkeypatch.setattr(np.linalg, "qr", lambda m, mode="reduced": qr(m[: (m.shape[0] + 1) // 2], mode=mode))
         with pytest.raises(InvalidInput, match="do not fit the input"):
             svd(fed(a, cuts=[300, 5000, 9999], centred=centred))
+
+
+class TestCarry:
+    """_carry: the binary counter of the TSQR tree and of the stream's level coresets."""
+
+    @pytest.mark.parametrize("pushes", [1, 2, 3, 7, 8, 13, 64, 100])
+    def test_slots_follow_the_bits_and_merges_take_held_then_newer(self, pushes):
+        # a node is the range (first, last) of the units it holds
+        merges = []
+
+        def merge(held, new):
+            merges.append((held, new))
+            assert held[1] + 1 == new[0] and held[1] - held[0] == new[1] - new[0]
+            return held[0], new[1]
+
+        slots = []
+        for t in range(pushes):
+            linalg._carry(slots, (t, t), merge)
+        assert [slot is not None for slot in slots] == [bool(pushes >> i & 1) for i in range(pushes.bit_length())]
+        for i, slot in enumerate(slots):
+            if slot is not None:
+                assert slot[1] - slot[0] + 1 == 2**i
+        assert len(merges) == pushes - bin(pushes).count("1")
 
 
 def rotated(gen, n, d, cond):

@@ -174,7 +174,6 @@ class TestBicriteria:
         owner.setflags(write=False)
         assert solution(owner).assignment is owner
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_seeding_cost_not_finite_is_invalid_input(self, rng):
         rows = rng.standard_normal((50, 3))
         rows[1, 1] = 1e160  # finite, but its square overflows float64

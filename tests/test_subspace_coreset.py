@@ -245,6 +245,14 @@ class TestCentringOverflow:
             with pytest.raises(InvalidInput, match="squared norm overflows float64"):
                 best_affine_subspace(ps, 1)
 
+    def test_a_gram_sum_that_overflows_across_leaves_is_the_squares_error(self):
+        # each 4096-row leaf's Gram matrix is finite, the sum of the two is not
+        rows = np.full((2 * 4096, 2), math.sqrt(1.2e308 / 4096))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="input too large"):
+                linear_subspace_coreset(PointSet(rows), 1, 0.5)
+
 
 class TestExactRoute:
     """When m = min(n, d) no direction is cut: the coreset's rows are the R
