@@ -21,9 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clustering import brute_force_kmeans
-from .coreset import Coreset
+from .coreset import Coreset, coreset_cost
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
-from .linalg import CenterSet, PointSet, _as_readonly, _nearest, _weighted_mean, dist2, dist2_rows
+from .linalg import CenterSet, PointSet, _as_readonly, _nearest, _weighted_mean, dist2_rows
 from .sensitivity import _LLOYD_MAX_ITERS, _lloyd
 
 logger = logging.getLogger("tinycore.bregman")
@@ -62,22 +62,23 @@ class Divergence:
             object.__setattr__(self, "matrix", _as_readonly(b))
 
     def _embed(self, rows: np.ndarray) -> np.ndarray:
-        """The rows mapped by B, a new read-only array (the rows as given when
-        no matrix is declared)."""
-        rows = np.atleast_2d(as_floats(rows, InvalidInput, "point set"))
+        """Checked rows mapped by B, a new read-only array (the rows themselves when
+        no matrix is declared); entries past float64 become inf, quietly."""
         if self.matrix is None:
             return rows
         if self.matrix.shape[1] != rows.shape[1]:
             raise InvalidArgument("Mahalanobis matrix size does not match the row dimension")
-        mapped = rows @ self.matrix.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            mapped = rows @ self.matrix.T
         mapped.setflags(write=False)  # so that a PointSet of it keeps it, not a copy
         return mapped
 
     def mahalanobis(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """d_B from each row to the point q."""
+        """d_B from each row to the point q (inf, quietly, where it passes float64)."""
         rows, q = _rows_and_point(points, q)
-        diff = self._embed(rows - q)
-        return np.sum(diff * diff, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = self._embed(rows - q)
+            return np.sum(diff * diff, axis=1)
 
     def between(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
         """d_phi from each row to the point q."""
@@ -86,7 +87,7 @@ class Divergence:
         return np.asarray(self.evaluator(*_rows_and_point(points, q)))
 
     def to_centers(self, points: np.ndarray, centers: CenterSet) -> np.ndarray:
-        """d_phi from each row to its nearest center.
+        """d_phi from each row to its nearest center, the rows read once as a PointSet's.
 
         Without an evaluator this is :func:`~tinycore.linalg.dist2_rows` on the
         rows and centers mapped by B (d_B in the mapped rows' frame); a custom
@@ -94,26 +95,22 @@ class Divergence:
         """
         if not isinstance(centers, CenterSet):
             raise InvalidArgument("centers must be a CenterSet")
+        rows = PointSet(points).rows
         if self.evaluator is not None:
-            return np.array([self.between(points, c) for c in centers.centers]).min(axis=0)
-        return dist2_rows(self._embed(points), CenterSet(self._embed(centers.centers)))
+            return np.array([self.between(rows, c) for c in centers.centers]).min(axis=0)
+        return dist2_rows(self._embed(rows), CenterSet(self._embed(centers.centers)))
 
     def cost(self, coreset: Coreset, centers: CenterSet) -> float:
         """sum_i w_i * min_c d_phi(s_i, c) + delta: the cost of the centers on a coreset.
 
-        Without an evaluator this is :func:`~tinycore.dist2` plus delta on the
-        coreset and centers mapped by B; a custom evaluator prices the rows here.
+        With neither a matrix nor an evaluator it is :func:`~tinycore.coreset_cost`, in
+        the coreset's cached frame; else the weighted sum of :meth:`to_centers` on its points.
         """
         if not isinstance(centers, CenterSet) or centers.d != coreset.d:
             raise InvalidArgument("centers must be a CenterSet of the coreset's dimension")
-        if self.evaluator is not None:
-            near = self.to_centers(coreset.points, centers)
-            return float(np.sum(coreset.weights * near)) + coreset.delta
-        if self.matrix is None:
-            points = coreset.as_point_set()  # and its cached frame, as coreset_cost
-        else:
-            points = PointSet(self._embed(coreset.points), coreset.weights)
-        return dist2(points, CenterSet(self._embed(centers.centers))) + coreset.delta
+        if self.matrix is None and self.evaluator is None:
+            return coreset_cost(coreset, centers)
+        return float(np.sum(coreset.weights * self.to_centers(coreset.points, centers))) + coreset.delta
 
     def validate(self, sample: np.ndarray, rng: np.random.Generator) -> None:
         """Sampled check of a custom evaluator's similarity sandwich and centroid identity.
@@ -154,14 +151,13 @@ class Divergence:
 
 
 def _rows_and_point(points, q) -> tuple[np.ndarray, np.ndarray]:
-    """The rows as an n x d float matrix (InvalidInput) and q as a float
-    d-vector (InvalidArgument), read before any divergence sees them."""
-    rows = np.atleast_2d(as_floats(points, InvalidInput, "point set"))
-    if rows.ndim != 2:
-        raise InvalidInput("point set must be an n x d matrix")
+    """The rows as ``PointSet(points).rows`` (InvalidInput unless a non-empty, finite
+    n x d matrix) and q as a finite float vector of their width (InvalidArgument),
+    read before any divergence sees them: a custom evaluator gets these read-only rows."""
+    rows = PointSet(points).rows
     q = as_floats(q, InvalidArgument, "divergence point")
-    if q.shape != (rows.shape[1],):
-        raise InvalidArgument(f"the point must be a vector of the rows' dimension {rows.shape[1]}")
+    if q.shape != (rows.shape[1],) or not np.all(np.isfinite(q)):
+        raise InvalidArgument(f"the point must be a finite vector of the rows' dimension {rows.shape[1]}")
     return rows, q
 
 
@@ -237,13 +233,14 @@ def _partition(
 ) -> list[tuple[np.ndarray, float]]:
     """:func:`partition_helper` with each leaf's 1-clustering cost, every split seeded by `seed`."""
     rows, w = points.rows, points.effective_weights()
-    positive = np.flatnonzero(w > 0)
-    if positive.shape[0] == 0:
-        raise InvalidInput("total weight must be positive")
-    top_rows, top_w = rows[positive], w[positive]
-    total = _opt1(top_rows, top_w, div)
-    if not np.isfinite(total):
-        raise InvalidInput("the 1-clustering cost is not finite: the squared entries overflow float64")
+
+    def priced(indices: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
+        """The part at these indices, its rows and weights gathered and flagged read-only
+        before :func:`_opt1` reads them (so every PointSet of them keeps them), and its cost."""
+        part = (indices, rows[indices], w[indices])
+        for a in part[1:]:
+            a.setflags(write=False)
+        return part, _opt1(part[1], part[2], div)
 
     def recurse(
         indices: np.ndarray, part_rows: np.ndarray, part_w: np.ndarray, t: int, cost: float
@@ -251,17 +248,19 @@ def _partition(
         """Split the part with these indices, rows and weights, whose cost is already priced."""
         if t >= depth or indices.shape[0] <= 1:
             return [(indices, cost)]
-        for a in (part_rows, part_w):  # gathered here: the split's PointSet keeps them, not a copy
-            a.setflags(write=False)
         labels = _kclustering(part_rows, part_w, k, div, seed)
-        masks = [labels == p for p in np.unique(labels)]
-        parts = [(indices[m], part_rows[m], part_w[m]) for m in masks]
-        costs = [_opt1(r, pw, div) for _, r, pw in parts]
-        if len(parts) <= 1 or cost <= (1.0 + f1) * sum(costs):
+        parts = [priced(indices[labels == p]) for p in np.unique(labels)]
+        if len(parts) <= 1 or cost <= (1.0 + f1) * sum(c for _, c in parts):
             return [(indices, cost)]
-        return [leaf for part, c in zip(parts, costs) for leaf in recurse(*part, t + 1, c)]
+        return [leaf for part, c in parts for leaf in recurse(*part, t + 1, c)]
 
-    return recurse(positive, top_rows, top_w, 0, total)
+    positive = np.flatnonzero(w > 0)
+    if positive.shape[0] == 0:
+        raise InvalidInput("total weight must be positive")
+    top, total = priced(positive)
+    if not np.isfinite(total):
+        raise InvalidInput("the 1-clustering cost is not finite: the squared entries overflow float64")
+    return recurse(*top, 0, total)
 
 
 def bregman_coreset(

@@ -727,9 +727,12 @@ def dist2_rows(rows: np.ndarray, shape: QueryShape) -> np.ndarray:
     rows in any memory layout give the per-row bytes of ``dist2(PointSet(rows),
     shape)``.  Center sets are measured in the rows' frame, so a common shift
     changes only rounding; subspaces on the rows as they are (a linear subspace
-    is not translation invariant), clamped at 0 per row.
+    is not translation invariant), clamped at 0 per row.  Squares past float64
+    give entries that are not finite, with no numpy warning (:func:`dist2` warns).
     """
-    return _per_row(PointSet(rows), shape)
+    points = PointSet(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _per_row(points, shape)
 
 
 def dist2(points: PointSet, shape: QueryShape) -> float:

@@ -116,9 +116,8 @@ class CoresetStream:
 
     def _compress(self, parts: list[Coreset], blocks: Sequence[np.ndarray], final: bool) -> Coreset:
         """One coreset of the union of the parts and the unit-weight row blocks
-        (fed in that order) at the level precision, or at eps if final, offsets added."""
+        (fed in that order) at the level precision, a subspace one at eps if final, offsets added."""
         cfg = self.config
-        eps = cfg.eps if final else self.gamma()
         if cfg.kind == "kmeans":
             rows = np.vstack([*(p.points for p in parts), *blocks])
             w = np.concatenate([*(p.weights for p in parts), *(np.ones(b.shape[0]) for b in blocks)])
@@ -126,12 +125,13 @@ class CoresetStream:
             return kmeans_coreset(
                 PointSet(rows, w),
                 cfg.k,
-                min(eps, 0.999),  # the config admits eps = 1, the sampler does not
+                self.gamma(),  # only checked: the sample size is pinned
                 # the j-th construction, j = reduce_count + 2, spends delta / j^2 (delta/4 first)
                 cfg.delta / (self.reduce_count + 2) ** 2,
                 self._seed(self._points_seen) if final else self._seed(),
                 sample_size=self.level_size(),
             )
+        eps = cfg.eps if final else self.gamma()
         # the TSQR bytes depend on the row count alone, not on where blocks are cut;
         # linear level inputs carry unit weights throughout, so they go in unweighted
         acc = _Tsqr(centred=cfg.kind == "affine")

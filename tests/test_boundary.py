@@ -6,6 +6,7 @@ and arrays for the parameters of every public function and class; whatever
 it raises must be a TinycoreError.  No test here reads numpy's message text.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ TABLE = {
     "Divergence.between-string-rows": (
         lambda: squared_euclidean().between([["a", "b"]], np.ones(2)), InvalidInput
     ),
+    # rows and points a PointSet rejects: NaN or inf out, an empty array, or numpy's warning under B
+    "Divergence.between-nan-row": (
+        lambda: squared_euclidean().between([[NAN, 1.0, 2.0]], np.zeros(3)), InvalidInput
+    ),
+    "Divergence.mahalanobis-inf-row": (
+        lambda: MAHALANOBIS.mahalanobis(np.array([[INF, 1.0, 2.0]]), np.zeros(3)), InvalidInput
+    ),
+    "Divergence.between-nan-point": (
+        lambda: squared_euclidean().between(np.ones((3, 3)), np.array([NAN, 0.0, 0.0])), InvalidArgument
+    ),
+    "Divergence.to_centers-inf-row": (
+        lambda: MAHALANOBIS.to_centers(np.array([[INF, 1.0, 2.0]]), CENTERS), InvalidInput
+    ),
+    "Divergence.between-empty-rows": (
+        lambda: squared_euclidean().between(np.empty((0, 3)), np.zeros(3)), InvalidInput
+    ),
     # checks that no other test reaches
     "kmeans_sensitivities-other-solution": (
         lambda: kmeans_sensitivities(PS, bicriteria_kmeans(PointSet(ROWS[:6]), 2, 0.5, 0)), InvalidInput
@@ -338,3 +355,42 @@ def test_malformed_arguments_raise_tinycore_errors(name, data):
         call(**kwargs)
     except TinycoreError:
         pass
+
+
+# every parameter that the test above draws, one (entry, parameter) pair each
+PAIRS = sorted(
+    (name, p)
+    for name, (_, valid) in ENTRY_POINTS.items()
+    for p, v in valid.items()
+    if not (callable(v) or isinstance(v, KEPT))
+)
+
+
+@pytest.mark.parametrize("name, param", PAIRS, ids=[f"{name}-{p}" for name, p in PAIRS])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_each_parameter_is_broken_alone(name, param, data):
+    # one broken parameter per example, so no parameter checked first masks it
+    call, valid = ENTRY_POINTS[name]
+    try:
+        call(**{**valid, param: data.draw(MALFORMED, label=param)})
+    except TinycoreError:
+        pass
+
+
+def test_squares_past_float64_give_a_quiet_cost_that_is_not_finite():
+    # finite rows whose squares overflow: each per-row query returns its cost, inf or NaN, with no warning
+    big = np.full((12, 3), 1e300) + np.arange(3)
+    calls = [
+        lambda: dist2_rows(big, CENTERS),
+        lambda: dist2_rows(big, Subspace(basis=BASIS)),
+        lambda: dist2_rows(big, Subspace(basis=BASIS, offset=np.zeros(3))),
+        lambda: MAHALANOBIS.between(big, ROWS[0]),
+        lambda: MAHALANOBIS.mahalanobis(big, ROWS[0]),
+        lambda: MAHALANOBIS.to_centers(big, CENTERS),
+        lambda: MAHALANOBIS.cost(Coreset(points=big, weights=np.ones(12), delta=0.0), CENTERS),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            assert not np.isfinite(call()).any()

@@ -762,6 +762,10 @@ class TestRejections:
             ["coreset", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1", "--weighted"], "1\n2\n", 1,
             "weighted rows need >= 2 columns",
         ),
+        "affine-weighted-one-column": (
+            ["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "--affine", "--weighted"], "1\n2\n", 1,
+            "weighted rows need >= 2 columns",
+        ),
         "coreset-kmeans-comments-only": (
             ["coreset", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1"], "# a\n\n  \n# b\n", 1,
             "empty input",
