@@ -317,8 +317,6 @@ def _check_k(k: int, n: int) -> None:
 def _subspace_from_csv(args: argparse.Namespace) -> tuple[Coreset, int]:
     """The subspace coreset of --input and its row count, with the rows fed
     to one TSQR accumulator block by block as they are parsed."""
-    if args.weighted and not args.affine:
-        raise TinycoreError("linear subspace coreset expects unweighted input; fold weights first")
     acc = _Tsqr(centred=args.affine)
     with open(args.input, "rb") as fh:
         for block in _csv_blocks(fh, args.input, args.header):

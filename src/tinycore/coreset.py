@@ -85,13 +85,12 @@ def linear_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:
     """Deterministic coreset for sums of squared distances to linear j-subspaces.
 
     Keeps the first m = min(n, d, j + ceil(j/eps) - 1) rows of Sigma^(m) V^T with
-    unit weights; the energy of the dropped spectrum becomes the offset.
+    unit weights, Sigma and V those of the rows scaled by sqrt(w_i) when the
+    input is weighted; the energy of the dropped spectrum becomes the offset.
     When m = min(n, d) no direction is dropped: the rows are then those of
     the input's R factor, with offset 0, and no SVD is taken.
     """
-    if points.weights is not None:
-        raise InvalidInput("linear subspace coreset expects unweighted input; fold weights first")
-    return _subspace_coreset(_Tsqr().feed(points.rows), j, eps)
+    return _subspace_coreset(_Tsqr().feed(points.rows, points.weights), j, eps)
 
 
 def affine_subspace_coreset(points: PointSet, j: int, eps: float) -> Coreset:

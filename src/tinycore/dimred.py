@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput, check_int, check_real, size_limit
-from .linalg import PointSet, svd, tail_energy, _as_readonly, _Tsqr
+from .linalg import PointSet, svd, tail_energy, _as_readonly
 
 REDUCE_MODES = ("general", "coreset-lift")
 
@@ -74,7 +74,7 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
     m = reduction_rank(points.n, points.d, j, eps, mode)
     if m == points.d:
         return ReducedInstance(points=points, basis=np.eye(m), delta=0.0)
-    factors = svd(_Tsqr().feed(points.rows, points.weights))
+    factors = svd(points)
     basis = np.asarray(factors.v[:, :m])
     reduced = PointSet(np.asarray(points.rows) @ basis, points.weights)
     # tail of the (folded) spectrum = (weighted) projection cost of the rows

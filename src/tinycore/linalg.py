@@ -270,9 +270,9 @@ QueryShape = Union[CenterSet, Subspace]
 def svd(points: Union[PointSet, _Tsqr]) -> SvdFactors:
     """Thin SVD of the point matrix: sigma and V, without U.
 
-    `points` is a :class:`PointSet`, whose rows are factored as they are
-    (weights are ignored), or a private :class:`_Tsqr` accumulator that holds
-    rows fed block by block, which may be weighted or centred.  sigma and V
+    `points` is a :class:`PointSet`, whose row i enters as sqrt(w_i) p_i
+    when it is weighted, or a private :class:`_Tsqr` accumulator of rows fed
+    block by block, which may be weighted or centred.  sigma and V
     come from the SVD of the factor R of a tall-skinny QR (TSQR; Demmel,
     Grigori, Hoemmen & Langou, 2012): the R of each block of 4096 rows
     (by CholeskyQR2 for 16 to 96 columns and 1024 rows or more, see
@@ -284,7 +284,7 @@ def svd(points: Union[PointSet, _Tsqr]) -> SvdFactors:
     is positive.  The result is checked by :func:`_check_fit` against the
     Gram matrix of the rows.
     """
-    acc = points if isinstance(points, _Tsqr) else _Tsqr().feed(points.rows)
+    acc = points if isinstance(points, _Tsqr) else _Tsqr().feed(points.rows, points.weights)
     r = acc.finish()
     try:
         _, s, vt = np.linalg.svd(r, full_matrices=False)
@@ -382,9 +382,9 @@ class _Tsqr:
     Beside the tree, G = sum of A_b^T A_b over the leaves A_b (plus each
     merge's extra row, when centred) is kept for :func:`_check_fit`.
 
-    `feed` keeps its block by reference and folds it in at the next feed or
-    at :meth:`finish`, so a whole array fed at once is factored inside
-    :func:`svd`, leaf view by leaf view, without a copy of its own; the
+    `feed` cuts its block into the pending leaf and factors each leaf as it
+    fills, so a whole array fed at once is factored leaf view by leaf view,
+    without a copy of its own.  The pending rows are held by reference: the
     caller must not change a block once fed.  Memory beyond the last block:
     one leaf of pending rows with its folded copy and one more leaf-sized
     array (LAPACK's copy, or CholeskyQR2's Q1), and a d x d R per occupied
@@ -400,7 +400,6 @@ class _Tsqr:
         self.energy = 0.0
         self.mean: Optional[np.ndarray] = None
         self.total = 0.0
-        self._held: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None
         self._pending: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
         self._pending_rows = 0
         self._slots: list[Optional[tuple]] = []
@@ -409,7 +408,8 @@ class _Tsqr:
 
     def feed(self, rows: np.ndarray, weights: Optional[np.ndarray] = None) -> _Tsqr:
         """Take an n x d block of finite rows and, if every block has them,
-        its non-negative weights."""
+        its non-negative weights: cut it into the pending leaf, factoring
+        each leaf that fills."""
         if self._r is not None:
             raise InvalidArgument("the accumulator is finished")
         rows = np.asarray(rows, dtype=np.float64)
@@ -421,9 +421,15 @@ class _Tsqr:
             self.d = rows.shape[1]
         elif rows.shape[1] != self.d:
             raise InvalidInput(f"row dimension {rows.shape[1]} != {self.d}")
-        if self._held is not None:
-            self._fold(*self._held)
-        self._held = (rows, weights)
+        start = 0
+        while start < rows.shape[0]:
+            take = min(rows.shape[0] - start, _TSQR_BLOCK - self._pending_rows)
+            piece = None if weights is None else weights[start : start + take]
+            self._pending.append((rows[start : start + take], piece))
+            self._pending_rows += take
+            start += take
+            if self._pending_rows == _TSQR_BLOCK:
+                self._leaf()
         self.n += rows.shape[0]
         return self
 
@@ -433,9 +439,6 @@ class _Tsqr:
         if self._r is None:
             if self.n == 0:
                 raise InvalidInput("point set must be a non-empty n x d matrix")
-            if self._held is not None:
-                self._fold(*self._held)
-                self._held = None
             if self._pending:
                 self._leaf()
             node = None
@@ -453,18 +456,6 @@ class _Tsqr:
             if not (np.isfinite(self.energy) and np.all(np.isfinite(self.gram))):
                 raise _too_large()
         return self._r
-
-    def _fold(self, rows: np.ndarray, weights: Optional[np.ndarray]) -> None:
-        """Cut a block into the pending leaf, factoring each leaf that fills."""
-        start = 0
-        while start < rows.shape[0]:
-            take = min(rows.shape[0] - start, _TSQR_BLOCK - self._pending_rows)
-            piece = None if weights is None else weights[start : start + take]
-            self._pending.append((rows[start : start + take], piece))
-            self._pending_rows += take
-            start += take
-            if self._pending_rows == _TSQR_BLOCK:
-                self._leaf()
 
     def _leaf(self) -> None:
         parts, self._pending, self._pending_rows = self._pending, [], 0

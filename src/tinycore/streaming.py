@@ -133,7 +133,9 @@ class CoresetStream:
             )
         eps = cfg.eps if final else self.gamma()
         # the TSQR bytes depend on the row count alone, not on where blocks are cut;
-        # linear level inputs carry unit weights throughout, so they go in unweighted
+        # linear level inputs carry unit weights throughout; fed with them, a
+        # 12000 x 5 subspace stream gave the same bytes in 2.2 ms, not 1.9 ms
+        # (best of 300, one BLAS thread), so they go in unweighted
         acc = _Tsqr(centred=cfg.kind == "affine")
         for p in parts:
             acc.feed(p.points, p.weights if acc.centred else None)

@@ -319,6 +319,20 @@ class TestEvalCommand:
         ])
         assert code == 0
 
+    def test_weighted_linear_coreset_passes(self, tmp_path, rng, capsys):
+        rows = rng.standard_normal((3000, 5)) * [3.0, 2.0, 1.0, 0.5, 0.25] + 1.0
+        path = str(tmp_path / "w.csv")
+        np.savetxt(path, np.column_stack([rows, rng.uniform(0.5, 4.0, 3000)]), delimiter=",", fmt="%.17g")
+        out = str(tmp_path / "s.cs")
+        assert main(["coreset", "subspace", "--j", "2", "--epsilon", "0.5", "--weighted", path, "-o", out]) == 0
+        capsys.readouterr()
+        code = main([
+            "eval", out, path, "--weighted", "--query-kind", "subspace", "--j", "2",
+            "--count", "100", "--epsilon", "0.5", "--seed", "5",
+        ])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_corrupted_delta_fails(self, tmp_path):
         # one strong direction and a flat tail: the offset carries ~70% of any
         # query's cost, so a 10% delta corruption visibly breaks the bound
@@ -754,10 +768,6 @@ class TestRejections:
             ["stream", "--kind", "kmeans", "--epsilon", "0.5", "--seed", "1"], "1,2\n", 2,
             "--kind kmeans requires --k",
         ),
-        "linear-weighted": (
-            ["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "--weighted"], "1,2,3\n4,5,6\n", 1,
-            "linear subspace coreset expects unweighted input",
-        ),
         "kmeans-weighted-one-column": (
             ["coreset", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1", "--weighted"], "1\n2\n", 1,
             "weighted rows need >= 2 columns",
@@ -1143,7 +1153,11 @@ class TestBlockReader:
         path.write_bytes(b"\n".join(_lines(rows)) + b"\n")
         return path, rows
 
-    @pytest.mark.parametrize("mode", [[], ["--affine"], ["--affine", "--weighted"]], ids=["linear", "affine", "weighted"])
+    @pytest.mark.parametrize(
+        "mode",
+        [[], ["--weighted"], ["--affine"], ["--affine", "--weighted"]],
+        ids=["linear", "linear-weighted", "affine", "weighted"],
+    )
     def test_subspace_coreset_memory_does_not_grow_with_n(self, tmp_path, tall_csv, mode, capsys):
         # the rows are fed to the TSQR accumulator block by block: about one
         # leaf of 4096 rows and one parsed block are held at a time, 0.20-0.23
@@ -1158,7 +1172,11 @@ class TestBlockReader:
         assert code == 0, capsys.readouterr().err
         assert peak < 0.35 * rows.nbytes
 
-    @pytest.mark.parametrize("mode", [[], ["--affine"], ["--affine", "--weighted"]], ids=["linear", "affine", "weighted"])
+    @pytest.mark.parametrize(
+        "mode",
+        [[], ["--weighted"], ["--affine"], ["--affine", "--weighted"]],
+        ids=["linear", "linear-weighted", "affine", "weighted"],
+    )
     def test_block_fed_subspace_bytes_match_the_library(self, tmp_path, rng, small_blocks, mode):
         # many small blocks, and 3 leaves of the TSQR tree
         rows = rng.standard_normal((9000, 4)) + 2.0
@@ -1169,6 +1187,8 @@ class TestBlockReader:
         assert main(["coreset", "subspace", "--j", "1", "--epsilon", "0.5", *mode, str(path), "-o", str(out)]) == 0
         if not mode:
             want = tinycore.linear_subspace_coreset(tinycore.PointSet(rows), 1, 0.5)
+        elif mode == ["--weighted"]:
+            want = tinycore.linear_subspace_coreset(tinycore.PointSet(rows[:, :-1], rows[:, -1]), 1, 0.5)
         elif "--weighted" in mode:
             want = tinycore.affine_subspace_coreset(tinycore.PointSet(rows[:, :-1], rows[:, -1]), 1, 0.5)
         else:

@@ -157,6 +157,16 @@ class TestSvd:
         f, g = svd(PointSet(a)), svd(PointSet(a))
         assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
 
+    def test_weights_are_folded_as_square_roots(self, rng):
+        # three leaves, CholeskyQR2 ones included: row i enters as sqrt(w_i) p_i
+        n = 2 * _TSQR_BLOCK + 500
+        a = rng.standard_normal((n, 20)) + 3.0
+        w = rng.uniform(0.0, 4.0, n)
+        f, g = svd(PointSet(a, w)), svd(PointSet(np.sqrt(w)[:, None] * a))
+        assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
+        f, g = svd(PointSet(a, np.ones(n))), svd(PointSet(a))
+        assert np.array_equal(f.sigma, g.sigma) and np.array_equal(f.v, g.v)
+
 
 class TestRightFactors:
     """svd(points): sigma and V from the TSQR factor R."""

@@ -97,10 +97,49 @@ class TestLinearSubspaceCoreset:
         with pytest.raises(InvalidArgument):
             linear_subspace_coreset(ps, 3, 0.5)
 
-    def test_rejects_weighted_input(self, rng):
-        ps = PointSet(rng.standard_normal((5, 3)), np.ones(5))
-        with pytest.raises(InvalidInput):
-            linear_subspace_coreset(ps, 1, 0.5)
+
+class TestLinearWeighted:
+    """A weight w enters the linear construction as the row sqrt(w) p."""
+
+    @pytest.mark.parametrize("d", [5, 8], ids=["exact", "svd"])
+    def test_unit_weights_match_unweighted(self, rng, d):
+        a = rng.standard_normal((20, d))
+        cw = linear_subspace_coreset(PointSet(a, np.ones(20)), 2, 0.5)
+        cu = linear_subspace_coreset(PointSet(a), 2, 0.5)
+        assert cw.delta == cu.delta
+        assert np.array_equal(cw.weights, cu.weights)
+        assert np.array_equal(cw.points, cu.points)
+
+    def test_weight_five_equals_replication(self, rng):
+        pts = rng.standard_normal((10, 6))
+        w = np.array([5.0] + [1.0] * 9)
+        replicated = np.vstack([np.repeat(pts[:1], 5, axis=0), pts[1:]])
+        cw = linear_subspace_coreset(PointSet(pts, w), 1, 0.5)
+        cr = linear_subspace_coreset(PointSet(replicated), 1, 0.5)
+        for _ in range(200):
+            shape = rand_subspace(rng, 6, 1)
+            assert coreset_cost(cw, shape) == pytest.approx(
+                coreset_cost(cr, shape), rel=1e-9, abs=1e-9
+            )
+
+    def test_weighted_sandwich(self, rng):
+        pts = rng.standard_normal((60, 30)) * np.linspace(3.0, 0.5, 30)
+        w = rng.uniform(1.0, 5.0, 60)
+        ps = PointSet(pts, w)
+        core = linear_subspace_coreset(ps, 2, 0.5)
+        assert core.size == coreset_size_linear(2, 0.5) < 30
+        for _ in range(200):
+            shape = rand_subspace(rng, 30, 2)
+            true = dist2(ps, shape)
+            est = estimate_cost(core, shape)
+            assert est >= true - 1e-9 * true
+            assert est <= 1.5 * true
+
+    def test_zero_weights_cost_nothing(self, rng):
+        ps = PointSet(rng.standard_normal((50, 6)), np.zeros(50))
+        core = linear_subspace_coreset(ps, 1, 0.5)
+        for _ in range(20):
+            assert coreset_cost(core, rand_subspace(rng, 6, 1)) == 0.0
 
 
 class TestAffineSubspaceCoreset:
