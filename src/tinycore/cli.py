@@ -3,13 +3,16 @@
 Commands
     coreset   batch construction (subspace / affine / k-means / small k-means)
     stream    single-pass construction over stdin or a file
-    eval      compare coreset cost against true cost on sampled queries
+    eval      compare coreset cost against true cost on queries at the data's scale
     solve     k centers by reduce + coreset + solver, or the exact best affine
               j-subspace, which --epsilon and --seed do not change
 
-CSV input skips blank lines and `#` comments.  A line that does not parse
-(an undecodable byte included), is ragged or holds a non-finite value is an
-error naming `file:line`; `stream --skip-malformed` warns and drops it.
+Every command reads its points through one reader: `-` is stdin,
+`--weighted` splits off the last column (a one-column input is rejected at
+its first block), and input without a row is an error.  CSV input skips
+blank lines and `#` comments.  A line that does not parse (an undecodable
+byte included), is ragged or holds a non-finite value is an error naming
+`file:line`; `stream --skip-malformed` warns and drops it.
 Input is parsed in blocks of about 64 KiB of lines.  A block of plain
 numbers goes to numpy's C reader; any other block, and any block it
 declines, is read line by line with Python's float(), which alone decides
@@ -49,7 +52,8 @@ from .clustering import (
 )
 from .coreset import Coreset, coreset_cost, _subspace_coreset
 from .errors import TinycoreError, check_real
-from .linalg import CenterSet, PointSet, Subspace, dist2, _Tsqr
+from .linalg import CenterSet, PointSet, Subspace, dist2, _too_large, _Tsqr
+from .sensitivity import _d2_pass
 from .streaming import STREAM_KINDS, CoresetStream, StreamConfig
 
 logger = logging.getLogger("tinycore.cli")
@@ -278,26 +282,52 @@ def _csv_blocks(
             yield np.array(rows)
 
 
+def _point_blocks(
+    path: str, header: bool, weighted: bool, skip: bool = False
+) -> Iterator[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Yield the CSV input `path` (`-` is stdin) as (rows, weights), one pair
+    per block of :func:`_csv_blocks`: the weights are the last column split
+    off with `weighted`, else None.  Input without a row raises
+    `name: empty input` once it is read through."""
+    name, empty = "<stdin>" if path == "-" else path, True
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+        for block in _csv_blocks(fh, name, header, skip):
+            if weighted and block.shape[1] < 2:
+                raise TinycoreError(f"{name}: weighted rows need >= 2 columns")
+            empty = False
+            yield (block[:, :-1], block[:, -1]) if weighted else (block, None)
+    if empty:
+        raise TinycoreError(f"{name}: empty input")
+
+
 def load_points(path: str, weighted: bool, header: bool) -> PointSet:
-    """Read a CSV of points, optionally with a trailing weight column."""
-    with open(path, "rb") as fh:
-        blocks = list(_csv_blocks(fh, path, header))
-    if not blocks:
-        raise TinycoreError(f"{path}: empty input")
-    rows = np.concatenate(blocks)
-    del blocks  # so that the copy PointSet makes is the second, not the third
-    if not weighted:
-        return PointSet(rows)
-    if rows.shape[1] < 2:
-        raise TinycoreError(f"{path}: weighted rows need >= 2 columns")
-    return PointSet(rows[:, :-1], rows[:, -1])
+    """Read a CSV of points (`-` is stdin), optionally with a trailing weight
+    column.  The blocks' rows and weights are each concatenated once and
+    flagged read-only, so the point set keeps them without a copy."""
+    rows, weights = zip(*_point_blocks(path, header, weighted))
+    rows, weights = np.concatenate(rows), np.concatenate(weights) if weighted else None
+    for a in (rows, weights)[: 1 + weighted]:
+        a.setflags(write=False)
+    return PointSet(rows, weights)
 
 
-def _random_query(rng: np.random.Generator, d: int, kind: str, j: int, k: int, scale: float):
+def _random_query(rng: np.random.Generator, points: PointSet, kind: str, j: int, k: int, i: int):
+    """Query `i` at the data's own scale.  Center sets are k data rows, or
+    for odd `i` k D² seeds of the rows, each moved in a normal direction by
+    up to the rows' RMS spread about their mean.  Affine offsets are a data
+    row; linear subspaces are uniform."""
     if kind == "centers":
-        return CenterSet(scale * rng.standard_normal((k, d)))
-    basis, _ = np.linalg.qr(rng.standard_normal((d, j)))
-    offset = scale * rng.standard_normal(d) if kind == "affine" else None
+        frame, d = points.frame, points.d
+        if i % 2:
+            picked = _d2_pass(frame, np.ones(points.n), k, rng, 1)[0][0]
+        else:
+            picked = rng.integers(points.n, size=k)
+        spread = math.sqrt(np.mean(frame.norms) / d)  # per coordinate
+        if not math.isfinite(spread):
+            raise _too_large()
+        return CenterSet(points.rows[picked] + rng.random() * spread * rng.standard_normal((k, d)))
+    basis, _ = np.linalg.qr(rng.standard_normal((points.d, j)))
+    offset = points.rows[rng.integers(points.n)] if kind == "affine" else None
     return Subspace(basis=basis, offset=offset)
 
 
@@ -314,22 +344,6 @@ def _check_k(k: int, n: int) -> None:
 # -- commands -----------------------------------------------------------
 
 
-def _subspace_from_csv(args: argparse.Namespace) -> tuple[Coreset, int]:
-    """The subspace coreset of --input and its row count, with the rows fed
-    to one TSQR accumulator block by block as they are parsed."""
-    acc = _Tsqr(centred=args.affine)
-    with open(args.input, "rb") as fh:
-        for block in _csv_blocks(fh, args.input, args.header):
-            if acc.n == 0:  # the first block gives d, against which --j is checked
-                if args.weighted and block.shape[1] < 2:
-                    raise TinycoreError(f"{args.input}: weighted rows need >= 2 columns")
-                _check_j(args.j, block.shape[1] - args.weighted)
-            acc.feed(*((block[:, :-1], block[:, -1]) if args.weighted else (block,)))
-    if acc.n == 0:
-        raise TinycoreError(f"{args.input}: empty input")
-    return _subspace_coreset(acc, args.j, args.epsilon), acc.n
-
-
 def cmd_coreset(args: argparse.Namespace) -> int:
     if args.problem == "kmeans":
         points = load_points(args.input, args.weighted, args.header)
@@ -342,7 +356,12 @@ def cmd_coreset(args: argparse.Namespace) -> int:
         kind = "kmeans"
     else:
         t0 = time.perf_counter()  # the rows are factored as they are read
-        core, n = _subspace_from_csv(args)
+        acc = _Tsqr(centred=args.affine)
+        for rows, weights in _point_blocks(args.input, args.header, args.weighted):
+            if acc.n == 0:  # the first block gives d, against which --j is checked
+                _check_j(args.j, rows.shape[1])
+            acc.feed(rows, weights)
+        core, n = _subspace_coreset(acc, args.j, args.epsilon), acc.n
         construction = kind = "affine" if args.affine else "subspace"
     elapsed = time.perf_counter() - t0
     cf = _write_coreset(args, core, n, kind, construction)
@@ -360,34 +379,27 @@ def cmd_stream(args: argparse.Namespace) -> int:
         raise _UsageError("--kind subspace/affine requires --j")
     if args.kind == "kmeans" and args.k is None:
         raise _UsageError("--kind kmeans requires --k")
-    if args.input == "-":
-        name, source = "<stdin>", contextlib.nullcontext(sys.stdin.buffer)
-    else:
-        name, source = args.input, open(args.input, "rb")
     count, every = 0, args.checkpoint
-    with source as fh:
-        for block in _csv_blocks(fh, name, args.header, args.skip_malformed):
-            if count == 0:  # the first block gives d, against which --j is checked
-                if args.kind != "kmeans":
-                    _check_j(args.j, block.shape[1])
-                stream = CoresetStream(StreamConfig(
-                    kind=args.kind, eps=args.epsilon, j=args.j, k=args.k, delta=args.delta, seed=args.seed
-                ))
-            # extend up to each --checkpoint multiple, so its line shows the state at that count
-            start = 0
-            while start < len(block):
-                stop = min(len(block), start + every - count % every) if every else len(block)
-                stream.extend(block[start:stop])
-                count += stop - start
-                start = stop
-                if every and count % every == 0:
-                    print(
-                        f"checkpoint n={count} live={stream.live_points()} "
-                        f"epoch={stream.epoch} reduces={stream.reduce_count}",
-                        file=sys.stderr,
-                    )
-    if count == 0:
-        raise TinycoreError(f"{name}: empty input")
+    for block, _ in _point_blocks(args.input, args.header, False, args.skip_malformed):
+        if count == 0:  # the first block gives d, against which --j is checked
+            if args.kind != "kmeans":
+                _check_j(args.j, block.shape[1])
+            stream = CoresetStream(StreamConfig(
+                kind=args.kind, eps=args.epsilon, j=args.j, k=args.k, delta=args.delta, seed=args.seed
+            ))
+        # extend up to each --checkpoint multiple, so its line shows the state at that count
+        start = 0
+        while start < len(block):
+            stop = min(len(block), start + every - count % every) if every else len(block)
+            stream.extend(block[start:stop])
+            count += stop - start
+            start = stop
+            if every and count % every == 0:
+                print(
+                    f"checkpoint n={count} live={stream.live_points()} "
+                    f"epoch={stream.epoch} reduces={stream.reduce_count}",
+                    file=sys.stderr,
+                )
     if args.kind == "kmeans":
         _check_k(args.k, count)
     cf = _write_coreset(args, stream.query(), count, args.kind, f"stream-{args.kind}")
@@ -413,11 +425,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _check_j(args.j, points.d)
     core = cf.to_coreset()
     rng = np.random.default_rng(args.seed)
-    scale = float(np.max(np.abs(points.rows))) + 1.0
     ratios = []
     for i in range(args.count):
-        shape = _random_query(rng, points.d, args.query_kind, args.j, args.k, scale)
         with np.errstate(over="ignore", invalid="ignore"):  # squares past float64 fail below
+            shape = _random_query(rng, points, args.query_kind, args.j, args.k, i)
             true_cost, est = dist2(points, shape), coreset_cost(core, shape)
         for what, cost in (("data", true_cost), ("coreset", est)):
             if not math.isfinite(cost):

@@ -358,6 +358,48 @@ class TestEvalCommand:
         write_coreset_binary(bad, corrupted)
         assert main(["eval", bad, path, *eval_args]) == 1
 
+    @pytest.fixture(scope="class")
+    def imbalanced_csv(self, tmp_path_factory):
+        """20000 x 10 rows: one cluster of 19840 and four of 40, far from it."""
+        gen = np.random.default_rng(0)
+        centers = 50.0 * gen.standard_normal((4, 10))
+        rows = np.vstack([gen.standard_normal((19840, 10)), *(c + gen.standard_normal((40, 10)) for c in centers)])
+        path = tmp_path_factory.mktemp("imbalanced") / "in.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        return str(path), rows
+
+    @pytest.mark.parametrize(
+        "summary, verdict", [("mean", "FAIL"), ("uniform", "FAIL"), ("kmeans", "PASS")]
+    )
+    def test_center_queries_at_the_data_scale_tell_summaries_apart(
+        self, tmp_path, imbalanced_csv, capsys, summary, verdict
+    ):
+        # queries far outside the data serve every row by about the same
+        # center, so they passed a one-point summary; k data rows or D² seeds
+        # of them see the small clusters that a summary drops
+        path, rows = imbalanced_csv
+        n = rows.shape[0]
+        if summary == "mean":  # at weight n, with the 1-mean cost as delta
+            mean = rows.mean(axis=0)
+            points, weights, delta = mean[None], np.array([float(n)]), float(np.sum((rows - mean) ** 2))
+        elif summary == "uniform":  # 200 rows at weight n / 200
+            picked = np.random.default_rng(1).choice(n, 200, replace=False)
+            points, weights, delta = rows[picked], np.full(200, n / 200), 0.0
+        else:
+            core = tinycore.kmeans_coreset(tinycore.PointSet(rows), 5, 0.5, 0.1, seed=1, sample_size=2000)
+            points, weights, delta = np.asarray(core.points), np.asarray(core.weights), core.delta
+        cpath = str(tmp_path / "summary.cs")
+        write_coreset_binary(cpath, CoresetFile(
+            n_source=n, delta=delta, eps=0.5, seed=1, kind="kmeans", construction=summary,
+            points=points, weights=weights,
+        ))
+        code = main([
+            "eval", cpath, path, "--query-kind", "centers", "--k", "5",
+            "--count", "200", "--epsilon", "0.5", "--seed", "1",
+        ])
+        out = capsys.readouterr().out
+        assert out.endswith(f"\n{verdict}\n") and code == (verdict == "FAIL"), out[-200:]
+
     def test_non_numeric_coreset_csv_exits_1_with_line(self, tmp_path, data_csv, capsys):
         path, _ = data_csv
         cpath = tmp_path / "bad.csv"
@@ -776,6 +818,10 @@ class TestRejections:
             ["coreset", "subspace", "--j", "1", "--epsilon", "0.5", "--affine", "--weighted"], "1\n2\n", 1,
             "weighted rows need >= 2 columns",
         ),
+        "kmeans-weighted-one-column-then-a-bad-line": (
+            ["coreset", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1", "--weighted"], "1\n2\nx\n", 1,
+            "weighted rows need >= 2 columns",
+        ),
         "coreset-kmeans-comments-only": (
             ["coreset", "kmeans", "--k", "1", "--epsilon", "0.5", "--seed", "1"], "# a\n\n  \n# b\n", 1,
             "empty input",
@@ -1066,6 +1112,26 @@ class TestSquareOverflow:
         assert main(["eval", str(core), str(big), "--query-kind", "centers", *common]) == 1
         stdout, err = capsys.readouterr()
         assert err.startswith("error: ")
+        assert "true=" not in stdout
+
+    @pytest.mark.parametrize(
+        "query", [["centers", "--k", "2"], ["affine", "--j", "1"], ["subspace", "--j", "1"]],
+        ids=["centers", "affine", "subspace"],
+    )
+    def test_eval_on_rows_whose_centring_overflows_exits_1(self, tmp_path, capsys, query):
+        # the queries are drawn at the data's scale, which overflows here: numpy warns nothing
+        data, core = tmp_path / "big.csv", tmp_path / "c.tcs"
+        data.write_text("1.7e308,0\n-1.7e308,1\n1.7e308,2\n")
+        write_coreset_binary(str(core), CoresetFile(
+            n_source=3, delta=0.0, eps=0.5, seed=1, kind="kmeans", construction="x",
+            points=np.ones((1, 2)), weights=np.array([3.0]),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", str(core), str(data), "--query-kind", *query, "--count", "3",
+                         "--epsilon", "0.5", "--seed", "1"])
+        stdout, err = capsys.readouterr()
+        assert code == 1 and err.startswith("error: "), err
         assert "true=" not in stdout
 
 

@@ -95,6 +95,31 @@ class TestStreamKmeans:
         assert run_one_thread([*STREAM, str(data)], tmp_path / "st1t.cs") == first
 
 
+class TestStdin:
+    @pytest.mark.parametrize("argv", [
+        COMMANDS["linear"],
+        ["coreset", "kmeans", "--small", "--k", "3", "--epsilon", "0.5", "--seed", "1"],
+        SOLVE["cli.csv"],
+    ], ids=["coreset-subspace", "coreset-kmeans-small", "solve-kmeans"])
+    def test_dash_gives_the_bytes_of_the_file(self, inputs, tmp_path, capsys, monkeypatch, argv):
+        data = inputs / "cli.csv"
+        first = run([*argv, str(data)], tmp_path / "file", capsys)
+        from_stdin(monkeypatch, data)
+        assert run([*argv, "-"], tmp_path / "stdin", capsys) == first
+
+    def test_eval_prints_the_same_lines_with_its_data_on_stdin(self, inputs, tmp_path, capsys, monkeypatch):
+        data, core = inputs / "cli.csv", tmp_path / "core.cs"
+        run([*COMMANDS["linear"], str(data)], core, capsys)
+        argv = ["--query-kind", "subspace", "--j", "2", "--count", "20", "--epsilon", "0.5", "--seed", "1"]
+        printed = []
+        for source in (str(data), "-"):
+            from_stdin(monkeypatch, data)
+            code = main(["eval", str(core), source, *argv])
+            printed.append(capsys.readouterr())
+            assert code == 0, printed[-1].err
+        assert printed[1].out == printed[0].out and printed[0].out.endswith("PASS\n")
+
+
 class TestSolveKmeans:
     @pytest.mark.parametrize("name", sorted(SOLVE))
     def test_rerun_and_one_thread_give_the_same_bytes(self, inputs, tmp_path, capsys, name):
