@@ -289,8 +289,10 @@ def bregman_coreset(
     leaves = _partition(points, k, depth, f1, div, seed)
     # after the partition, which rejects input of zero total weight
     div.validate(rows[w > 0][:64], np.random.default_rng(seed))
-    return Coreset(
-        points=np.array([_weighted_mean(rows[leaf], w[leaf]) for leaf, _ in leaves]),
-        weights=np.array([w[leaf].sum() for leaf, _ in leaves]),
-        delta=sum(cost for _, cost in leaves),
+    made = (
+        np.array([_weighted_mean(rows[leaf], w[leaf]) for leaf, _ in leaves]),
+        np.array([w[leaf].sum() for leaf, _ in leaves]),
     )
+    for a in made:  # made here: the coreset keeps them, not a copy
+        a.setflags(write=False)
+    return Coreset(*made, delta=sum(cost for _, cost in leaves))

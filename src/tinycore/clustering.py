@@ -34,8 +34,9 @@ def lloyd_solve(points: PointSet, k: int, seed: int) -> CenterSet:
     """
     k, seed = check_int("k", k, 1, points.n), check_seed(seed)
     frame = points.frame
-    centers = _lloyd(frame, points.effective_weights(), k, seed, 1, _LLOYD_MAX_ITERS)[0]
-    return CenterSet(centers + frame.origin)
+    centers = _lloyd(frame, points.effective_weights(), k, seed, 1, _LLOYD_MAX_ITERS)[0] + frame.origin
+    centers.setflags(write=False)  # made here: the center set keeps it, not a copy
+    return CenterSet(centers)
 
 
 def _restricted_growth_strings(n: int, k: int) -> np.ndarray:
@@ -90,7 +91,7 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
         raise ResourceLimit(f"brute force limited to {BRUTE_FORCE_MAX_POINTS} points, got {n}")
     rows, w = points.rows, points.effective_weights()
     if k >= n:
-        return CenterSet(rows.copy())
+        return CenterSet(rows)  # read-only: shared, not copied
     assignments = _restricted_growth_strings(n, k)
     centred = points.frame.rows
     best_cost = math.inf
@@ -111,7 +112,9 @@ def brute_force_kmeans(points: PointSet, k: int) -> CenterSet:
         mask = best == part
         if np.any(mask):
             centers.append(_weighted_mean(rows[mask], w[mask]))
-    return CenterSet(np.vstack(centers))
+    centers = np.vstack(centers)
+    centers.setflags(write=False)  # made here: the center set keeps it, not a copy
+    return CenterSet(centers)
 
 
 def kmeans_coreset(

@@ -162,4 +162,6 @@ def merge_coresets(parts: list[Coreset]) -> Coreset:
         raise InvalidInput("nothing to merge")
     pts = np.vstack([c.points for c in parts])
     w = np.concatenate([c.weights for c in parts])
+    for a in (pts, w):  # made here: the coreset keeps them, not a copy
+        a.setflags(write=False)
     return Coreset(points=pts, weights=w, delta=float(sum(c.delta for c in parts)))

@@ -73,10 +73,15 @@ def reduce(points: PointSet, j: int, eps: float, mode: str = "general") -> Reduc
     """
     m = reduction_rank(points.n, points.d, j, eps, mode)
     if m == points.d:
-        return ReducedInstance(points=points, basis=np.eye(m), delta=0.0)
+        basis = np.eye(m)
+        basis.setflags(write=False)  # made here: the instance keeps it, not a copy
+        return ReducedInstance(points=points, basis=basis, delta=0.0)
     factors = svd(points)
-    basis = np.asarray(factors.v[:, :m])
-    reduced = PointSet(np.asarray(points.rows) @ basis, points.weights)
+    basis = np.ascontiguousarray(factors.v[:, :m])  # the instance keeps it, not a copy
+    projected = points.rows @ basis
+    for a in (basis, projected):
+        a.setflags(write=False)
+    reduced = PointSet(projected, points.weights)
     # tail of the (folded) spectrum = (weighted) projection cost of the rows
     delta = tail_energy(factors, m)
     return ReducedInstance(points=reduced, basis=basis, delta=delta)
@@ -94,4 +99,5 @@ def lift_coreset(low_coreset: Coreset, reduced: ReducedInstance) -> Coreset:
             f"coreset dimension {low_coreset.d} does not match reduction rank {basis.shape[1]}"
         )
     lifted = np.asarray(low_coreset.points) @ basis.T
+    lifted.setflags(write=False)  # made here: the coreset keeps it, not a copy
     return Coreset(points=lifted, weights=low_coreset.weights, delta=low_coreset.delta + reduced.delta)

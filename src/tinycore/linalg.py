@@ -66,6 +66,13 @@ def _as_readonly(a: np.ndarray, dtype: type = np.float64) -> np.ndarray:
     return out
 
 
+def _unit(weights: Optional[np.ndarray]) -> bool:
+    """Whether rows carry unit weights: no weight vector, or every entry exactly
+    1.0.  The one such test: a unit-weight block skips every weighted step, which
+    gives its bytes, since multiplying by 1.0 and dividing by a sum of ones are exact."""
+    return weights is None or bool(np.all(weights == 1.0))
+
+
 @dataclass(frozen=True)
 class PointSet:
     """n x d matrix of row points with optional non-negative multiplicities,
@@ -102,9 +109,12 @@ class PointSet:
         return self.rows.shape[1]
 
     def effective_weights(self) -> np.ndarray:
-        """Weights with the unweighted case materialized as all ones."""
+        """Weights with the unweighted case materialized as all ones, read-only
+        either way, so that a coreset made of them keeps them without a copy."""
         if self.weights is None:
-            return np.ones(self.n)
+            ones = np.ones(self.n)
+            ones.setflags(write=False)
+            return ones
         return np.asarray(self.weights)
 
     def total_weight(self) -> float:
@@ -130,9 +140,9 @@ class PointSet:
 
     @functools.cached_property
     def unit_weights(self) -> bool:
-        """Whether every weight is exactly 1.0 (true without weights): built
-        on first use, then kept."""
-        return self.weights is None or bool(np.all(self.weights == 1.0))
+        """Whether every weight is exactly 1.0 (true without weights), by
+        :func:`_unit`: built on first use, then kept."""
+        return _unit(self.weights)
 
 
 @dataclass(frozen=True)
@@ -342,6 +352,18 @@ def _leaf_r(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _qr_r(a)
 
 
+def _stacked(pieces: list[tuple[np.ndarray, Optional[np.ndarray]]]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The rows of (rows, weights) pieces stacked in order, and their weights:
+    None if no piece has any, else ones where a piece has none.  A lone
+    piece is returned as it is, not copied."""
+    if len(pieces) == 1:
+        return pieces[0]
+    rows = np.concatenate([r for r, _ in pieces])
+    if all(w is None for _, w in pieces):
+        return rows, None
+    return rows, np.concatenate([np.ones(r.shape[0]) if w is None else w for r, w in pieces])
+
+
 def _carry(slots: list, node, merge: Callable) -> None:
     """Add `node` of one unit to the binary counter `slots`, in place.
 
@@ -370,6 +392,11 @@ class _Tsqr:
     fixed pairwise tree over the leaves: the bytes of R depend on n alone,
     not on where the blocks were cut.
 
+    A block fed without weights has unit weights, whatever the other blocks
+    carry; so has one whose weights are all 1.0 (:func:`_unit`), which is held
+    as one without.  A leaf of such blocks alone skips the sqrt(w_i) scaling
+    and the weighted mean, whose bytes at unit weight are the same; a leaf
+    that mixes them with weighted blocks takes ones for them (:func:`_stacked`).
     Weighted rows are scaled by sqrt(w_i).  With `centred`, each leaf is
     moved to its own (weighted) mean first, and a node is (R, mean, weight).
     Two nodes merge the way of Chan, Golub & LeVeque (1979): the R of
@@ -407,9 +434,9 @@ class _Tsqr:
         self._r: Optional[np.ndarray] = None
 
     def feed(self, rows: np.ndarray, weights: Optional[np.ndarray] = None) -> _Tsqr:
-        """Take an n x d block of finite rows and, if every block has them,
-        its non-negative weights: cut it into the pending leaf, factoring
-        each leaf that fills."""
+        """Take an n x d block of finite rows and its non-negative weights,
+        unit weights if none are given, whatever other blocks carry: cut it
+        into the pending leaf, factoring each leaf that fills."""
         if self._r is not None:
             raise InvalidArgument("the accumulator is finished")
         rows = np.asarray(rows, dtype=np.float64)
@@ -417,6 +444,8 @@ class _Tsqr:
             weights = np.asarray(weights, dtype=np.float64)
             if np.any(weights < 0):
                 raise InvalidInput("weights must be finite and non-negative")
+            if _unit(weights):
+                weights = None  # held as a block without weights
         if self.d is None:
             self.d = rows.shape[1]
         elif rows.shape[1] != self.d:
@@ -458,11 +487,8 @@ class _Tsqr:
         return self._r
 
     def _leaf(self) -> None:
-        parts, self._pending, self._pending_rows = self._pending, [], 0
-        rows, w = parts[0]
-        if len(parts) > 1:
-            rows = np.concatenate([p[0] for p in parts])
-            w = None if w is None else np.concatenate([p[1] for p in parts])
+        rows, w = _stacked(self._pending)
+        self._pending, self._pending_rows = [], 0
         mean, total = None, 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             if self.centred:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .coreset import Coreset
 from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
-from .linalg import Frame, PointSet, _as_readonly, _frame, _lift, _nearest, _sq_dists
+from .linalg import Frame, PointSet, _as_readonly, _frame, _lift, _nearest, _sq_dists, _unit
 
 DEFAULT_C_S = 8.0
 DEFAULT_C_VC = 1.0
@@ -94,11 +94,13 @@ def _d2_pass(
     drawn, and no index reaches n.  A restart whose later scores sum to 0
     repeats its first draw.  Each draw's distances are one product of
     :func:`~tinycore.linalg._sq_dists`, clamped at 0 and folded into the
-    running minimum; unit weights draw from that minimum as it is."""
+    running minimum; unit weights (:func:`~tinycore.linalg._unit`) draw from
+    that minimum as it is.  Squares past float64 warn unless the caller runs
+    the pass under ``np.errstate``, as :func:`_lloyd` does."""
     if not np.sum(weights) > 0:
         raise InvalidInput("total weight must be positive")
     rows = frame.rows
-    unweighted = bool(np.all(weights == 1.0))  # w * min is then min itself
+    unweighted = _unit(weights)  # w * min is then min itself
     chosen = np.empty((restarts, count), dtype=np.intp)
     best = np.full((restarts, rows.shape[0]), np.inf)
     cand = np.empty_like(best)
@@ -106,8 +108,7 @@ def _d2_pass(
     draw = _BlockedDraw(restarts, rows.shape[0])
     chosen[:, 0] = draw(cand, rng.random(restarts), 0)
     for i in range(1, count + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller's cost check raises
-            _sq_dists(frame, _lift(rows[chosen[:, i - 1]]), out=cand)
+        _sq_dists(frame, _lift(rows[chosen[:, i - 1]]), out=cand)
         np.maximum(cand, 0.0, out=cand)
         np.minimum(best, cand, out=best)
         if i == count:
@@ -185,13 +186,14 @@ def bicriteria_kmeans(points: PointSet, k: int, delta: float, seed: int) -> Bicr
     with size_limit("restart count"):
         restarts = max(1, math.ceil(math.log2(1.0 / delta)))
     centers, idx, sq = _lloyd(frame, w, min(points.n, _BETA * k), seed, restarts, 0)
-    for a in (idx, sq):  # made here: the solution keeps them, not a copy
-        a.setflags(write=False)
-    return BicriteriaSolution(
-        centers=centers + frame.origin, assignment=idx, sq_distances=sq,
-        cluster_costs=np.bincount(idx, weights=w * sq, minlength=centers.shape[0]),
-        cluster_sizes=np.bincount(idx, weights=w, minlength=centers.shape[0]),
+    made = (
+        centers + frame.origin, idx, sq,
+        np.bincount(idx, weights=w * sq, minlength=centers.shape[0]),
+        np.bincount(idx, weights=w, minlength=centers.shape[0]),
     )
+    for a in made:  # made here: the solution keeps them, not a copy
+        a.setflags(write=False)
+    return BicriteriaSolution(*made)
 
 
 def _lloyd(
@@ -202,24 +204,30 @@ def _lloyd(
     D² seedings (a cost that is not finite raises InvalidInput), then up to
     `steps` Lloyd steps.  A step reseeds each empty cluster at the row of
     largest weighted distance, stops once the assignment repeats, moves the
-    centers to their weighted means and assigns again."""
+    centers to their weighted means and assigns again.
+
+    Every pass runs under one ``np.errstate``: squares past float64 raise
+    only that InvalidInput, and a distance that overflows in a later pass
+    (finite squared norms, lifted products past float64) loses to the finite
+    ones without a numpy warning."""
     rows = frame.rows
-    chosen, seed_costs = _d2_pass(frame, weights, count, np.random.default_rng(seed), restarts)
-    if not np.all(np.isfinite(seed_costs)):
-        raise InvalidInput("seeding cost is not finite: the squared entries overflow float64")
-    centers = rows[chosen[np.argmin(seed_costs)]]
-    idx, sq = _nearest(frame, centers)
-    prev_idx = None
-    for _ in range(steps):
-        dead = np.flatnonzero(np.bincount(idx, minlength=count) == 0)
-        for c in dead:
-            centers[c] = rows[np.argmax(weights * sq)]
-            idx, sq = _nearest(frame, centers)
-        if prev_idx is not None and np.array_equal(idx, prev_idx):
-            break
-        centers = _mean_update(rows, weights, idx, centers)
-        prev_idx = idx
+    with np.errstate(over="ignore", invalid="ignore"):
+        chosen, seed_costs = _d2_pass(frame, weights, count, np.random.default_rng(seed), restarts)
+        if not np.all(np.isfinite(seed_costs)):
+            raise InvalidInput("seeding cost is not finite: the squared entries overflow float64")
+        centers = rows[chosen[np.argmin(seed_costs)]]
         idx, sq = _nearest(frame, centers)
+        prev_idx = None
+        for _ in range(steps):
+            dead = np.flatnonzero(np.bincount(idx, minlength=count) == 0)
+            for c in dead:
+                centers[c] = rows[np.argmax(weights * sq)]
+                idx, sq = _nearest(frame, centers)
+            if prev_idx is not None and np.array_equal(idx, prev_idx):
+                break
+            centers = _mean_update(rows, weights, idx, centers)
+            prev_idx = idx
+            idx, sq = _nearest(frame, centers)
     return centers, idx, sq
 
 
@@ -374,8 +382,7 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
     sampled_w = np.maximum(w[sampled_idx] * total / (s * renorm[drawn]), w[sampled_idx])
 
     high_idx = np.flatnonzero(high)
-    return Coreset(
-        points=rows[np.concatenate([high_idx, sampled_idx])],
-        weights=np.concatenate([w[high_idx], sampled_w]),
-        delta=0.0,
-    )
+    kept = (rows[np.concatenate([high_idx, sampled_idx])], np.concatenate([w[high_idx], sampled_w]))
+    for a in kept:  # made here: the coreset keeps them, not a copy
+        a.setflags(write=False)
+    return Coreset(*kept, delta=0.0)

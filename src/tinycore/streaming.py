@@ -4,9 +4,12 @@ Incoming points fill a buffer; a full buffer is compressed to a level
 coreset and cascaded through a binary counter of buckets (`linalg._carry`,
 the counter of the TSQR tree too), re-compressing the newer coreset and the
 held one on every carry and summing the offsets.  A reduce feeds its parts
-(the buffer's row blocks at unit weight) straight into one level builder:
-one TSQR accumulator for subspaces, one stacked point set for k-means, with
-the bytes of the public builder on `merge_coresets` of the parts.  Epochs double in
+straight into one level builder, one TSQR accumulator for subspaces, one
+stacked point set for k-means, under one rule: a level coreset enters with
+its own weights, and a row block of the buffer, a view fed as it is,
+without any, which means unit weights (`linalg._stacked` puts ones beside
+weighted parts).  That gives the bytes of the public builder on
+`merge_coresets` of the parts.  Epochs double in
 length; at the end of epoch h the surviving buckets are folded into one
 per-epoch summary and the working precision tightens to eps / (10 * (h + 1)),
 which keeps the total multiplicative error of a point that passes through
@@ -26,7 +29,7 @@ from .clustering import kmeans_coreset
 from .errors import (
     EmptyState, InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit,
 )
-from .linalg import PointSet, _Tsqr, _carry
+from .linalg import PointSet, _Tsqr, _carry, _stacked
 
 STREAM_KINDS = ("subspace", "affine", "kmeans")
 DEFAULT_C_STREAM = 1.0
@@ -115,15 +118,15 @@ class CoresetStream:
         return int(mix.generate_state(1)[0])
 
     def _compress(self, parts: list[Coreset], blocks: Sequence[np.ndarray], final: bool) -> Coreset:
-        """One coreset of the union of the parts and the unit-weight row blocks
-        (fed in that order) at the level precision, a subspace one at eps if final, offsets added."""
+        """One coreset of the union of the parts, with their own weights, and
+        the row blocks, without (unit weights), fed in that order, at the level
+        precision, a subspace one at eps if final, offsets added."""
         cfg = self.config
+        pieces = [*((p.points, p.weights) for p in parts), *((b, None) for b in blocks)]
         if cfg.kind == "kmeans":
-            rows = np.vstack([*(p.points for p in parts), *blocks])
-            w = np.concatenate([*(p.weights for p in parts), *(np.ones(b.shape[0]) for b in blocks)])
             # k-means level coresets carry offset 0, so there is none to add
             return kmeans_coreset(
-                PointSet(rows, w),
+                PointSet(*_stacked(pieces)),
                 cfg.k,
                 self.gamma(),  # only checked: the sample size is pinned
                 # the j-th construction, j = reduce_count + 2, spends delta / j^2 (delta/4 first)
@@ -132,15 +135,10 @@ class CoresetStream:
                 sample_size=self.level_size(),
             )
         eps = cfg.eps if final else self.gamma()
-        # the TSQR bytes depend on the row count alone, not on where blocks are cut;
-        # linear level inputs carry unit weights throughout; fed with them, a
-        # 12000 x 5 subspace stream gave the same bytes in 2.2 ms, not 1.9 ms
-        # (best of 300, one BLAS thread), so they go in unweighted
+        # the TSQR bytes depend on the row count alone, not on where blocks are cut
         acc = _Tsqr(centred=cfg.kind == "affine")
-        for p in parts:
-            acc.feed(p.points, p.weights if acc.centred else None)
-        for b in blocks:
-            acc.feed(b, np.ones(b.shape[0]) if acc.centred else None)
+        for rows, w in pieces:
+            acc.feed(rows, w)
         return _subspace_coreset(acc, cfg.j, eps, offset=float(sum(p.delta for p in parts)))
 
     def _reduce(self, parts: list[Coreset], blocks: Sequence[np.ndarray] = ()) -> Coreset:

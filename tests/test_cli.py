@@ -1100,6 +1100,22 @@ class TestSquareOverflow:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_lifted_distances_past_float64_warn_nothing(self, tmp_path, capsys):
+        # the squared norms fit, but a row's distance to a center across the
+        # origin does not: it loses to the finite ones, and numpy warns nothing
+        rows = np.column_stack([9e153 * (-1.0) ** np.arange(100), np.arange(100.0)])
+        path, out = tmp_path / "big.csv", tmp_path / "km.tcs"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["coreset", "kmeans", "--k", "2", "--epsilon", "0.5", "--seed", "1", str(path), "-o", str(out)])
+            ps = tinycore.PointSet(rows)
+            bic = tinycore.bicriteria_kmeans(ps, 2, 0.1, seed=1)
+            centers = tinycore.lloyd_solve(ps, 2, seed=1)
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+        assert np.all(np.isfinite(bic.sq_distances)) and np.all(np.isfinite(centers.centers))
+
     def test_eval_stops_at_a_true_cost_that_is_not_finite(self, tmp_path, rng, capsys):
         rows = rng.standard_normal((200, 3))
         clean, big, core = tmp_path / "clean.csv", tmp_path / "big.csv", tmp_path / "c.tcs"

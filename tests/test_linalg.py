@@ -341,6 +341,31 @@ class TestTsqrAccumulator:
         assert np.array_equal(split.mean, whole.mean) and split.total == whole.total
         assert np.array_equal(split.gram, whole.gram)
 
+    @pytest.mark.parametrize("centred", [False, True], ids=["linear", "centred"])
+    @pytest.mark.parametrize(
+        "sizes", [(100, 200), (4000, 300), (_TSQR_BLOCK, 200)], ids=["one-leaf", "across-leaves", "new-leaf"]
+    )
+    @pytest.mark.parametrize("weighted_first", [False, True], ids=["bare-first", "weighted-first"])
+    def test_a_block_without_weights_has_unit_weights(self, centred, sizes, weighted_first):
+        # whatever the other blocks carry: a bare block gives the bytes of explicit ones
+        gen = np.random.default_rng(sum(sizes))
+        bare = gen.standard_normal((sizes[0], 5)) * [3.0, 1.0, 1.0, 0.5, 0.1] + 40.0
+        rows = gen.standard_normal((sizes[1], 5)) + 41.0
+        w = gen.uniform(0.2, 3.0, sizes[1])
+        pieces = [(bare, np.ones(sizes[0])), (rows, w)][:: -1 if weighted_first else 1]
+        got, want = _Tsqr(centred=centred), _Tsqr(centred=centred)
+        for block, weights in pieces:
+            got.feed(block, None if block is bare else weights)
+            want.feed(block, weights)
+        assert np.array_equal(got.finish(), want.finish())
+        assert np.array_equal(got.gram, want.gram) and got.energy == want.energy
+        assert got.total == want.total
+        assert (got.mean is None and want.mean is None) or np.array_equal(got.mean, want.mean)
+        if centred:  # and the weighted block kept its weights
+            all_rows, all_w = np.vstack([p[0] for p in pieces]), np.concatenate([p[1] for p in pieces])
+            np.testing.assert_allclose(got.mean, all_w @ all_rows / all_w.sum(), rtol=1e-12)
+            assert got.total == pytest.approx(all_w.sum(), rel=1e-12)
+
     def test_one_leaf_is_centred_like_one_pass(self):
         gen = np.random.default_rng(13)
         a = gen.standard_normal((_TSQR_BLOCK, 6)) + 1e6

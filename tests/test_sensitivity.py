@@ -20,9 +20,11 @@ from tinycore import (
     kmeans_sensitivities,
     lloyd_solve,
     sensitivity_sample,
+    small_kmeans_coreset,
     vc_sample_size,
 )
 from tinycore import sensitivity
+from tinycore.coreset import merge_coresets
 from tinycore.linalg import _frame
 from tinycore.sensitivity import DEFAULT_C_S, _BlockedDraw, _d2_pass, _inverse_cdf_draw, renormalize_bounds
 
@@ -185,26 +187,47 @@ class TestBicriteria:
 
 
 class TestSharedArrays:
-    """A build keeps the n-length arrays it makes; a caller's writable arrays are copied."""
+    """A build keeps the arrays it makes; a caller's writable arrays are copied."""
 
-    def test_build_copies_no_n_length_array(self, rng, monkeypatch):
+    @pytest.fixture
+    def copied(self, monkeypatch):
+        """The shapes of the arrays that `_as_readonly` copies, from any module."""
         import tinycore
 
-        n = 20000
-        ps = PointSet(make_blobs(rng, n, 10, 5))
-        copied = []
-        for module in (tinycore.linalg, sensitivity):
+        shapes = []
+        for module in (tinycore.linalg, sensitivity, tinycore.dimred):
             readonly = module._as_readonly
 
             def spying(a, dtype=np.float64, readonly=readonly):
                 out = readonly(a, dtype)
-                if out is not a and np.shape(a)[:1] == (n,):
-                    copied.append(np.shape(a))
+                if out is not a:
+                    shapes.append(np.shape(a))
                 return out
 
             monkeypatch.setattr(module, "_as_readonly", spying)
+        return shapes
+
+    def test_build_copies_no_n_length_array(self, rng, copied):
+        n = 20000
+        ps = PointSet(make_blobs(rng, n, 10, 5))
+        copied.clear()
         core = kmeans_coreset(ps, 5, 0.5, 0.1, seed=0, sample_size=2000)
         assert core.size < n
+        assert [shape for shape in copied if shape[:1] == (n,)] == []
+
+    @pytest.mark.parametrize("d, k, eps", [(10, 5, 0.5), (40, 1, 0.99)], ids=["rank-cap", "projected"])
+    def test_builds_on_read_only_coresets_copy_nothing(self, rng, copied, d, k, eps):
+        # each array is flagged read-only where it is made, so no solution,
+        # reduction or coreset copies it again; "projected" reduces 40 to 33 columns
+        parts = [
+            kmeans_coreset(PointSet(make_blobs(rng, 3000, d, 4)), 4, 0.5, 0.1, seed=s, sample_size=600)
+            for s in (0, 1)
+        ]
+        copied.clear()
+        core = merge_coresets(parts).as_point_set()
+        assert kmeans_coreset(core, k, eps, 0.1, seed=0, sample_size=300).size < core.n
+        assert kmeans_coreset(core, k, eps, 0.1, seed=0).size == core.n  # the input itself
+        assert small_kmeans_coreset(core, k, eps, 0.1, seed=0, sample_size=300).size < core.n
         assert copied == []
 
     def test_writable_arrays_of_the_caller_are_copied(self):
