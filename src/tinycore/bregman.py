@@ -22,7 +22,9 @@ import numpy as np
 
 from .clustering import brute_force_kmeans
 from .coreset import Coreset, coreset_cost
-from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
+from .errors import (
+    InvalidArgument, InvalidInput, as_matrix, as_vector, check_int, check_real, check_seed, size_limit,
+)
 from .linalg import CenterSet, PointSet, _as_readonly, _nearest, _weighted_mean, dist2_rows
 from .sensitivity import _LLOYD_MAX_ITERS, _lloyd
 
@@ -51,11 +53,9 @@ class Divergence:
     def __post_init__(self):
         check_real("similarity", self.similarity, hi=1, closed=True)
         if self.matrix is not None:
-            b = np.atleast_2d(as_floats(self.matrix, InvalidArgument, "Mahalanobis matrix"))
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            b = as_matrix(self.matrix, InvalidArgument, "Mahalanobis matrix")
+            if b.shape[0] != b.shape[1]:
                 raise InvalidArgument("Mahalanobis matrix must be square")
-            if not np.all(np.isfinite(b)):
-                raise InvalidArgument("Mahalanobis matrix must have finite entries")
             # the rank's tolerance is relative to the largest singular value: B's scale is moot
             if np.linalg.matrix_rank(b) < b.shape[0]:
                 raise InvalidArgument("Mahalanobis matrix must be regular")
@@ -121,7 +121,7 @@ class Divergence:
         """
         if self.evaluator is None:
             return
-        pts = np.atleast_2d(sample)
+        pts = PointSet(sample).rows
         n = pts.shape[0]
         for _ in range(_VALIDATE_DRAWS):
             p = pts[rng.integers(n)] + 0.01 * rng.standard_normal(pts.shape[1])
@@ -151,14 +151,11 @@ class Divergence:
 
 
 def _rows_and_point(points, q) -> tuple[np.ndarray, np.ndarray]:
-    """The rows as ``PointSet(points).rows`` (InvalidInput unless a non-empty, finite
-    n x d matrix) and q as a finite float vector of their width (InvalidArgument),
-    read before any divergence sees them: a custom evaluator gets these read-only rows."""
+    """The rows as ``PointSet(points).rows`` (InvalidInput unless a non-empty, finite n x d
+    matrix) and q as a finite vector, row or column of their width (InvalidArgument), read
+    before any divergence sees them: a custom evaluator gets these read-only rows and a 1-D q."""
     rows = PointSet(points).rows
-    q = as_floats(q, InvalidArgument, "divergence point")
-    if q.shape != (rows.shape[1],) or not np.all(np.isfinite(q)):
-        raise InvalidArgument(f"the point must be a finite vector of the rows' dimension {rows.shape[1]}")
-    return rows, q
+    return rows, as_vector(q, rows.shape[1], InvalidArgument, "divergence point")
 
 
 def squared_euclidean() -> Divergence:

@@ -462,7 +462,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _check_j(args.j, points.d)
         check_real("eps", args.epsilon, hi=1)  # as for k-means, though the fit below is exact
         shape = best_affine_subspace(points, args.j)
-    cost = dist2(points, shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past float64 fail below
+        cost = dist2(points, shape)
     if not math.isfinite(cost):
         raise TinycoreError(f"the solution's cost on the full data is {cost}, not finite")
     with open(args.output, "w") as fh:

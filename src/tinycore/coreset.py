@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, as_floats, check_int, check_real, size_limit
+from .errors import InvalidInput, as_offset, check_int, check_real, size_limit
 from .linalg import Frame, PointSet, QueryShape, dist2, svd, tail_energy, _check_r, _Tsqr
 
 
@@ -36,13 +36,10 @@ class Coreset:
         if self.weights is None:
             raise InvalidInput("coreset weights must be given")
         ps = PointSet(self.points, self.weights)
-        delta = as_floats(self.delta, InvalidInput, "coreset offset")
-        if delta.shape != () or not (np.isfinite(delta) and delta >= 0):
-            raise InvalidInput("coreset offset must be a finite non-negative number")
         object.__setattr__(self, "_point_set", ps)
         object.__setattr__(self, "points", ps.rows)
         object.__setattr__(self, "weights", ps.weights)
-        object.__setattr__(self, "delta", float(delta))
+        object.__setattr__(self, "delta", as_offset(self.delta, "coreset offset"))
 
     @property
     def size(self) -> int:

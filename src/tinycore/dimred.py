@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import Coreset
-from .errors import InvalidArgument, InvalidInput, check_int, check_real, size_limit
+from .errors import InvalidArgument, InvalidInput, as_matrix, as_offset, check_int, check_real, size_limit
 from .linalg import PointSet, svd, tail_energy, _as_readonly
 
 REDUCE_MODES = ("general", "coreset-lift")
@@ -30,10 +30,8 @@ class ReducedInstance:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _as_readonly(self.basis))
-        object.__setattr__(self, "delta", float(self.delta))
-        if self.delta < 0:
-            raise InvalidInput("reduction offset must be non-negative")
+        object.__setattr__(self, "basis", _as_readonly(as_matrix(self.basis, InvalidInput, "reduction basis")))
+        object.__setattr__(self, "delta", as_offset(self.delta, "reduction offset"))
 
     @property
     def m(self) -> int:
@@ -42,7 +40,7 @@ class ReducedInstance:
 
     def ambient_points(self) -> np.ndarray:
         """The rows of A^(m) expressed in the original d coordinates."""
-        return np.asarray(self.points.rows) @ np.asarray(self.basis).T
+        return self.points.rows @ self.basis.T
 
 
 def reduction_rank(n: int, d: int, j: int, eps: float, mode: str) -> int:
@@ -93,11 +91,8 @@ def lift_coreset(low_coreset: Coreset, reduced: ReducedInstance) -> Coreset:
     The offsets add: the inner coreset's delta plus the reduction's projection
     cost.
     """
-    basis = np.asarray(reduced.basis)
-    if low_coreset.d != basis.shape[1]:
-        raise InvalidArgument(
-            f"coreset dimension {low_coreset.d} does not match reduction rank {basis.shape[1]}"
-        )
-    lifted = np.asarray(low_coreset.points) @ basis.T
+    if low_coreset.d != reduced.m:
+        raise InvalidArgument(f"coreset dimension {low_coreset.d} does not match reduction rank {reduced.m}")
+    lifted = low_coreset.points @ reduced.basis.T
     lifted.setflags(write=False)  # made here: the coreset keeps it, not a copy
     return Coreset(points=lifted, weights=low_coreset.weights, delta=low_coreset.delta + reduced.delta)

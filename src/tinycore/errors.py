@@ -1,4 +1,6 @@
-"""Exception types, and the argument checks that raise them at the public entry points."""
+"""Exception types, and the argument checks that raise them at the public entry points, among them
+the one array rule: every public type reads its arrays by :func:`as_matrix`, :func:`as_vector` and
+:func:`as_offset`, then adds only rules of its own."""
 import contextlib
 import math
 import numbers
@@ -72,3 +74,30 @@ def as_floats(v, error: type[TinycoreError], what: str) -> np.ndarray:
         return np.asarray(v, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must hold numbers: {exc}") from exc
+
+
+def as_matrix(v, error: type[TinycoreError], what: str, min_rows: int = 1) -> np.ndarray:
+    """`v` as a finite float64 n x d matrix with n >= min_rows and d >= 1, without
+    a copy when it is one; a vector is read as one row."""
+    m = np.atleast_2d(as_floats(v, error, what))
+    if m.ndim != 2 or m.shape[0] < min_rows or m.shape[1] < 1 or not np.isfinite(m).all():
+        raise error(f"{what} must be a finite n x d matrix with n >= {min_rows} and d >= 1, got shape {m.shape}")
+    return m
+
+
+def as_vector(v, n: int | None, error: type[TinycoreError], what: str) -> np.ndarray:
+    """`v` as a finite float64 vector of n entries (any length if n is None): one axis,
+    or a single row or column, not flattened from other shapes.  A 1-D array is kept."""
+    a = as_floats(v, error, what)
+    size = a.size if n is None else n
+    if a.shape not in ((size,), (1, size), (size, 1)) or not np.isfinite(a).all():
+        raise error(f"{what} must be a finite vector of {size} entries, got shape {a.shape}")
+    return a if a.ndim == 1 else a.reshape(-1)
+
+
+def as_offset(v, what: str) -> float:
+    """`v` as a finite float >= 0: the additive constant of a coreset or a reduction."""
+    a = as_floats(v, InvalidInput, what)
+    if a.shape != () or not (np.isfinite(a) and a >= 0):
+        raise InvalidInput(f"{what} must be a finite non-negative number")
+    return float(a)

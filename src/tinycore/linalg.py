@@ -30,7 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidInput, as_floats, check_int
+from .errors import InvalidArgument, InvalidInput, as_matrix, as_vector, check_int
 
 TOL_ORTH = 1e-8
 TOL_RECON = 1e-8
@@ -84,20 +84,12 @@ class PointSet:
     weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        rows = np.atleast_2d(as_floats(self.rows, InvalidInput, "point set"))
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise InvalidInput("point set must be a non-empty n x d matrix")
-        if not np.all(np.isfinite(rows)):
-            raise InvalidInput("point set contains non-finite entries")
+        rows = as_matrix(self.rows, InvalidInput, "point set")
         object.__setattr__(self, "rows", _as_readonly(rows))
         if self.weights is not None:
-            w = as_floats(self.weights, InvalidInput, "weights")
-            n = rows.shape[0]  # a vector of n: one axis, a single row or a single column
-            if w.shape not in ((n,), (1, n), (n, 1)):
-                raise InvalidInput(f"weights must be a vector of one per row ({n}), not of shape {w.shape}")
-            w = w if w.ndim == 1 else w.reshape(-1)  # a 1-D vector is kept, not re-viewed
-            if not np.all(np.isfinite(w)) or np.any(w < 0):
-                raise InvalidInput("weights must be finite and non-negative")
+            w = as_vector(self.weights, rows.shape[0], InvalidInput, "weights")
+            if np.any(w < 0):
+                raise InvalidInput("weights must be non-negative")
             object.__setattr__(self, "weights", _as_readonly(w))
 
     @property
@@ -214,8 +206,12 @@ class SvdFactors:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _as_readonly(self.sigma))
-        object.__setattr__(self, "v", _as_readonly(self.v))
+        v = as_matrix(self.v, InvalidInput, "singular vectors")
+        sigma = as_vector(self.sigma, v.shape[1], InvalidInput, "singular values")
+        if np.any(sigma < 0):
+            raise InvalidInput("singular values must be non-negative")
+        object.__setattr__(self, "sigma", _as_readonly(sigma))
+        object.__setattr__(self, "v", _as_readonly(v))
 
     @property
     def rank_bound(self) -> int:
@@ -230,21 +226,17 @@ class Subspace:
     offset: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        basis = np.atleast_2d(as_floats(self.basis, InvalidArgument, "subspace basis"))
-        if basis.ndim != 2:
-            raise InvalidArgument("subspace basis must be a d x j matrix")
+        basis = as_matrix(self.basis, InvalidArgument, "subspace basis")
         d, j = basis.shape
         check_int("subspace dimension", j, 1, d - 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # large or NaN entries fail below
+        with np.errstate(over="ignore", invalid="ignore"):  # squares past float64 fail below
             gram_err = np.max(np.abs(basis.T @ basis - np.eye(j)))
         if not gram_err <= TOL_ORTH:
             raise InvalidArgument(f"basis columns are not orthonormal (err={gram_err:.2e})")
         object.__setattr__(self, "basis", _as_readonly(basis))
         if self.offset is not None:
-            off = as_floats(self.offset, InvalidArgument, "subspace offset")
-            if off.shape not in ((d,), (1, d), (d, 1)) or not np.all(np.isfinite(off)):
-                raise InvalidArgument("offset must be a finite vector of the basis dimension")
-            object.__setattr__(self, "offset", _as_readonly(off.reshape(-1)))
+            off = as_vector(self.offset, d, InvalidArgument, "subspace offset")
+            object.__setattr__(self, "offset", _as_readonly(off))
 
     @property
     def dim(self) -> int:
@@ -258,11 +250,7 @@ class CenterSet:
     centers: np.ndarray
 
     def __post_init__(self):
-        centers = np.atleast_2d(as_floats(self.centers, InvalidArgument, "center set"))
-        if centers.ndim != 2 or centers.shape[0] < 1:
-            raise InvalidArgument("center set must contain at least one center")
-        if not np.all(np.isfinite(centers)):
-            raise InvalidArgument("center set contains non-finite entries")
+        centers = as_matrix(self.centers, InvalidArgument, "center set")
         object.__setattr__(self, "centers", _as_readonly(centers))
 
     @property
@@ -466,8 +454,6 @@ class _Tsqr:
         """R, after the last leaf and the merges left in the counter; then
         `mean`, `total` and `energy` (the trace of G) are set."""
         if self._r is None:
-            if self.n == 0:
-                raise InvalidInput("point set must be a non-empty n x d matrix")
             if self._pending:
                 self._leaf()
             node = None

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import Coreset
-from .errors import InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit
+from .errors import (
+    InvalidArgument, InvalidInput, as_matrix, as_vector, check_int, check_real, check_seed, size_limit,
+)
 from .linalg import Frame, PointSet, _as_readonly, _frame, _lift, _nearest, _sq_dists, _unit
 
 DEFAULT_C_S = 8.0
@@ -32,15 +34,13 @@ class SensitivityProfile:
     total: float
 
     def __post_init__(self):
-        sigma = as_floats(self.sigma, InvalidInput, "sensitivity bounds")
-        if sigma.shape not in ((sigma.size,), (1, sigma.size), (sigma.size, 1)):
-            raise InvalidInput(f"sensitivity bounds must be a vector, not an array of shape {sigma.shape}")
-        if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-            raise InvalidInput("sensitivity bounds must be positive and finite")
+        sigma = as_vector(self.sigma, None, InvalidInput, "sensitivity bounds")
+        if np.any(sigma <= 0):
+            raise InvalidInput("sensitivity bounds must be positive")
         total = float(np.sum(sigma))
         if not abs(total - check_real("profile total", self.total)) <= 1e-9 * max(total, 1.0):
             raise InvalidInput("profile total does not match the sum of bounds")
-        object.__setattr__(self, "sigma", _as_readonly(sigma.reshape(-1)))
+        object.__setattr__(self, "sigma", _as_readonly(sigma))
         object.__setattr__(self, "total", total)
 
     @property
@@ -56,7 +56,8 @@ class BicriteriaSolution:
     `sq_distances` holds each row's squared distance to its assigned center,
     as the assignment pass measured it (in the frame of the rows), so that
     :func:`kmeans_sensitivities` needs no distance pass of its own.  It must
-    have one entry per row of `assignment`.
+    have one entry per row of `assignment`, an integer vector of indices in
+    [0, k) of the k centers, read as it is, without a float round trip.
     """
 
     centers: np.ndarray
@@ -66,15 +67,22 @@ class BicriteriaSolution:
     cluster_sizes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", _as_readonly(self.centers))
-        assignment = _as_readonly(self.assignment, np.int64)
-        object.__setattr__(self, "assignment", assignment)
-        sq = _as_readonly(self.sq_distances)
-        if sq.shape != assignment.shape:
-            raise InvalidInput("squared distances do not match the assignment")
-        object.__setattr__(self, "sq_distances", sq)
-        object.__setattr__(self, "cluster_costs", _as_readonly(self.cluster_costs))
-        object.__setattr__(self, "cluster_sizes", _as_readonly(self.cluster_sizes))
+        centers = as_matrix(self.centers, InvalidInput, "bicriteria centers")
+        k = centers.shape[0]
+        try:
+            idx = np.asarray(self.assignment)
+        except ValueError as exc:  # a ragged list
+            raise InvalidInput(f"bicriteria assignment must hold numbers: {exc}") from exc
+        if idx.dtype.kind not in "iu" or idx.ndim != 1 or (idx.size and not 0 <= idx.min() <= idx.max() < k):
+            raise InvalidInput(f"bicriteria assignment must be an integer vector with entries in [0, {k})")
+        sq = as_vector(self.sq_distances, idx.shape[0], InvalidInput, "squared distances")
+        costs = as_vector(self.cluster_costs, k, InvalidInput, "cluster costs")
+        sizes = as_vector(self.cluster_sizes, k, InvalidInput, "cluster sizes")
+        object.__setattr__(self, "centers", _as_readonly(centers))
+        object.__setattr__(self, "assignment", _as_readonly(idx, np.int64))
+        object.__setattr__(self, "sq_distances", _as_readonly(sq))
+        object.__setattr__(self, "cluster_costs", _as_readonly(costs))
+        object.__setattr__(self, "cluster_sizes", _as_readonly(sizes))
 
     @property
     def total_cost(self) -> float:
@@ -362,8 +370,6 @@ def sensitivity_sample(points: PointSet, profile: SensitivityProfile, s: int, se
     s, seed = check_int("sample size", s), check_seed(seed)
     if profile.n != points.n:
         raise InvalidArgument("profile length does not match the point set")
-    if not profile.total > 0:
-        raise InvalidInput("degenerate sensitivity profile")
     sigma, total = profile.sigma, profile.total
     rows, w = points.rows, points.effective_weights()
 

@@ -27,7 +27,7 @@ import numpy as np
 from .coreset import Coreset, _subspace_coreset, coreset_size_linear
 from .clustering import kmeans_coreset
 from .errors import (
-    EmptyState, InvalidArgument, InvalidInput, as_floats, check_int, check_real, check_seed, size_limit,
+    EmptyState, InvalidArgument, InvalidInput, as_matrix, check_int, check_real, check_seed, size_limit,
 )
 from .linalg import PointSet, _Tsqr, _carry, _stacked
 
@@ -166,21 +166,20 @@ class CoresetStream:
 
     def insert(self, point: np.ndarray) -> None:
         """Take one point, a d-vector or a 1 x d row: `extend` of a one-row block."""
-        block = np.atleast_2d(as_floats(point, InvalidInput, "stream point"))
-        if block.ndim != 2 or block.shape[0] != 1:
+        block = as_matrix(point, InvalidInput, "stream point", min_rows=0)
+        if block.shape[0] != 1:
             raise InvalidInput("insert takes one point, a d-vector or a 1 x d row")
-        self.extend(block)
+        self._append(np.array(block))
 
     def extend(self, points: np.ndarray) -> None:
         """Take an n x d block (copied), flushing and rolling exactly where
         row-by-row inserts would; a block with a bad row is rejected whole."""
-        block = np.atleast_2d(np.array(as_floats(points, InvalidInput, "stream points")))
-        if block.ndim != 2 or block.shape[1] == 0:
-            raise InvalidInput("stream blocks must be n x d arrays with d >= 1")
-        if block.shape[0] == 0:
-            return
-        if not np.isfinite(block).all():
-            raise InvalidInput("stream point contains non-finite entries")
+        block = np.array(as_matrix(points, InvalidInput, "stream points", min_rows=0))
+        if block.shape[0] > 0:
+            self._append(block)
+
+    def _append(self, block: np.ndarray) -> None:
+        """Take a checked block of n >= 1 rows, a copy the stream owns, from `insert` or `extend`."""
         if self._d is None:
             if self.config.kind != "kmeans":  # else the first reduce would fail
                 check_int("subspace dimension", self.config.j, 1, block.shape[1] - 1)

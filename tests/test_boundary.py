@@ -5,6 +5,7 @@ exception, or returned a result.  The property test draws malformed scalars
 and arrays for the parameters of every public function and class; whatever
 it raises must be a TinycoreError.  No test here reads numpy's message text.
 """
+import dataclasses
 import math
 import warnings
 
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tinycore
 from tinycore import (
+    BicriteriaSolution,
     CenterSet,
     Coreset,
     CoresetStream,
@@ -63,7 +66,10 @@ from conftest import make_blobs
 ROWS = make_blobs(np.random.default_rng(7), 12, 3, 2)
 PS = PointSet(ROWS)
 FACTORS = svd(PS)
-PROFILE = kmeans_sensitivities(PS, bicriteria_kmeans(PS, 2, 0.1, 0))
+BIC = bicriteria_kmeans(PS, 2, 0.1, 0)
+PROFILE = kmeans_sensitivities(PS, BIC)
+BIC_ARRAYS = {f.name: getattr(BIC, f.name) for f in dataclasses.fields(BIC)}
+REDUCED = reduce(PS, 1, 0.5)
 CORE = Coreset(points=ROWS[:4], weights=np.full(4, 3.0), delta=0.0)
 BASIS = np.eye(3)[:, :1]
 CENTERS = CenterSet(ROWS[:2])
@@ -83,6 +89,11 @@ def _insert(point, kind="subspace"):
 
 def _extend(rows, kind):
     CoresetStream(StreamConfig(kind=kind, eps=0.5, j=1, k=2)).extend(rows)
+
+
+def _solution(**arrays):
+    """BIC with some of its arrays replaced."""
+    return BicriteriaSolution(**{**BIC_ARRAYS, **arrays})
 
 
 def _solver(points, k):
@@ -223,6 +234,21 @@ TABLE = {
     "ReducedInstance-negative-delta": (
         lambda: ReducedInstance(points=PS, basis=np.eye(3), delta=-1.0), InvalidInput
     ),
+    # types that once held their arrays unchecked: wrapped or truncated indices,
+    # raw numpy errors, NaN singular values or offsets, zero-column centers
+    "BicriteriaSolution-negative-index": (
+        lambda: _solution(assignment=np.where(BIC.assignment == 0, -1, BIC.assignment)), InvalidInput
+    ),
+    "BicriteriaSolution-float-assignment": (lambda: _solution(assignment=[0.5] * 12), InvalidInput),
+    "kmeans_sensitivities-index-past-k": (
+        lambda: kmeans_sensitivities(PS, _solution(assignment=np.full(12, 9))), InvalidInput
+    ),
+    "BicriteriaSolution-string-centers": (lambda: _solution(centers=[["a", "b", "c"]] * 4), InvalidInput),
+    "SvdFactors-nan-sigma": (lambda: SvdFactors(sigma=[NAN, 1.0], v=np.eye(2)), InvalidInput),
+    "SvdFactors-string-sigma": (lambda: SvdFactors(sigma="a", v=np.eye(2)), InvalidInput),
+    "ReducedInstance-nan-delta": (lambda: ReducedInstance(points=PS, basis=np.eye(3), delta=NAN), InvalidInput),
+    "ReducedInstance-string-basis": (lambda: ReducedInstance(points=PS, basis="x", delta=0.0), InvalidInput),
+    "CenterSet-zero-columns": (lambda: CenterSet(np.empty((1, 0))), InvalidArgument),
 }
 
 
@@ -237,6 +263,19 @@ def test_regression_table(row):
 def test_coreset_rejects_a_delta_that_is_not_a_finite_non_negative_number(delta):
     with pytest.raises(InvalidInput, match="coreset offset"):
         Coreset(points=ROWS, weights=np.ones(12), delta=delta)
+
+
+def test_a_3d_center_array_is_named_as_a_bad_shape():
+    with pytest.raises(InvalidArgument, match=r"n x d matrix.*\(1, 2, 3\)"):
+        CenterSet(np.ones((1, 2, 3)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 1)], ids=["vector", "row", "column"])
+@pytest.mark.parametrize("method", ["between", "mahalanobis"])
+def test_a_divergence_point_may_be_a_row_or_a_column(method, shape):
+    call = getattr(MAHALANOBIS, method)
+    want = call(ROWS, ROWS[0])
+    np.testing.assert_array_equal(call(ROWS, ROWS[0].reshape(shape)), want)
 
 
 @pytest.mark.parametrize("k", [2, np.int64(2), np.uint8(2)])
@@ -260,6 +299,12 @@ SMALL = PointSet(ROWS[:6])
 DIV = squared_euclidean()
 ENTRY_POINTS = {
     "PointSet": (PointSet, dict(rows=ROWS, weights=np.ones(12))),
+    "BicriteriaSolution": (BicriteriaSolution, BIC_ARRAYS),
+    "SvdFactors": (SvdFactors, dict(sigma=FACTORS.sigma, v=FACTORS.v)),
+    "ReducedInstance": (ReducedInstance, dict(points=REDUCED.points, basis=REDUCED.basis, delta=REDUCED.delta)),
+    "StreamConfig": (
+        StreamConfig, dict(kind="kmeans", eps=0.5, j=None, k=2, delta=0.1, seed=0, c_stream=1.0)
+    ),
     "CenterSet": (CenterSet, dict(centers=ROWS[:2])),
     "Subspace": (Subspace, dict(basis=BASIS, offset=np.zeros(3))),
     "Coreset": (Coreset, dict(points=ROWS[:4], weights=np.ones(4), delta=0.0)),
@@ -376,6 +421,11 @@ def test_each_parameter_is_broken_alone(name, param, data):
         call(**{**valid, param: data.draw(MALFORMED, label=param)})
     except TinycoreError:
         pass
+
+
+def test_every_public_dataclass_is_fuzzed():
+    public = {name for name in tinycore.__all__ if dataclasses.is_dataclass(getattr(tinycore, name))}
+    assert public - set(ENTRY_POINTS) == set()
 
 
 def test_squares_past_float64_give_a_quiet_cost_that_is_not_finite():

@@ -1116,6 +1116,18 @@ class TestSquareOverflow:
         assert out.exists()
         assert np.all(np.isfinite(bic.sq_distances)) and np.all(np.isfinite(centers.centers))
 
+    def test_solve_on_lifted_overflow_warns_nothing(self, tmp_path, capsys):
+        # the same rows through `solve kmeans`: its cost on the full data is
+        # priced under the np.errstate of `eval`, so the "not finite" check decides
+        rows = np.column_stack([9e153 * (-1.0) ** np.arange(100), np.arange(100.0)])
+        path, out = tmp_path / "big.csv", tmp_path / "sol.csv"
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "kmeans", "--k", "2", "--epsilon", "0.5", "--seed", "1", str(path), "-o", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+
     def test_eval_stops_at_a_true_cost_that_is_not_finite(self, tmp_path, rng, capsys):
         rows = rng.standard_normal((200, 3))
         clean, big, core = tmp_path / "clean.csv", tmp_path / "big.csv", tmp_path / "c.tcs"
